@@ -3,7 +3,7 @@
 
 Run from the repository root:
 
-    python3 benchmarks/bench.py --workload stock_compare --seed 1 --seconds 55 --trace 0
+    python3 benchmarks/bench.py --workload stock_compare --seed 1 --seconds 35 --trace 0
     python3 benchmarks/bench.py --workload all --smoke        # all workloads in seconds
 
 Load model: a closed loop with one client. The benchmark calls
@@ -15,7 +15,9 @@ Each invocation's output is checked (see checks.py); an invocation fails
 on a non-zero exit code or a failed check.
 
 With `--trace 0` the last line of standard output is a JSON object with
-the end-to-end metrics. With `--trace 1` the run alternates untraced and
+the end-to-end metrics; wall time is bounded as a ratio to a reference
+kernel run around every invocation (see reference.py), and raw wall time
+and throughput are printed beside it. With `--trace 1` the run alternates untraced and
 traced invocations, derives per-layer metrics from the spans (see
 tracing.py), adds the fixed-size layer timings (see micro.py), and prints
 those instead. End-to-end numbers come only from untraced invocations.
@@ -55,6 +57,7 @@ from dataclasses import dataclass  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import checks  # noqa: E402
+import reference  # noqa: E402
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -64,7 +67,6 @@ OUT = HERE / "out"
 
 ALPHA = 25.0
 PREAMBLES = 64
-SETUP_SAMPLES = 7
 CHILD_TIMEOUT_S = 120
 # Stop taking traced invocations once this many spans are held in memory.
 MAX_SPANS = 1_500_000
@@ -121,13 +123,21 @@ WORKLOADS = {
 }
 
 END_TO_END_UNITS = {
-    "wall_s": "s",
-    "device_attempts_per_s": "1/s",
+    "wall_norm": "ratio",
     "setup_s": "s",
     "peak_rss_mb": "MB",
 }
+# Printed and kept in the result file, but not bounded: raw wall time and
+# throughput follow the shared machine's drifting speed (see reference.py).
+PRINTED_UNITS = {
+    "wall_s": "s",
+    "device_attempts_per_s": "1/s",
+    "sweep_points_per_s": "1/s",
+    "reference_s": "s",
+}
 # table_sweep does no device attempts; its throughput is swept load points.
 TABLE_RATE = "sweep_points_per_s"
+SETUP_SAMPLES = 9
 
 
 class SetupError(RuntimeError):
@@ -301,24 +311,20 @@ class Runner:
 
     # -- fresh processes ----------------------------------------------------
 
-    def setup_times(self, samples: int) -> list[float]:
+    def setup_time(self) -> float:
         """Fresh interpreter to imported rachsim.cli and parsed scenario."""
         code = "import sys, rachsim.cli\nif len(sys.argv) > 1: rachsim.cli.parse_scenario(sys.argv[1])\n"
         args = [sys.executable, "-c", code]
         if self.w.scenario:
             args.append(str(SCENARIOS / self.w.scenario))
-        times = []
-        for k in range(samples + 1):  # the first one warms caches, untimed
-            t0 = time.perf_counter()
-            proc = subprocess.run(
-                args, env=child_env(), cwd=ROOT, capture_output=True, timeout=CHILD_TIMEOUT_S
-            )
-            elapsed = time.perf_counter() - t0
-            if proc.returncode != 0:
-                raise SetupError(f"set-up child failed: {proc.stderr.decode()[-500:]}")
-            if k:
-                times.append(elapsed)
-        return times
+        t0 = time.perf_counter()
+        proc = subprocess.run(
+            args, env=child_env(), cwd=ROOT, capture_output=True, timeout=CHILD_TIMEOUT_S
+        )
+        elapsed = time.perf_counter() - t0
+        if proc.returncode != 0:
+            raise SetupError(f"set-up child failed: {proc.stderr.decode()[-500:]}")
+        return elapsed
 
     def peak_rss_mb(self) -> float:
         """Peak RSS of a fresh process running one invocation; checks its output."""
@@ -347,30 +353,54 @@ class Runner:
 # Runs
 
 
-def end_to_end_run(runner: Runner, seconds: float) -> tuple[dict[str, float], dict]:
-    setup = runner.setup_times(1 if runner.smoke else SETUP_SAMPLES)
+def end_to_end_run(runner: Runner, seconds: float) -> tuple[dict[str, float], dict, dict]:
+    """Untraced closed loop; returns (bounded metrics, printed-only metrics, samples).
+
+    Every invocation is sandwiched between two runs of the reference kernel
+    (see reference.py): `wall_norm` is the median over invocations of wall
+    time over the mean of the two kernel times, which cancels drifts of the
+    machine's speed. Set-up samples are spread evenly over the run, so they
+    see the same drifts.
+    """
+    n_setup = 1 if runner.smoke else SETUP_SAMPLES
+    runner.setup_time()  # warms the file cache; untimed
     rss = runner.peak_rss_mb()
-    walls, rates = [], []
-    t_end = time.perf_counter() + seconds
+    reference.kernel()  # warm-up; untimed
+    walls, norms, rates, refs, setup = [], [], [], [], []
+    t_start = time.perf_counter()
+    t_end = t_start + seconds
+    before = reference.time_kernel()
     count = 0
     while time.perf_counter() < t_end or count < 2:
         result = runner.invoke(count // 2)
+        after = reference.time_kernel()
         count += 1
         if result is not None:
-            walls.append(result[0])
-            rates.append(result[1] / result[0])
+            wall, items = result
+            ref = (before + after) / 2
+            walls.append(wall)
+            norms.append(wall / ref)
+            refs.append(ref)
+            rates.append(items / wall)
+        before = after
+        if len(setup) < n_setup and time.perf_counter() >= t_start + (len(setup) + 0.5) * seconds / n_setup:
+            setup.append(runner.setup_time())
+            before = reference.time_kernel()
+    while len(setup) < n_setup:
+        setup.append(runner.setup_time())
     rate = TABLE_RATE if runner.w.command == "table" else "device_attempts_per_s"
     metrics = {
-        "wall_s": median(walls),
-        rate: median(rates),
+        "wall_norm": median(norms),
         "setup_s": statistics.median(setup),
         "peak_rss_mb": rss,
     }
-    samples = {"wall_s": walls, "setup_s": setup, "invocations": len(walls)}
-    return metrics, samples
+    printed = {"wall_s": median(walls), rate: median(rates), "reference_s": median(refs)}
+    samples = {"wall_s": walls, "wall_norm": norms, "reference_s": refs, "setup_s": setup,
+               "invocations": len(walls)}
+    return metrics, printed, samples
 
 
-def traced_run(runner: Runner, seconds: float) -> tuple[dict[str, float], dict]:
+def traced_run(runner: Runner, seconds: float) -> tuple[dict[str, float], dict, dict]:
     # these import rachsim, so only after import_rachsim() has run
     import micro
     import tracing
@@ -405,7 +435,7 @@ def traced_run(runner: Runner, seconds: float) -> tuple[dict[str, float], dict]:
     OUT.mkdir(exist_ok=True)
     tracer.write(OUT / f"spans-{runner.w.name}.npz")
     samples = {"untraced_wall_s": untraced, "traced_wall_s": traced, "spans": len(tracer)}
-    return metrics, samples
+    return metrics, {}, samples
 
 
 def median(values: list[float]) -> float:
@@ -436,18 +466,22 @@ def run_workload(cli, name: str, seed: int, seconds: float, trace: bool, smoke: 
     workdir.mkdir(exist_ok=True)
     runner = Runner(cli, workload, seed, smoke, workdir)
     if trace:
-        values, samples = traced_run(runner, seconds)
+        values, printed, samples = traced_run(runner, seconds)
         units = {k: layer_unit(k) for k in values}
     else:
-        values, samples = end_to_end_run(runner, seconds)
-        units = {k: END_TO_END_UNITS.get(k, "1/s") for k in values}
+        values, printed, samples = end_to_end_run(runner, seconds)
+        units = END_TO_END_UNITS
     for path in workdir.glob(f"{name}-*"):
         path.unlink()
-    # a metric that could not be measured (every invocation failed) is null
-    metrics = {
-        k: {"value": values[k] if math.isfinite(values[k]) else None, "unit": units[k]}
-        for k in units
-    }
+
+    def with_units(values: dict[str, float], units: dict[str, str]) -> dict:
+        # a metric that could not be measured (every invocation failed) is null
+        return {
+            k: {"value": values[k] if math.isfinite(values[k]) else None, "unit": units[k]}
+            for k in values
+        }
+
+    metrics = with_units(values, units)
     return {
         "workload": name,
         "correct": runner.failed == 0 and all(m["value"] is not None for m in metrics.values()),
@@ -455,6 +489,7 @@ def run_workload(cli, name: str, seed: int, seconds: float, trace: bool, smoke: 
         "failed": runner.failed,
         "problems": runner.problems,
         "metrics": metrics,
+        "printed": with_units(printed, PRINTED_UNITS),
         "samples": samples,
     }
 
@@ -463,10 +498,11 @@ def report(result: dict, args, env: dict) -> None:
     name = result["workload"]
     print(f"== {name} (seed {args.seed}, {args.seconds} s, trace {args.trace})")
     attempted, failed = result["attempted"], result["failed"]
-    rows = dict(result["metrics"])
+    rows = {**result["metrics"], **result["printed"]}
     if not args.trace:
-        n = result["samples"]["invocations"]
-        rows["wall_s"] = dict(rows["wall_s"], note=f"median of {n} invocations")
+        n = f"median of {result['samples']['invocations']} invocations"
+        for key in ("wall_norm", "wall_s", "reference_s"):
+            rows[key] = dict(rows[key], note=n)
         rows["setup_s"] = dict(rows["setup_s"], note=f"median of {len(result['samples']['setup_s'])}")
     rows["failed_frac"] = {"value": failed / attempted, "unit": "ratio",
                            "note": f"{failed} of {attempted} invocations"}
@@ -482,7 +518,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=[*WORKLOADS, "all"])
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=55.0)
+    parser.add_argument("--seconds", type=float, default=35.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--smoke", action="store_true",
                         help="tiny sizes: every workload in a few seconds")

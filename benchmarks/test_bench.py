@@ -21,6 +21,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import bench  # noqa: E402
 import checks  # noqa: E402
+import reference  # noqa: E402
 
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
@@ -47,15 +48,16 @@ def test_every_metric_emitted_with_its_unit(trace, section):
     assert result["correct"] and result["failed"] == 0 and result["attempted"] >= 1
     for workload in bench.WORKLOADS:
         want = {m["name"]: m["unit"] for m in SPEC[section]}
-        if workload == "table_sweep" and trace == 0:
-            del want["device_attempts_per_s"]
-            want[bench.TABLE_RATE] = "1/s"
         got = {
             key.split(".", 1)[1]: metric["unit"]
             for key, metric in result["metrics"].items()
             if key.startswith(workload + ".")
         }
         assert got == want, workload
+
+
+def test_reference_kernel_does_fixed_work():
+    assert reference.kernel() == reference.kernel()
 
 
 @pytest.fixture(scope="module")
