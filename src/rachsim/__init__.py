@@ -5,68 +5,17 @@ subframe optimizer with an exhaustive integer oracle, a two-branch
 contention-load estimator driven by idle-preamble counts, and a
 deterministic Monte Carlo contention simulator with fixed, maximum,
 adaptive, and access-class-barring controllers.
+
+The package root exports the few names a library user starts from; the
+rest lives in the submodules (model, optimizer, estimator, lambertw,
+simulator, scenario, cli).
 """
 
-from .estimator import (
-    EstimatorState,
-    InconsistentObservationError,
-    LoadBranch,
-    RachObservation,
-    classify_load_branch,
-    estimate_load,
-    smooth_estimate,
-)
-from .lambertw import BRANCH_POINT, BelowBranchPointError, WBranch, lambert_w
-from .model import (
-    FRAME_SUBFRAMES,
-    RachConfig,
-    throughput,
-    utility,
-    utility_gradient,
-    utility_of_load,
-)
-from .optimizer import (
-    DEFAULT_TABLE_MAX_LOAD,
-    LookupTable,
-    SubframeDecision,
-    closed_form_decision,
-    decide_subframes,
-    optimal_subframes_closed_form,
-    optimal_subframes_integer,
-    stationary_alpha_limit,
-    subframe_lookup_table,
-)
-from .scenario import (
-    ScenarioError,
-    default_scenario,
-    format_scenario,
-    parse_scenario,
-    parse_scenario_text,
-)
-from .simulator import (
-    AcbController,
-    AdaptiveController,
-    Controller,
-    ControllerKind,
-    ControllerSpec,
-    ContentionResult,
-    DeviceState,
-    DeviceStatus,
-    FixedController,
-    FrameOutcome,
-    LoadProfile,
-    ProfileSegment,
-    ReplicationSet,
-    Scenario,
-    TimeSeries,
-    acb_gate,
-    aggregate_runs,
-    contend,
-    generate_arrivals,
-    make_controller,
-    resolve_backoff,
-    run_replications,
-    run_scenario,
-)
+from .model import RachConfig
+from .optimizer import optimal_subframes_integer
+from .scenario import default_scenario
+from .simulator import run_replications
+
+__all__ = ["RachConfig", "optimal_subframes_integer", "default_scenario", "run_replications"]
 
 __version__ = "0.1.0"

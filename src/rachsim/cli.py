@@ -28,7 +28,12 @@ from pathlib import Path
 import numpy as np
 
 from .model import RachConfig, throughput, utility_of_load
-from .optimizer import optimal_subframes_integer, subframe_lookup_table
+from .optimizer import (
+    SATURATION_LOAD,
+    load_grid,
+    optimal_subframes_integer,
+    subframe_lookup_table,
+)
 from .scenario import ScenarioError, parse_scenario
 from .simulator import (
     ControllerKind,
@@ -97,12 +102,14 @@ def write_run_csv(
     path: Path, repset: ReplicationSet, controller_name: str, config: RachConfig
 ) -> None:
     """Per-replication rows followed by per-frame mean rows."""
+    n_p = config.n_preambles
+    tp_num = _at_true_load(repset, lambda n, n_s: throughput(n, n_s, n_p))
+    ut_num = _at_true_load(repset, lambda n, n_s: utility_of_load(n, n_s, config))
     handle, writer = _open_writer(path)
     with handle:
         writer.writerow(RUN_COLUMNS)
-        for run in repset.runs:
-            for row in run.rows:
-                row.validate(config)
+        for run, run_tp, run_ut in zip(repset.runs, tp_num, ut_num):
+            for row, tp, ut in zip(run.rows, run_tp, run_ut):
                 writer.writerow(
                     [
                         _fmt(run.replication_id),
@@ -116,13 +123,13 @@ def write_run_csv(
                         _fmt(row.idle),
                         _fmt(row.est_load),
                         _fmt(row.true_load),
-                        _fmt(row.throughput),
-                        _fmt(throughput(row.true_load, row.n_s_used, config.n_preambles)),
+                        _fmt(float(row.successes)),
+                        _fmt(tp),
                         _fmt(row.utility),
-                        _fmt(utility_of_load(row.true_load, row.n_s_used, config)),
+                        _fmt(ut),
                     ]
                 )
-        num_means = _numeric_column_means(repset, config)
+        tp_mean, ut_mean = tp_num.mean(axis=0), ut_num.mean(axis=0)
         means = repset.means
         for frame in range(repset.n_frames):
             writer.writerow(
@@ -138,32 +145,19 @@ def write_run_csv(
                     _fmt(means["idle"][frame]),
                     _fmt(means["est_load"][frame]),
                     _fmt(means["true_load"][frame]),
-                    _fmt(means["throughput"][frame]),
-                    _fmt(num_means["throughput_num"][frame]),
+                    _fmt(means["successes"][frame]),
+                    _fmt(tp_mean[frame]),
                     _fmt(means["utility"][frame]),
-                    _fmt(num_means["utility_num"][frame]),
+                    _fmt(ut_mean[frame]),
                 ]
             )
 
 
-def _numeric_column_means(repset: ReplicationSet, config: RachConfig) -> dict[str, np.ndarray]:
-    """Per-frame means of the analytic columns evaluated at true loads."""
-    tp = np.array(
-        [
-            [
-                throughput(row.true_load, row.n_s_used, config.n_preambles)
-                for row in run.rows
-            ]
-            for run in repset.runs
-        ]
+def _at_true_load(repset: ReplicationSet, model) -> np.ndarray:
+    """model(true_load, n_s_used) for every row, shaped (replications, frames)."""
+    return np.array(
+        [[model(row.true_load, row.n_s_used) for row in run.rows] for run in repset.runs]
     )
-    ut = np.array(
-        [
-            [utility_of_load(row.true_load, row.n_s_used, config) for row in run.rows]
-            for run in repset.runs
-        ]
-    )
-    return {"throughput_num": tp.mean(axis=0), "utility_num": ut.mean(axis=0)}
 
 
 @dataclass
@@ -217,7 +211,9 @@ def write_compare_csv(
     with handle:
         writer.writerow(COMPARE_COLUMNS)
         for name, repset in repsets.items():
-            num_means = _numeric_column_means(repset, config)
+            ut_mean = _at_true_load(
+                repset, lambda n, n_s: utility_of_load(n, n_s, config)
+            ).mean(axis=0)
             means = repset.means
             for frame in range(repset.n_frames):
                 writer.writerow(
@@ -231,7 +227,7 @@ def write_compare_csv(
                         _fmt(means["est_load"][frame]),
                         _fmt(means["successes"][frame]),
                         _fmt(means["utility"][frame]),
-                        _fmt(num_means["utility_num"][frame]),
+                        _fmt(ut_mean[frame]),
                         _fmt(repset.ci95["utility"][frame]),
                     ]
                 )
@@ -272,8 +268,8 @@ def _config_from_args(args) -> RachConfig:
 
 def cmd_optimize(args) -> int:
     config = _config_from_args(args)
-    if args.load < 0:
-        raise ScenarioError(f"load must be >= 0, got {args.load}")
+    if not 0 <= args.load < math.inf:
+        raise ScenarioError(f"load must be finite and >= 0, got {args.load}")
     decision = optimal_subframes_integer(args.load, config)
     print(f"n_s={decision.n_s} utility={_fmt(decision.achieved_utility)}")
     return 0
@@ -281,10 +277,10 @@ def cmd_optimize(args) -> int:
 
 def cmd_table(args) -> int:
     config = _config_from_args(args)
-    if args.step <= 0:
-        raise ScenarioError(f"step must be > 0, got {args.step}")
-    if args.max_load <= 0:
-        raise ScenarioError(f"max-load must be > 0, got {args.max_load}")
+    if not 0 < args.step < math.inf:
+        raise ScenarioError(f"step must be finite and > 0, got {args.step}")
+    if not 0 < args.max_load < math.inf:
+        raise ScenarioError(f"max-load must be finite and > 0, got {args.max_load}")
     table = subframe_lookup_table(config, args.step, args.max_load)
     out = Path(args.out)
     handle, writer = _open_writer(out)
@@ -298,9 +294,7 @@ def cmd_table(args) -> int:
     handle, writer = _open_writer(sweep_path)
     with handle:
         writer.writerow(["load", "n_s"])
-        steps = int(math.floor(args.max_load / args.step + 1e-9))
-        for i in range(steps + 1):
-            load = i * args.step
+        for load in load_grid(args.step, args.max_load):
             writer.writerow([_fmt(load), _fmt(table.lookup(load))])
     print(f"wrote {out} ({len(table.entries)} thresholds) and {sweep_path}")
     return 0
@@ -360,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tab_p.add_argument("--preambles", type=int, default=64)
     tab_p.add_argument("--ns-min", type=int, default=2)
     tab_p.add_argument("--ns-max", type=int, default=8)
-    tab_p.add_argument("--max-load", type=float, default=700.0)
+    tab_p.add_argument("--max-load", type=float, default=SATURATION_LOAD)
     tab_p.add_argument("--step", type=float, default=1.0)
     tab_p.add_argument("--out", required=True, help="thresholds CSV path")
     tab_p.add_argument("--sweep-out", help="dense sweep CSV path (default: <out>_sweep)")

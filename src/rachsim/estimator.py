@@ -30,7 +30,7 @@ __all__ = [
     "estimate_load",
     "smooth_estimate",
     "SUCCESS_CLAMP_FACTOR",
-    "DEFAULT_LOAD_CAP_FACTOR",
+    "LOAD_CAP_FACTOR",
 ]
 
 # Observed success rates may overshoot the analytic peak 1/e by sampling
@@ -41,7 +41,7 @@ SUCCESS_CLAMP_FACTOR = 1.25
 # All-collision frames (eta = 0 on the heavy side) have an unbounded
 # inverse; cap the estimate at this multiple of the opportunity count,
 # which is deep enough into "beyond table range" for any controller.
-DEFAULT_LOAD_CAP_FACTOR = 4.0
+LOAD_CAP_FACTOR = 4.0
 
 _E_INV = math.exp(-1.0)
 
@@ -95,20 +95,14 @@ def classify_load_branch(obs: RachObservation) -> LoadBranch:
     return LoadBranch.HEAVY
 
 
-def estimate_load(
-    eta_obs: float,
-    n_s: int,
-    n_preambles: int,
-    branch: LoadBranch,
-    load_cap: float | None = None,
-) -> float:
+def estimate_load(eta_obs: float, n_s: int, n_preambles: int, branch: LoadBranch) -> float:
     """Invert the throughput curve at an observed success count.
 
     With u = eta_obs / pairs: light returns pairs * (-W0(-u)), heavy
     returns pairs * (-W-1(-u)). u just above 1/e is clamped to the peak
     (estimate = pairs); u beyond the clamp tolerance raises
     InconsistentObservationError. eta_obs = 0 yields 0 on the light branch
-    and the load cap (default 4 * pairs) on the heavy branch.
+    and the load cap 4 * pairs on the heavy branch.
     """
     if eta_obs < 0:
         raise ValueError(f"eta_obs must be >= 0, got {eta_obs}")
@@ -116,9 +110,7 @@ def estimate_load(
         raise ValueError("n_s and n_preambles must be >= 1")
     pairs = n_s * n_preambles
     if eta_obs == 0:
-        if branch is LoadBranch.LIGHT:
-            return 0.0
-        return float(load_cap) if load_cap is not None else DEFAULT_LOAD_CAP_FACTOR * pairs
+        return 0.0 if branch is LoadBranch.LIGHT else LOAD_CAP_FACTOR * pairs
     u = eta_obs / pairs
     if u > _E_INV:
         if u <= _E_INV * SUCCESS_CLAMP_FACTOR:

@@ -48,8 +48,8 @@ class RachConfig:
             )
         if self.n_preambles < 1:
             raise ValueError(f"n_preambles must be >= 1, got {self.n_preambles}")
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
 
     @property
     def subframe_range(self) -> range:

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 from .lambertw import BelowBranchPointError, WBranch, lambert_w
 from .model import RachConfig, utility_of_load
 
 __all__ = [
-    "DEFAULT_TABLE_MAX_LOAD",
+    "SATURATION_LOAD",
     "SubframeDecision",
     "LookupTable",
     "optimal_subframes_integer",
@@ -34,12 +35,14 @@ __all__ = [
     "closed_form_decision",
     "decide_subframes",
     "subframe_lookup_table",
+    "load_grid",
     "stationary_alpha_limit",
 ]
 
 # Beyond this load the controller stops trusting the table and pins the
-# allocation at n_s_max (congestion-relief rule).
-DEFAULT_TABLE_MAX_LOAD = 700.0
+# allocation at n_s_max (congestion-relief rule); it is also the default
+# upper end of the offline table.
+SATURATION_LOAD = 700.0
 
 
 @dataclass(frozen=True)
@@ -63,16 +66,18 @@ class LookupTable:
     alpha: float
     n_preambles: int
     entries: tuple[tuple[float, int], ...]
+    _thresholds: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.entries:
             raise ValueError("lookup table needs at least one entry")
-        thresholds = [t for t, _ in self.entries]
+        thresholds = tuple(t for t, _ in self.entries)
         if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
             raise ValueError("load thresholds must be strictly increasing")
+        object.__setattr__(self, "_thresholds", thresholds)
 
     def lookup(self, load: float) -> int:
-        idx = bisect_right([t for t, _ in self.entries], load) - 1
+        idx = bisect_right(self._thresholds, load) - 1
         return self.entries[max(idx, 0)][1]
 
 
@@ -81,19 +86,24 @@ def stationary_alpha_limit(n_preambles: int) -> float:
     return n_preambles * 4.0 * math.exp(-2.0)
 
 
+def _argmax(load: float, config: RachConfig, candidates: Iterable[int]) -> SubframeDecision:
+    """Utility argmax over ascending candidate counts; ties keep the smaller."""
+    best_n = config.n_s_min
+    best_u = -math.inf
+    for n_s in candidates:
+        u = utility_of_load(load, n_s, config)
+        if u > best_u:
+            best_n, best_u = n_s, u
+    return SubframeDecision(n_s=best_n, achieved_utility=best_u)
+
+
 def optimal_subframes_integer(load: float, config: RachConfig) -> SubframeDecision:
     """Exhaustive argmax of utility over the admissible subframe counts.
 
     Ties break toward the smaller count, freeing subframes for data when
     utility is indifferent.
     """
-    best_n = config.n_s_min
-    best_u = -math.inf
-    for n_s in config.subframe_range:
-        u = utility_of_load(load, n_s, config)
-        if u > best_u:
-            best_n, best_u = n_s, u
-    return SubframeDecision(n_s=best_n, achieved_utility=best_u)
+    return _argmax(load, config, config.subframe_range)
 
 
 def optimal_subframes_closed_form(load: float, config: RachConfig) -> float | None:
@@ -129,19 +139,13 @@ def closed_form_decision(load: float, config: RachConfig) -> SubframeDecision:
     if real_opt is not None:
         for n in (math.floor(real_opt), math.ceil(real_opt)):
             candidates.add(min(max(n, config.n_s_min), config.n_s_max))
-    best_n = config.n_s_min
-    best_u = -math.inf
-    for n_s in sorted(candidates):
-        u = utility_of_load(load, n_s, config)
-        if u > best_u:
-            best_n, best_u = n_s, u
-    return SubframeDecision(n_s=best_n, achieved_utility=best_u)
+    return _argmax(load, config, sorted(candidates))
 
 
 def decide_subframes(
     load: float,
     config: RachConfig,
-    table_max_load: float = DEFAULT_TABLE_MAX_LOAD,
+    table_max_load: float = SATURATION_LOAD,
 ) -> SubframeDecision:
     """Controller-facing decision: argmax in range, saturation beyond it.
 
@@ -162,21 +166,25 @@ def decide_subframes(
     return optimal_subframes_integer(load, config)
 
 
+def load_grid(step: float, max_load: float) -> Iterator[float]:
+    """Loads 0, step, 2 * step, ... up to max_load (within rounding), lazily."""
+    if not 0 < step < math.inf:
+        raise ValueError(f"load grid step must be finite and > 0, got {step}")
+    if not 0 < max_load < math.inf:
+        raise ValueError(f"max_load must be finite and > 0, got {max_load}")
+    steps = int(math.floor(max_load / step + 1e-9))
+    return (i * step for i in range(steps + 1))
+
+
 def subframe_lookup_table(
     config: RachConfig,
     load_grid_step: float = 1.0,
-    max_load: float = DEFAULT_TABLE_MAX_LOAD,
+    max_load: float = SATURATION_LOAD,
 ) -> LookupTable:
     """Sweep loads on a grid and record every argmax change as a threshold."""
-    if load_grid_step <= 0:
-        raise ValueError(f"load_grid_step must be > 0, got {load_grid_step}")
-    if max_load <= 0:
-        raise ValueError(f"max_load must be > 0, got {max_load}")
     entries: list[tuple[float, int]] = []
     last_n: int | None = None
-    steps = int(math.floor(max_load / load_grid_step + 1e-9))
-    for i in range(steps + 1):
-        load = i * load_grid_step
+    for load in load_grid(load_grid_step, max_load):
         n_s = optimal_subframes_integer(load, config).n_s
         if n_s != last_n:
             entries.append((load, n_s))

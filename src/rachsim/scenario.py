@@ -31,9 +31,11 @@ number; out-of-range values are rejected naming the offending key.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from .model import FRAME_SUBFRAMES, RachConfig
+from .optimizer import SATURATION_LOAD
 from .simulator import (
     ControllerKind,
     ControllerSpec,
@@ -140,6 +142,10 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> Scenario:
             raise ScenarioError(
                 f"{source}:{lineno}: {section}.{key} must be a number, got {value!r}"
             ) from None
+        if not math.isfinite(x):
+            raise ScenarioError(
+                f"{source}:{lineno}: {section}.{key} must be finite, got {value!r}"
+            )
         if x < lo or (lo_strict and x == lo) or (hi is not None and x > hi):
             op = ">" if lo_strict else ">="
             bound = f"{op} {lo}" if hi is None else f"in ({lo}, {hi}]"
@@ -177,7 +183,9 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> Scenario:
     controller = ControllerSpec(
         kind=kind,
         window=take_int("controller", "window", 1, lo=1),
-        table_max_load=take_float("controller", "table_max_load", 700.0, lo=0.0, lo_strict=True),
+        table_max_load=take_float(
+            "controller", "table_max_load", SATURATION_LOAD, lo=0.0, lo_strict=True
+        ),
         acb_p=take_float("controller", "acb_p", 0.5, lo=0.0, lo_strict=True, hi=1.0),
         acb_window=take_int("controller", "acb_window", 4, lo=1),
     )
@@ -197,7 +205,7 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> Scenario:
 
 
 def _parse_segments(value: str, lineno: int, source: str) -> LoadProfile:
-    segments = []
+    fields = []
     for chunk in value.split(","):
         chunk = chunk.strip()
         if not chunk:
@@ -215,13 +223,13 @@ def _parse_segments(value: str, lineno: int, source: str) -> LoadProfile:
             raise ScenarioError(
                 f"{source}:{lineno}: load.segments entry {chunk!r} has a non-numeric field"
             ) from None
-        segments.append(ProfileSegment(start, end, r0, r1))
-    if not segments:
+        fields.append((start, end, r0, r1))
+    if not fields:
         raise ScenarioError(f"{source}:{lineno}: load.segments is empty")
-    if segments[0].start_frame != 0:
+    if fields[0][0] != 0:
         raise ScenarioError(f"{source}:{lineno}: load.segments must start at frame 0")
     try:
-        return LoadProfile(tuple(segments))
+        return LoadProfile(tuple(ProfileSegment(*f) for f in fields))
     except ValueError as exc:
         raise ScenarioError(f"{source}:{lineno}: load.segments: {exc}") from None
 

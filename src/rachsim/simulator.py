@@ -26,6 +26,7 @@ Runs are deterministic: same scenario and seed, bit-identical output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
@@ -41,7 +42,7 @@ from .estimator import (
     smooth_estimate,
 )
 from .model import RachConfig, utility
-from .optimizer import DEFAULT_TABLE_MAX_LOAD, decide_subframes
+from .optimizer import SATURATION_LOAD, decide_subframes
 
 __all__ = [
     "ProfileSegment",
@@ -84,6 +85,12 @@ class ProfileSegment:
     rate_start: float
     rate_end: float
 
+    def __post_init__(self) -> None:
+        if self.end_frame <= self.start_frame:
+            raise ValueError(f"segment {self} has end <= start")
+        if not (0 <= self.rate_start < math.inf and 0 <= self.rate_end < math.inf):
+            raise ValueError(f"segment {self} needs finite rates >= 0")
+
 
 @dataclass(frozen=True)
 class LoadProfile:
@@ -94,11 +101,6 @@ class LoadProfile:
     def __post_init__(self) -> None:
         if not self.segments:
             raise ValueError("profile needs at least one segment")
-        for seg in self.segments:
-            if seg.end_frame <= seg.start_frame:
-                raise ValueError(f"segment {seg} has end <= start")
-            if seg.rate_start < 0 or seg.rate_end < 0:
-                raise ValueError(f"segment {seg} has a negative rate")
         for a, b in zip(self.segments, self.segments[1:]):
             if b.start_frame != a.end_frame:
                 raise ValueError(
@@ -138,8 +140,6 @@ def generate_arrivals(profile: LoadProfile, frame: int, rng: np.random.Generator
 class DeviceStatus(Enum):
     CONTENDING = "contending"
     BACKED_OFF = "backed_off"
-    BARRED = "barred"
-    SUCCEEDED = "succeeded"
     DROPPED = "dropped"
 
 
@@ -153,13 +153,12 @@ class DeviceState:
 
 @dataclass(frozen=True)
 class ContentionResult:
-    """Counts and per-device outcome of one frame's preamble selection."""
+    """Counts of one frame's preamble selection plus the devices that collided."""
 
     successes: int
     collisions: int  # pairs picked by >= 2 devices
     collided_devices: int
     idle: int
-    winners: list[DeviceState]
     losers: list[DeviceState]
 
 
@@ -175,24 +174,16 @@ def contend(
     n_pairs = n_s * n_preambles
     devices = list(contenders)
     if not devices:
-        return ContentionResult(0, 0, 0, n_pairs, [], [])
+        return ContentionResult(0, 0, 0, n_pairs, [])
     picks = rng.integers(0, n_pairs, size=len(devices))
     counts = np.bincount(picks, minlength=n_pairs)
     single = counts == 1
-    winners: list[DeviceState] = []
-    losers: list[DeviceState] = []
-    for dev, pick in zip(devices, picks):
-        if single[pick]:
-            dev.status = DeviceStatus.SUCCEEDED
-            winners.append(dev)
-        else:
-            losers.append(dev)
+    losers = [dev for dev, pick in zip(devices, picks) if not single[pick]]
     return ContentionResult(
-        successes=len(winners),
+        successes=len(devices) - len(losers),
         collisions=int(np.count_nonzero(counts >= 2)),
         collided_devices=len(losers),
         idle=int(np.count_nonzero(counts == 0)),
-        winners=winners,
         losers=losers,
     )
 
@@ -247,7 +238,6 @@ def acb_gate(
     if barred:
         delays = rng.integers(1, barring_window + 1, size=len(barred))
         for dev, delay in zip(barred, delays):
-            dev.status = DeviceStatus.BARRED
             dev.backoff_until = frame + int(delay)
     return admitted, barred
 
@@ -269,15 +259,17 @@ class ControllerSpec:
 
     kind: ControllerKind = ControllerKind.ADAPTIVE
     window: int = 1
-    table_max_load: float = DEFAULT_TABLE_MAX_LOAD
+    table_max_load: float = SATURATION_LOAD
     acb_p: float = 0.5
     acb_window: int = 4
 
     def __post_init__(self) -> None:
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
-        if self.table_max_load <= 0:
-            raise ValueError(f"table_max_load must be > 0, got {self.table_max_load}")
+        if not 0 < self.table_max_load < math.inf:
+            raise ValueError(
+                f"table_max_load must be finite and > 0, got {self.table_max_load}"
+            )
         if not 0.0 < self.acb_p <= 1.0:
             raise ValueError(f"acb_p must be in (0, 1], got {self.acb_p}")
         if self.acb_window < 1:
@@ -288,7 +280,6 @@ class Controller:
     """Policy mapping observed history to the next frame's subframe count."""
 
     name = "base"
-    provides_estimates = False
     fallback = False
 
     def next_n_s(self) -> int:
@@ -321,19 +312,13 @@ class AdaptiveController(Controller):
     """
 
     name = "adaptive"
-    provides_estimates = True
 
     def __init__(
-        self,
-        config: RachConfig,
-        window: int = 1,
-        table_max_load: float = DEFAULT_TABLE_MAX_LOAD,
-        load_cap: float | None = None,
+        self, config: RachConfig, window: int = 1, table_max_load: float = SATURATION_LOAD
     ):
         self._config = config
         self._state = EstimatorState(window=window)
         self._table_max_load = table_max_load
-        self._load_cap = load_cap
         self._next = config.n_s_min
         self.fallback = False
 
@@ -343,9 +328,7 @@ class AdaptiveController(Controller):
     def observe(self, obs: RachObservation) -> float | None:
         try:
             branch = classify_load_branch(obs)
-            raw = estimate_load(
-                obs.successes, obs.n_s_used, obs.n_preambles, branch, self._load_cap
-            )
+            raw = estimate_load(obs.successes, obs.n_s_used, obs.n_preambles, branch)
         except InconsistentObservationError:
             self.fallback = True
             self._next = self._config.n_s_max
@@ -438,7 +421,6 @@ class FrameOutcome:
     idle: int
     true_load: int
     est_load: float | None
-    throughput: float
     utility: float
     estimator_fallback: bool = False
 
@@ -461,8 +443,6 @@ class FrameOutcome:
             self.collided_devices, self.idle, self.true_load,
         ) < 0:
             raise ValueError(f"frame {self.frame}: negative count")
-        if self.throughput != self.successes:
-            raise ValueError(f"frame {self.frame}: throughput != successes")
         expected_u = utility(self.successes, config.alpha, self.n_s_used)
         if self.utility != expected_u:
             raise ValueError(f"frame {self.frame}: utility mismatch")
@@ -499,10 +479,7 @@ def run_scenario(scenario: Scenario, seed: int, replication_id: int = 0) -> Time
         arrivals = generate_arrivals(scenario.profile, frame, arrival_rng)
         fresh = [DeviceState(id=next_id + k) for k in range(arrivals)]
         next_id += arrivals
-        due = waiting.pop(frame, [])
-        for dev in due:
-            dev.status = DeviceStatus.CONTENDING
-        pool = due + fresh
+        pool = waiting.pop(frame, []) + fresh
 
         admitted, barred = controller.admit(pool, frame, event_rng)
         for dev in barred:
@@ -537,7 +514,6 @@ def run_scenario(scenario: Scenario, seed: int, replication_id: int = 0) -> Time
             idle=result.idle,
             true_load=len(pool),
             est_load=est,
-            throughput=float(result.successes),
             utility=utility(result.successes, cfg.alpha, n_s),
             estimator_fallback=controller.fallback,
         )
@@ -560,7 +536,6 @@ AGGREGATE_COLUMNS = (
     "idle",
     "true_load",
     "est_load",
-    "throughput",
     "utility",
 )
 

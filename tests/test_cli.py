@@ -46,6 +46,15 @@ def test_optimize_bad_value_exit_code(capsys):
     assert main(["optimize", "--load", "-5", "--alpha", "2"]) == 2
     assert main(["optimize", "--load", "5", "--alpha", "-2"]) == 2
     assert main(["table", "--alpha", "25", "--step", "0", "--out", "/dev/null"]) == 2
+    # non-finite values are argument errors, not -inf utilities or crashes
+    assert main(["optimize", "--load", "nan", "--alpha", "25"]) == 2
+    assert main(["optimize", "--load", "inf", "--alpha", "25"]) == 2
+    assert main(["optimize", "--load", "50", "--alpha", "nan"]) == 2
+    assert main(["optimize", "--load", "50", "--alpha", "inf"]) == 2
+    assert main(["table", "--alpha", "25", "--max-load", "inf", "--out", "/dev/null"]) == 2
+    assert main(["table", "--alpha", "25", "--max-load", "nan", "--out", "/dev/null"]) == 2
+    assert main(["table", "--alpha", "25", "--step", "nan", "--out", "/dev/null"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_run_writes_expected_columns(small_scn, tmp_path, capsys):
@@ -107,6 +116,14 @@ def test_run_missing_scenario_exit_code(tmp_path, capsys):
     rc = main(["run", "--scenario", str(tmp_path / "nope.scn"),
                "--out", str(tmp_path / "o.csv")])
     assert rc == 2
+    # a scenario with a non-finite value is a scenario error as well
+    for text in ("[channel]\nalpha = inf\n" + SMALL, "[load]\nsegments = 0:5:nan:1\n"):
+        bad = tmp_path / "bad.scn"
+        bad.write_text(text)
+        rc = main(["run", "--scenario", str(bad), "--reps", "1",
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_table_outputs(tmp_path, capsys):

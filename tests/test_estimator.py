@@ -69,7 +69,6 @@ def test_classify_matches_simulated_majority():
 def test_estimate_zero_successes():
     assert estimate_load(0.0, 2, 64, LoadBranch.LIGHT) == 0.0
     assert estimate_load(0.0, 2, 64, LoadBranch.HEAVY) == 512.0
-    assert estimate_load(0.0, 2, 64, LoadBranch.HEAVY, load_cap=999.0) == 999.0
 
 
 def test_estimate_branch_point():

@@ -1,0 +1,36 @@
+"""Golden outputs: SHA-256 digests of CLI files for a fixed seed.
+
+The digests pin the exact bytes of the run, compare and table outputs, so
+a refactor that is meant to keep behaviour shows here if it does not. A
+deliberate change of the random stream or of the output format updates
+these digests together with a CHANGES.md entry saying why.
+"""
+
+import hashlib
+
+from rachsim.cli import main
+from rachsim.scenario import default_scenario, format_scenario
+
+GOLDEN = {
+    "run.csv": "6a5f107eda8246e2e9e4f660f1ad41c91e8ef03926e02e3a94f993970b87c2ca",
+    "compare.csv": "6433dadb6eefb7305354e4f460bb3ffb036d26e196704321dbdaacaae6836f7a",
+    "table.csv": "70c8cec2250b8a213f44370b5a2964ecd5f5a93e9e485a8dd21e25899039326f",
+    "table_sweep.csv": "e72806c5369ef21cb237e961aaf2da0584073b6f48df5ada77919c2784948a8f",
+}
+
+
+def test_golden_output_digests(tmp_path, capsys):
+    stock = tmp_path / "stock.scn"
+    stock.write_text(format_scenario(default_scenario()))
+    assert main(["run", "--scenario", str(stock), "--controller", "adaptive",
+                 "--seed", "1", "--reps", "3", "--out", str(tmp_path / "run.csv")]) == 0
+    assert main(["compare", "--scenario", str(stock),
+                 "--controllers", "adaptive,fixed,acb,max", "--seed", "1",
+                 "--reps", "3", "--out", str(tmp_path / "compare.csv")]) == 0
+    assert main(["table", "--alpha", "25", "--step", "1",
+                 "--out", str(tmp_path / "table.csv")]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in GOLDEN
+    }
+    assert digests == GOLDEN

@@ -157,4 +157,7 @@ def test_config_validation():
         RachConfig(n_preambles=0)
     with pytest.raises(ValueError):
         RachConfig(alpha=-0.1)
+    for alpha in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            RachConfig(alpha=alpha)
     assert list(RachConfig().subframe_range) == [2, 3, 4, 5, 6, 7, 8]

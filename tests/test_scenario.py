@@ -62,6 +62,13 @@ def test_out_of_range_value_names_key():
     text = "[load]\nsegments = 0:5:1:1\n\n[sim]\nframes = 9\n"
     with pytest.raises(ScenarioError, match="sim.frames"):
         parse_scenario_text(text)
+    for value in ("inf", "nan", "-inf"):
+        text = f"[channel]\nalpha = {value}\n\n[load]\nsegments = 0:5:1:1\n"
+        with pytest.raises(ScenarioError, match="channel.alpha must be finite"):
+            parse_scenario_text(text)
+        text = f"[load]\nsegments = 0:5:1:1\n\n[controller]\ntable_max_load = {value}\n"
+        with pytest.raises(ScenarioError, match="controller.table_max_load must be finite"):
+            parse_scenario_text(text)
 
 
 def test_malformed_lines():
@@ -82,6 +89,9 @@ def test_bad_segments():
         parse_scenario_text("[load]\nsegments = 5:10:1:1\n")
     with pytest.raises(ScenarioError, match="contiguous"):
         parse_scenario_text("[load]\nsegments = 0:5:1:1, 6:10:1:1\n")
+    for rate in ("nan", "inf"):
+        with pytest.raises(ScenarioError, match=r":2: load.segments: .*finite"):
+            parse_scenario_text(f"[load]\nsegments = 0:5:{rate}:1\n")
 
 
 def test_bad_kind():

@@ -53,6 +53,11 @@ def test_profile_validation():
         LoadProfile((ProfileSegment(0, 0, 1.0, 1.0),))
     with pytest.raises(ValueError):
         LoadProfile((ProfileSegment(0, 5, 1.0, -1.0),))
+    for rate in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ProfileSegment(0, 5, rate, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            ProfileSegment(0, 5, 1.0, rate)
     with pytest.raises(ValueError):
         LoadProfile((ProfileSegment(0, 5, 1.0, 1.0), ProfileSegment(6, 10, 1.0, 1.0)))
 
@@ -89,7 +94,7 @@ def test_contend_single_device():
     assert result.collisions == 0
     assert result.collided_devices == 0
     assert result.idle == 127
-    assert result.winners[0].status is DeviceStatus.SUCCEEDED
+    assert result.losers == []
 
 
 def test_contend_empty():
@@ -170,9 +175,10 @@ def test_acb_gate_half_barring():
     devs = make_devices(10_000)
     admitted, barred = acb_gate(devs, 0.5, 4, 7, rng)
     assert len(admitted) / len(devs) == pytest.approx(0.5, abs=0.02)
+    assert len(admitted) + len(barred) == len(devs)
     for d in barred:
-        assert d.status is DeviceStatus.BARRED
         assert 8 <= d.backoff_until <= 11
+    assert all(d.backoff_until == 0 for d in admitted)
 
 
 def test_acb_gate_validation():
@@ -349,4 +355,7 @@ def test_scenario_validation():
         Scenario(config=RachConfig(), profile=TRIANGLE, backoff_window=0)
     with pytest.raises(ValueError):
         Scenario(config=RachConfig(), profile=TRIANGLE, retry_limit=-1)
+    for bad in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="table_max_load"):
+            ControllerSpec(table_max_load=bad)
     assert Scenario(config=RachConfig(), profile=TRIANGLE).frames == 20
