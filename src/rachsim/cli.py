@@ -253,6 +253,17 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count that must be >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _config_from_args(args) -> RachConfig:
     # every failure here is a bad command-line value, an argument error
     try:
@@ -277,10 +288,10 @@ def cmd_optimize(args) -> int:
 
 def cmd_table(args) -> int:
     config = _config_from_args(args)
-    if not 0 < args.step < math.inf:
-        raise ScenarioError(f"step must be finite and > 0, got {args.step}")
-    if not 0 < args.max_load < math.inf:
-        raise ScenarioError(f"max-load must be finite and > 0, got {args.max_load}")
+    try:
+        grid = load_grid(args.step, args.max_load)
+    except ValueError as exc:  # a bad --step or --max-load
+        raise ScenarioError(str(exc)) from None
     table = subframe_lookup_table(config, args.step, args.max_load)
     out = Path(args.out)
     handle, writer = _open_writer(out)
@@ -294,7 +305,7 @@ def cmd_table(args) -> int:
     handle, writer = _open_writer(sweep_path)
     with handle:
         writer.writerow(["load", "n_s"])
-        for load in load_grid(args.step, args.max_load):
+        for load in grid:
             writer.writerow([_fmt(load), _fmt(table.lookup(load))])
     print(f"wrote {out} ({len(table.entries)} thresholds) and {sweep_path}")
     return 0
@@ -337,7 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--scenario", required=True, help="scenario file path")
     run_p.add_argument("--controller", choices=_KIND_NAMES, help="override scenario controller")
     run_p.add_argument("--seed", type=int, default=1)
-    run_p.add_argument("--reps", type=int, default=100)
+    run_p.add_argument("--reps", type=_positive_int, default=100)
     run_p.add_argument("--out", required=True, help="output CSV path")
     run_p.set_defaults(func=cmd_run)
 
@@ -368,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated list from " + ", ".join(_KIND_NAMES),
     )
     cmp_p.add_argument("--seed", type=int, default=1)
-    cmp_p.add_argument("--reps", type=int, default=100)
+    cmp_p.add_argument("--reps", type=_positive_int, default=100)
     cmp_p.add_argument("--out", required=True, help="merged per-frame CSV path")
     cmp_p.set_defaults(func=cmd_compare)
 

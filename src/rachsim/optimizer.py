@@ -28,6 +28,7 @@ from .model import RachConfig, utility_of_load
 
 __all__ = [
     "SATURATION_LOAD",
+    "MAX_GRID_POINTS",
     "SubframeDecision",
     "LookupTable",
     "optimal_subframes_integer",
@@ -43,6 +44,9 @@ __all__ = [
 # allocation at n_s_max (congestion-relief rule); it is also the default
 # upper end of the offline table.
 SATURATION_LOAD = 700.0
+
+# Largest load grid a sweep may walk, one optimizer call per point.
+MAX_GRID_POINTS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -172,8 +176,13 @@ def load_grid(step: float, max_load: float) -> Iterator[float]:
         raise ValueError(f"load grid step must be finite and > 0, got {step}")
     if not 0 < max_load < math.inf:
         raise ValueError(f"max_load must be finite and > 0, got {max_load}")
-    steps = int(math.floor(max_load / step + 1e-9))
-    return (i * step for i in range(steps + 1))
+    steps = max_load / step + 1e-9
+    if steps >= MAX_GRID_POINTS:
+        raise ValueError(
+            f"load grid max_load / step = {max_load} / {step} exceeds "
+            f"{MAX_GRID_POINTS} points"
+        )
+    return (i * step for i in range(int(math.floor(steps)) + 1))
 
 
 def subframe_lookup_table(

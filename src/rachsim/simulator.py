@@ -47,6 +47,7 @@ from .optimizer import SATURATION_LOAD, decide_subframes
 __all__ = [
     "ProfileSegment",
     "LoadProfile",
+    "MAX_POOL",
     "DeviceStatus",
     "DeviceState",
     "ControllerKind",
@@ -135,6 +136,21 @@ def generate_arrivals(profile: LoadProfile, frame: int, rng: np.random.Generator
 
 # ---------------------------------------------------------------------------
 # Devices and contention
+#
+# Each contention rule has one implementation, an array kernel that works
+# on per-device arrays in pool order: `_pick_pairs` (pair selection and
+# the singleton test), `_backoff` (retry-limit drop and backoff draw) and
+# `_bar` (barring draw and barring delay). `run_scenario` calls them
+# directly; `contend`, `resolve_backoff` and `acb_gate` adapt them to
+# DeviceState lists. A kernel draws nothing for an empty selection, so
+# both callers consume the event stream identically.
+
+# Bound on the devices one frame may hold (pending plus new arrivals); a
+# finite but huge arrival rate fails here instead of exhausting memory.
+MAX_POOL = 10_000_000
+
+_NO_DEVICES = np.zeros(0, dtype=np.int64)
+_NO_DEVICES.flags.writeable = False
 
 
 class DeviceStatus(Enum):
@@ -162,6 +178,63 @@ class ContentionResult:
     losers: list[DeviceState]
 
 
+def _pick_pairs(
+    n: int, n_s: int, n_preambles: int, rng: np.random.Generator
+) -> tuple[np.ndarray, int, int, int]:
+    """n devices pick uniform pairs: (lost mask, successes, collisions, idle)."""
+    if n_s < 1 or n_preambles < 1:
+        raise ValueError("n_s and n_preambles must be >= 1")
+    n_pairs = n_s * n_preambles
+    if n == 0:
+        return np.zeros(0, dtype=bool), 0, 0, n_pairs
+    picks = rng.integers(0, n_pairs, size=n)
+    counts = np.bincount(picks, minlength=n_pairs)
+    lost = counts[picks] != 1
+    return (
+        lost,
+        n - int(np.count_nonzero(lost)),
+        int(np.count_nonzero(counts >= 2)),
+        int(np.count_nonzero(counts == 0)),
+    )
+
+
+def _defer(n: int, frame: int, window: int, rng: np.random.Generator) -> np.ndarray:
+    """Due frames of n deferred devices, uniform over frame+1..frame+window."""
+    if not n:
+        return _NO_DEVICES
+    return frame + rng.integers(1, window + 1, size=n)
+
+
+def _backoff(
+    attempts: np.ndarray,
+    frame: int,
+    backoff_window: int,
+    retry_limit: int,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Collided devices' (retry mask, due frames of the retriers)."""
+    if backoff_window < 1:
+        raise ValueError(f"backoff_window must be >= 1, got {backoff_window}")
+    if retry_limit < 0:
+        raise ValueError(f"retry_limit must be >= 0, got {retry_limit}")
+    retry = attempts < retry_limit
+    return retry, _defer(int(np.count_nonzero(retry)), frame, backoff_window, rng)
+
+
+def _bar(
+    n: int, p_barring: float, barring_window: int, frame: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Barring of n devices: (passed mask, due frames of the barred)."""
+    if not 0.0 < p_barring <= 1.0:
+        raise ValueError(f"p_barring must be in (0, 1], got {p_barring}")
+    if barring_window < 1:
+        raise ValueError(f"barring_window must be >= 1, got {barring_window}")
+    if n == 0:
+        return np.zeros(0, dtype=bool), _NO_DEVICES
+    passed = rng.random(n) < p_barring
+    return passed, _defer(n - int(np.count_nonzero(passed)), frame, barring_window, rng)
+
+
 def contend(
     contenders: Sequence[DeviceState],
     n_s: int,
@@ -169,23 +242,10 @@ def contend(
     rng: np.random.Generator,
 ) -> ContentionResult:
     """Uniform (subframe, preamble) selection; singleton pairs win."""
-    if n_s < 1 or n_preambles < 1:
-        raise ValueError("n_s and n_preambles must be >= 1")
-    n_pairs = n_s * n_preambles
     devices = list(contenders)
-    if not devices:
-        return ContentionResult(0, 0, 0, n_pairs, [])
-    picks = rng.integers(0, n_pairs, size=len(devices))
-    counts = np.bincount(picks, minlength=n_pairs)
-    single = counts == 1
-    losers = [dev for dev, pick in zip(devices, picks) if not single[pick]]
-    return ContentionResult(
-        successes=len(devices) - len(losers),
-        collisions=int(np.count_nonzero(counts >= 2)),
-        collided_devices=len(losers),
-        idle=int(np.count_nonzero(counts == 0)),
-        losers=losers,
-    )
+    lost, successes, collisions, idle = _pick_pairs(len(devices), n_s, n_preambles, rng)
+    losers = [dev for dev, lose in zip(devices, lost.tolist()) if lose]
+    return ContentionResult(successes, collisions, len(losers), idle, losers)
 
 
 def resolve_backoff(
@@ -199,22 +259,19 @@ def resolve_backoff(
 
     A device that has already failed retry_limit times is dropped instead.
     """
-    if backoff_window < 1:
-        raise ValueError(f"backoff_window must be >= 1, got {backoff_window}")
-    if retry_limit < 0:
-        raise ValueError(f"retry_limit must be >= 0, got {retry_limit}")
-    retriers: list[DeviceState] = []
-    for dev in collided:
-        if dev.attempts >= retry_limit:
-            dev.status = DeviceStatus.DROPPED
-        else:
+    devices = list(collided)
+    attempts = np.array([dev.attempts for dev in devices], dtype=np.int64)
+    retry, due = _backoff(attempts, frame, backoff_window, retry_limit, rng)
+    retriers = []
+    for dev, again in zip(devices, retry.tolist()):
+        if again:
             retriers.append(dev)
-    if retriers:
-        delays = rng.integers(1, backoff_window + 1, size=len(retriers))
-        for dev, delay in zip(retriers, delays):
-            dev.attempts += 1
-            dev.status = DeviceStatus.BACKED_OFF
-            dev.backoff_until = frame + int(delay)
+        else:
+            dev.status = DeviceStatus.DROPPED
+    for dev, until in zip(retriers, due.tolist()):
+        dev.attempts += 1
+        dev.status = DeviceStatus.BACKED_OFF
+        dev.backoff_until = until
 
 
 def acb_gate(
@@ -225,20 +282,12 @@ def acb_gate(
     rng: np.random.Generator,
 ) -> tuple[list[DeviceState], list[DeviceState]]:
     """Admit each contender with probability p_barring; bar the rest."""
-    if not 0.0 < p_barring <= 1.0:
-        raise ValueError(f"p_barring must be in (0, 1], got {p_barring}")
-    if barring_window < 1:
-        raise ValueError(f"barring_window must be >= 1, got {barring_window}")
     devices = list(contenders)
-    if not devices:
-        return [], []
-    passed = rng.random(len(devices)) < p_barring
-    admitted = [d for d, ok in zip(devices, passed) if ok]
-    barred = [d for d, ok in zip(devices, passed) if not ok]
-    if barred:
-        delays = rng.integers(1, barring_window + 1, size=len(barred))
-        for dev, delay in zip(barred, delays):
-            dev.backoff_until = frame + int(delay)
+    passed, due = _bar(len(devices), p_barring, barring_window, frame, rng)
+    admitted = [dev for dev, ok in zip(devices, passed.tolist()) if ok]
+    barred = [dev for dev, ok in zip(devices, passed.tolist()) if not ok]
+    for dev, until in zip(barred, due.tolist()):
+        dev.backoff_until = until
     return admitted, barred
 
 
@@ -286,9 +335,10 @@ class Controller:
         raise NotImplementedError
 
     def admit(
-        self, pool: list[DeviceState], frame: int, rng: np.random.Generator
-    ) -> tuple[list[DeviceState], list[DeviceState]]:
-        return pool, []
+        self, pool: np.ndarray, frame: int, rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Split the pool's attempt counts into (admitted, barred, barred due frames)."""
+        return pool, _NO_DEVICES, _NO_DEVICES
 
     def observe(self, obs: RachObservation) -> float | None:
         return None
@@ -353,7 +403,8 @@ class AcbController(Controller):
         return self._n_s
 
     def admit(self, pool, frame, rng):
-        return acb_gate(pool, self._p, self._window, frame, rng)
+        passed, due = _bar(len(pool), self._p, self._window, frame, rng)
+        return pool[passed], pool[~passed], due
 
 
 def make_controller(spec: ControllerSpec, config: RachConfig) -> Controller:
@@ -462,43 +513,62 @@ class TimeSeries:
 
 
 def run_scenario(scenario: Scenario, seed: int, replication_id: int = 0) -> TimeSeries:
-    """Simulate one replication; deterministic for a fixed (scenario, seed)."""
+    """Simulate one replication; deterministic for a fixed (scenario, seed).
+
+    Pending devices are two arrays in the order they were deferred: the
+    frame each one contends in next and its failed attempts so far. A
+    frame's pool is its due devices in that order followed by the new
+    arrivals; barred devices are deferred before retriers.
+    """
     cfg = scenario.config
     controller = make_controller(scenario.controller, cfg)
     arrival_seq, event_seq = np.random.SeedSequence(seed).spawn(2)
     arrival_rng = np.random.default_rng(arrival_seq)
     event_rng = np.random.default_rng(event_seq)
 
-    waiting: dict[int, list[DeviceState]] = {}  # due frame -> devices
+    due = _NO_DEVICES
+    attempts = _NO_DEVICES
+    arrived = succeeded = dropped = 0
     rows: list[FrameOutcome] = []
-    next_id = 0
 
     for frame in range(scenario.frames):
         n_s = controller.next_n_s()
 
         arrivals = generate_arrivals(scenario.profile, frame, arrival_rng)
-        fresh = [DeviceState(id=next_id + k) for k in range(arrivals)]
-        next_id += arrivals
-        pool = waiting.pop(frame, []) + fresh
+        if len(due) + arrivals > MAX_POOL:
+            raise ValueError(
+                f"frame {frame}: {len(due)} pending devices plus {arrivals} arrivals "
+                f"exceed the pool bound of {MAX_POOL}"
+            )
+        now = due == frame
+        pool = np.concatenate((attempts[now], np.zeros(arrivals, dtype=np.int64)))
+        due, attempts = due[~now], attempts[~now]
 
-        admitted, barred = controller.admit(pool, frame, event_rng)
-        for dev in barred:
-            waiting.setdefault(dev.backoff_until, []).append(dev)
-
-        result = contend(admitted, n_s, cfg.n_preambles, event_rng)
-        resolve_backoff(
-            result.losers, frame, scenario.backoff_window, scenario.retry_limit,
-            event_rng,
+        admitted, barred, barred_due = controller.admit(pool, frame, event_rng)
+        lost, successes, collisions, idle = _pick_pairs(
+            len(admitted), n_s, cfg.n_preambles, event_rng
         )
-        for dev in result.losers:
-            if dev.status is DeviceStatus.BACKED_OFF:
-                waiting.setdefault(dev.backoff_until, []).append(dev)
+        losers = admitted[lost]
+        retry, retry_due = _backoff(
+            losers, frame, scenario.backoff_window, scenario.retry_limit, event_rng
+        )
+        due = np.concatenate((due, barred_due, retry_due))
+        attempts = np.concatenate((attempts, barred, losers[retry] + 1))
+
+        arrived += arrivals
+        succeeded += successes
+        dropped += len(losers) - int(np.count_nonzero(retry))
+        if arrived != succeeded + dropped + len(due):
+            raise ValueError(
+                f"frame {frame}: device conservation broken: {arrived} arrived, "
+                f"{succeeded} succeeded, {dropped} dropped, {len(due)} pending"
+            )
 
         est = controller.observe(
             RachObservation(
-                successes=result.successes,
-                collisions=result.collisions,
-                idle=result.idle,
+                successes=successes,
+                collisions=collisions,
+                idle=idle,
                 n_s_used=n_s,
                 n_preambles=cfg.n_preambles,
             )
@@ -508,13 +578,13 @@ def run_scenario(scenario: Scenario, seed: int, replication_id: int = 0) -> Time
             n_s_used=n_s,
             arrivals=arrivals,
             contenders=len(admitted),
-            successes=result.successes,
-            collisions=result.collisions,
-            collided_devices=result.collided_devices,
-            idle=result.idle,
+            successes=successes,
+            collisions=collisions,
+            collided_devices=len(losers),
+            idle=idle,
             true_load=len(pool),
             est_load=est,
-            utility=utility(result.successes, cfg.alpha, n_s),
+            utility=utility(successes, cfg.alpha, n_s),
             estimator_fallback=controller.fallback,
         )
         row.validate(cfg)

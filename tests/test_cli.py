@@ -5,7 +5,7 @@ import csv
 import pytest
 
 from rachsim.cli import RUN_COLUMNS, build_report, main
-from rachsim.simulator import run_replications
+from rachsim.simulator import MAX_POOL, run_replications
 from rachsim.scenario import default_scenario
 
 SMALL = "[load]\nsegments = 0:5:0:200, 5:10:200:0\n"
@@ -54,6 +54,9 @@ def test_optimize_bad_value_exit_code(capsys):
     assert main(["table", "--alpha", "25", "--max-load", "inf", "--out", "/dev/null"]) == 2
     assert main(["table", "--alpha", "25", "--max-load", "nan", "--out", "/dev/null"]) == 2
     assert main(["table", "--alpha", "25", "--step", "nan", "--out", "/dev/null"]) == 2
+    # a finite grid too large to walk is refused before the sweep starts
+    assert main(["table", "--alpha", "25", "--max-load", "1e12", "--step", "1",
+                 "--out", "/dev/null"]) == 2
     assert capsys.readouterr().out == ""
 
 
@@ -210,3 +213,21 @@ def test_bad_arguments_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus-command"])
     assert exc.value.code == 2
+    for command in (["run"], ["compare", "--controllers", "adaptive,fixed"]):
+        for reps in ("0", "-1", "two"):
+            with pytest.raises(SystemExit) as exc:
+                main(command + ["--scenario", "x.scn", "--reps", reps, "--out", "x.csv"])
+            assert exc.value.code == 2
+
+
+def test_run_huge_rate_fails_before_allocating(tmp_path, capsys):
+    # a finite rate whose Poisson draw is far beyond memory: the pool bound
+    # fires on the count, before any per-device array exists
+    scn = tmp_path / "huge.scn"
+    scn.write_text("[load]\nsegments = 0:3:0:1e12\n")
+    rc = main(["run", "--scenario", str(scn), "--reps", "1",
+               "--out", str(tmp_path / "o.csv")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "frame 1:" in err and f"pool bound of {MAX_POOL}" in err
+    assert not (tmp_path / "o.csv").exists()

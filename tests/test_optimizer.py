@@ -7,9 +7,11 @@ import pytest
 
 from rachsim.model import RachConfig, utility_of_load
 from rachsim.optimizer import (
+    MAX_GRID_POINTS,
     LookupTable,
     closed_form_decision,
     decide_subframes,
+    load_grid,
     optimal_subframes_closed_form,
     optimal_subframes_integer,
     stationary_alpha_limit,
@@ -174,3 +176,13 @@ def test_lookup_table_validation():
         subframe_lookup_table(ALPHA25, 0.0, 700.0)
     with pytest.raises(ValueError):
         subframe_lookup_table(ALPHA25, 1.0, -1.0)
+
+
+def test_load_grid_point_bound():
+    # the check runs on the point count, before any point is generated
+    grid = load_grid(1.0, MAX_GRID_POINTS - 1)  # exactly MAX_GRID_POINTS points
+    assert next(grid) == 0.0
+    with pytest.raises(ValueError, match="points"):
+        load_grid(1.0, float(MAX_GRID_POINTS))
+    with pytest.raises(ValueError, match="points"):
+        load_grid(1e-300, 1e300)  # the quotient overflows to inf

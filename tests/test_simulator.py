@@ -1,10 +1,12 @@
 """Contention simulator: primitives, run loop, determinism, causality."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import rachsim.simulator
 from rachsim.estimator import RachObservation, classify_load_branch, estimate_load
 from rachsim.model import RachConfig
 from rachsim.optimizer import decide_subframes
@@ -313,6 +315,37 @@ def test_succeeded_devices_do_not_return():
     for row in ts.rows:
         assert row.contenders <= row.arrivals + backlog_in
         backlog_in += row.collided_devices
+
+
+@pytest.mark.parametrize("variant", [{"retry_limit": 0}, {"backoff_window": 1}])
+def test_device_conservation_every_controller(variant):
+    # run_scenario checks arrived == succeeded + dropped + pending every
+    # frame and raises if not; the rows must also agree with the variant
+    base = replace(default_scenario(), **variant)
+    for kind in ControllerKind:
+        for seed in range(1, 4):
+            rows = run_scenario(base.with_controller(kind), seed).rows
+            assert sum(r.successes for r in rows) <= sum(r.arrivals for r in rows)
+            for prev, row in zip([None] + rows, rows):
+                if kind is ControllerKind.ACB:
+                    assert row.true_load >= row.arrivals
+                elif variant == {"retry_limit": 0}:
+                    assert row.true_load == row.arrivals  # a collision drops
+                else:  # every retrier comes back the next frame
+                    returning = prev.collided_devices if prev else 0
+                    assert row.arrivals <= row.true_load <= row.arrivals + returning
+
+
+def test_conservation_check_catches_a_lost_device(monkeypatch):
+    backoff = rachsim.simulator._backoff
+
+    def lose_one_retrier(*args):
+        retry, due = backoff(*args)
+        return retry, due[1:]
+
+    monkeypatch.setattr(rachsim.simulator, "_backoff", lose_one_retrier)
+    with pytest.raises(ValueError, match="device conservation broken"):
+        run_scenario(default_scenario("fixed"), seed=1)
 
 
 def test_run_replications_single_equals_run():
