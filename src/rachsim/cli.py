@@ -28,12 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import RachConfig, throughput, utility_of_load
-from .optimizer import (
-    SATURATION_LOAD,
-    load_grid,
-    optimal_subframes_integer,
-    subframe_lookup_table,
-)
+from .optimizer import SATURATION_LOAD, optimal_subframes_integer, subframe_lookup_table
 from .scenario import ScenarioError, parse_scenario
 from .simulator import (
     ControllerKind,
@@ -289,10 +284,9 @@ def cmd_optimize(args) -> int:
 def cmd_table(args) -> int:
     config = _config_from_args(args)
     try:
-        grid = load_grid(args.step, args.max_load)
+        table = subframe_lookup_table(config, args.step, args.max_load)
     except ValueError as exc:  # a bad --step or --max-load
         raise ScenarioError(str(exc)) from None
-    table = subframe_lookup_table(config, args.step, args.max_load)
     out = Path(args.out)
     handle, writer = _open_writer(out)
     with handle:
@@ -305,8 +299,9 @@ def cmd_table(args) -> int:
     handle, writer = _open_writer(sweep_path)
     with handle:
         writer.writerow(["load", "n_s"])
-        for load in grid:
-            writer.writerow([_fmt(load), _fmt(table.lookup(load))])
+        # csv writes str() of Python floats and ints, the cells _fmt writes
+        for loads in table.grid.blocks():
+            writer.writerows(zip(loads.tolist(), table.lookup_many(loads).tolist()))
     print(f"wrote {out} ({len(table.entries)} thresholds) and {sweep_path}")
     return 0
 

@@ -14,6 +14,11 @@ utility is then monotone decreasing in n_s and the boundary wins.
 Because the interior stationary point need not beat the range boundaries,
 any decision derived from the closed form compares the rounded neighbors
 of the real-valued optimum against both boundary counts.
+
+The offline table sweeps the same argmax over a load grid as numpy
+arrays, block by block; points where the best two utilities nearly tie
+are decided by the scalar argmax, so the table is the one the scalar
+sweep would build.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .lambertw import BelowBranchPointError, WBranch, lambert_w
 from .model import RachConfig, utility_of_load
 
@@ -30,6 +37,7 @@ __all__ = [
     "SATURATION_LOAD",
     "MAX_GRID_POINTS",
     "SubframeDecision",
+    "LoadGrid",
     "LookupTable",
     "optimal_subframes_integer",
     "optimal_subframes_closed_form",
@@ -45,8 +53,19 @@ __all__ = [
 # upper end of the offline table.
 SATURATION_LOAD = 700.0
 
-# Largest load grid a sweep may walk, one optimizer call per point.
+# Largest load grid a sweep may walk; it bounds the time and the sweep file
+# of one table.
 MAX_GRID_POINTS = 10_000_000
+
+# Grid points per block of the vectorised sweep, which holds one utility per
+# admissible count and point: at most 10 x 2^14 floats whatever the grid.
+SWEEP_BLOCK = 1 << 14
+
+# The vectorised sweep's np.exp may differ from math.exp by an ULP or so,
+# which moves a utility by about 1e-16 of the load plus the subframe price.
+# Where the best two utilities of a point lie within this fraction of that
+# scale, the scalar argmax decides, so every choice is the scalar one.
+NEAR_TIE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -59,17 +78,49 @@ class SubframeDecision:
 
 
 @dataclass(frozen=True)
+class LoadGrid:
+    """Loads 0, step, 2 * step, ..., (points - 1) * step."""
+
+    step: float
+    points: int
+
+    @classmethod
+    def up_to(cls, max_load: float, step: float) -> LoadGrid:
+        """The grid from 0 to max_load (within rounding), sized before it is built."""
+        if not 0 < step < math.inf:
+            raise ValueError(f"load grid step must be finite and > 0, got {step}")
+        if not 0 < max_load < math.inf:
+            raise ValueError(f"max_load must be finite and > 0, got {max_load}")
+        steps = max_load / step + 1e-9
+        if steps >= MAX_GRID_POINTS:
+            raise ValueError(
+                f"load grid max_load / step = {max_load} / {step} exceeds "
+                f"{MAX_GRID_POINTS} points"
+            )
+        return cls(step, int(math.floor(steps)) + 1)
+
+    def __iter__(self) -> Iterator[float]:
+        return (i * self.step for i in range(self.points))
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The loads in arrays of at most SWEEP_BLOCK, bit-identical to iteration."""
+        for start in range(0, self.points, SWEEP_BLOCK):
+            yield np.arange(start, min(start + SWEEP_BLOCK, self.points)) * self.step
+
+
+@dataclass(frozen=True)
 class LookupTable:
     """Offline load -> n_s table; thresholds mark where the argmax changes.
 
     entries are (load_threshold, n_s) pairs with strictly increasing
     thresholds; a query returns the n_s of the last threshold at or below
-    the queried load.
+    the queried load. grid is the sweep the table was built on, if any.
     """
 
     alpha: float
     n_preambles: int
     entries: tuple[tuple[float, int], ...]
+    grid: LoadGrid | None = None
     _thresholds: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -83,6 +134,11 @@ class LookupTable:
     def lookup(self, load: float) -> int:
         idx = bisect_right(self._thresholds, load) - 1
         return self.entries[max(idx, 0)][1]
+
+    def lookup_many(self, loads: np.ndarray) -> np.ndarray:
+        """lookup for every load of an array."""
+        idx = np.searchsorted(self._thresholds, loads, side="right") - 1
+        return np.array([n_s for _, n_s in self.entries])[np.maximum(idx, 0)]
 
 
 def stationary_alpha_limit(n_preambles: int) -> float:
@@ -172,17 +228,29 @@ def decide_subframes(
 
 def load_grid(step: float, max_load: float) -> Iterator[float]:
     """Loads 0, step, 2 * step, ... up to max_load (within rounding), lazily."""
-    if not 0 < step < math.inf:
-        raise ValueError(f"load grid step must be finite and > 0, got {step}")
-    if not 0 < max_load < math.inf:
-        raise ValueError(f"max_load must be finite and > 0, got {max_load}")
-    steps = max_load / step + 1e-9
-    if steps >= MAX_GRID_POINTS:
-        raise ValueError(
-            f"load grid max_load / step = {max_load} / {step} exceeds "
-            f"{MAX_GRID_POINTS} points"
-        )
-    return (i * step for i in range(int(math.floor(steps)) + 1))
+    return iter(LoadGrid.up_to(max_load, step))
+
+
+def _block_argmax(loads: np.ndarray, config: RachConfig) -> np.ndarray:
+    """optimal_subframes_integer(load, config).n_s for each load of an array.
+
+    One utility row per admissible count, by the same IEEE operations as
+    utility_of_load; argmax takes the first maximum, so ties keep the
+    smaller count. Near ties go to the scalar argmax (see NEAR_TIE_RTOL).
+    """
+    counts = np.arange(config.n_s_min, config.n_s_max + 1)[:, None]
+    # a float product is the exact int one (as in model.throughput) up to
+    # 2^53, and cannot wrap around past 2^63 as an int64 one would
+    capacity = counts * float(config.n_preambles)
+    price = config.alpha * counts
+    utilities = loads * np.exp(-loads / capacity) - price
+    chosen = counts[utilities.argmax(axis=0), 0]
+    if len(counts) > 1:
+        second, best = np.partition(utilities, -2, axis=0)[-2:]
+        scale = np.maximum(1.0, loads + price[-1, 0])
+        for i in np.flatnonzero(best - second <= NEAR_TIE_RTOL * scale):
+            chosen[i] = optimal_subframes_integer(float(loads[i]), config).n_s
+    return chosen
 
 
 def subframe_lookup_table(
@@ -191,13 +259,17 @@ def subframe_lookup_table(
     max_load: float = SATURATION_LOAD,
 ) -> LookupTable:
     """Sweep loads on a grid and record every argmax change as a threshold."""
+    grid = LoadGrid.up_to(max_load, load_grid_step)
     entries: list[tuple[float, int]] = []
-    last_n: int | None = None
-    for load in load_grid(load_grid_step, max_load):
-        n_s = optimal_subframes_integer(load, config).n_s
-        if n_s != last_n:
-            entries.append((load, n_s))
-            last_n = n_s
+    last_n = -1
+    for loads in grid.blocks():
+        n_s = _block_argmax(loads, config)
+        changed = n_s != np.concatenate(([last_n], n_s[:-1]))
+        entries.extend(zip(loads[changed].tolist(), n_s[changed].tolist()))
+        last_n = n_s[-1]
     return LookupTable(
-        alpha=config.alpha, n_preambles=config.n_preambles, entries=tuple(entries)
+        alpha=config.alpha,
+        n_preambles=config.n_preambles,
+        entries=tuple(entries),
+        grid=grid,
     )

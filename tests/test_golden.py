@@ -16,6 +16,9 @@ GOLDEN = {
     "compare.csv": "6433dadb6eefb7305354e4f460bb3ffb036d26e196704321dbdaacaae6836f7a",
     "table.csv": "70c8cec2250b8a213f44370b5a2964ecd5f5a93e9e485a8dd21e25899039326f",
     "table_sweep.csv": "e72806c5369ef21cb237e961aaf2da0584073b6f48df5ada77919c2784948a8f",
+    # the benchmark's table workload: 70 001 sweep points
+    "fine.csv": "b68c8d010e8c6ebe619b0fe1fe66d9e68ab3679d144539ce10f89647ab04c671",
+    "fine_sweep.csv": "15c73afe1538645fdb1266ba0a6adffca1acc5eaa274e06ff921882c2aa18652",
 }
 
 
@@ -29,6 +32,8 @@ def test_golden_output_digests(tmp_path, capsys):
                  "--reps", "3", "--out", str(tmp_path / "compare.csv")]) == 0
     assert main(["table", "--alpha", "25", "--step", "1",
                  "--out", str(tmp_path / "table.csv")]) == 0
+    assert main(["table", "--alpha", "25", "--max-load", "700", "--step", "0.01",
+                 "--out", str(tmp_path / "fine.csv")]) == 0
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         for name in GOLDEN

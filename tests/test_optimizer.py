@@ -1,13 +1,20 @@
 """Subframe optimizer: integer argmax oracle, closed form, lookup table."""
 
+import csv
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rachsim.optimizer
+from rachsim.cli import main
 from rachsim.model import RachConfig, utility_of_load
 from rachsim.optimizer import (
     MAX_GRID_POINTS,
+    SWEEP_BLOCK,
+    LoadGrid,
     LookupTable,
     closed_form_decision,
     decide_subframes,
@@ -186,3 +193,154 @@ def test_load_grid_point_bound():
         load_grid(1.0, float(MAX_GRID_POINTS))
     with pytest.raises(ValueError, match="points"):
         load_grid(1e-300, 1e300)  # the quotient overflows to inf
+
+
+# ---------------------------------------------------------------------------
+# The vectorised table sweep against the scalar argmax, point by point
+
+
+def scalar_sweep(config, grid):
+    """The per-point loop the vectorised sweep replaced."""
+    return [optimal_subframes_integer(load, config).n_s for load in grid]
+
+
+def assert_table_is_scalar_sweep(config, step, max_load, points):
+    table = subframe_lookup_table(config, step, max_load)
+    assert table.grid == LoadGrid(step, points)
+    loads = list(table.grid)
+    expected = scalar_sweep(config, table.grid)
+    changes = [
+        (load, n_s)
+        for i, (load, n_s) in enumerate(zip(loads, expected))
+        if i == 0 or n_s != expected[i - 1]
+    ]
+    assert table.entries == tuple(changes)
+    swept = np.concatenate([table.lookup_many(b) for b in table.grid.blocks()])
+    assert swept.tolist() == expected
+    assert [table.lookup(load) for load in loads] == expected
+
+
+SWEEP_CONFIGS = [
+    RachConfig(alpha=0.0),  # every count ties at load 0
+    RachConfig(alpha=2.0),
+    RachConfig(alpha=25.0),
+    RachConfig(alpha=50.0),  # above stationary_alpha_limit: the boundary wins
+    RachConfig(alpha=25.0, n_s_min=4, n_s_max=4),  # one candidate, no runner-up
+    RachConfig(alpha=0.2, n_preambles=1),
+    RachConfig(alpha=10.0, n_preambles=64, n_s_min=1, n_s_max=10),
+]
+
+
+@pytest.mark.parametrize("config", SWEEP_CONFIGS)
+@pytest.mark.parametrize("points", [15, 16, 17, 50])
+def test_vectorised_sweep_matches_scalar_argmax(monkeypatch, config, points):
+    # blocks of 16 points: grids of block - 1, block and block + 1 points
+    # and one of several blocks, so the last n_s is carried across blocks
+    monkeypatch.setattr(rachsim.optimizer, "SWEEP_BLOCK", 16)
+    step = 12.0 * config.n_preambles / (points - 1)
+    assert_table_is_scalar_sweep(config, step, step * (points - 1), points)
+
+
+@pytest.mark.parametrize("points", [SWEEP_BLOCK - 1, SWEEP_BLOCK, SWEEP_BLOCK + 1])
+def test_vectorised_sweep_at_the_real_block_size(points):
+    step = 700.0 / SWEEP_BLOCK
+    assert_table_is_scalar_sweep(ALPHA25, step, step * (points - 1), points)
+
+
+def test_grid_blocks_are_the_grid_bit_for_bit():
+    grid = LoadGrid.up_to(700.0, 0.37)
+    blocks = list(grid.blocks())
+    assert all(len(b) <= SWEEP_BLOCK for b in blocks)
+    assert np.concatenate(blocks).tolist() == list(grid) == list(load_grid(0.37, 700.0))
+
+
+def test_lookup_many_is_lookup():
+    table = LookupTable(alpha=1.0, n_preambles=64, entries=((0.0, 2), (3.5, 4), (9.0, 8)))
+    loads = np.array([-1.0, 0.0, 1.0, 3.4999, 3.5, 8.0, 9.0, 1e9])
+    assert table.lookup_many(loads).tolist() == [table.lookup(x) for x in loads]
+
+
+def test_table_sweep_file_is_table_lookup(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert main(["table", "--alpha", "25", "--step", "0.37", "--out", str(out)]) == 0
+    table = subframe_lookup_table(ALPHA25, 0.37, 700.0)
+    with (tmp_path / "t_sweep.csv").open(newline="") as handle:
+        rows = list(csv.reader(handle))[1:]
+    assert [float(load) for load, _ in rows] == list(table.grid)
+    assert [int(n_s) for _, n_s in rows] == [table.lookup(float(load)) for load, _ in rows]
+    assert [int(n_s) for _, n_s in rows] == scalar_sweep(ALPHA25, table.grid)
+
+
+def spy_on_scalar_argmax(monkeypatch):
+    """Record the loads the vectorised sweep hands to the scalar argmax."""
+    seen = []
+
+    def spy(load, config):
+        seen.append(load)
+        return optimal_subframes_integer(load, config)
+
+    monkeypatch.setattr(rachsim.optimizer, "optimal_subframes_integer", spy)
+    return seen
+
+
+def test_near_tie_fallback_decides_the_zero_load_tie(monkeypatch):
+    seen = spy_on_scalar_argmax(monkeypatch)
+    table = subframe_lookup_table(RachConfig(alpha=0.0), 1.0, 700.0)
+    assert seen == [0.0]  # every count scores exactly 0 there
+    assert table.entries == ((0.0, 2), (1.0, 8))
+
+
+def test_near_tie_fallback_at_a_utility_crossing(monkeypatch):
+    # the load where 2 and 3 subframes score the same, to float resolution
+    crossing = bisect_root(
+        lambda n: utility_of_load(n, 3, ALPHA25) - utility_of_load(n, 2, ALPHA25),
+        50.0, 250.0, tol=0.0,
+    )
+    seen = spy_on_scalar_argmax(monkeypatch)
+    table = subframe_lookup_table(ALPHA25, crossing, crossing)
+    assert seen == [crossing]
+    assert table.lookup(crossing) == optimal_subframes_integer(crossing, ALPHA25).n_s
+
+
+@pytest.mark.parametrize(
+    "alpha, load",
+    [(2.0, 55.80951205494506), (2.0, 80.84905140949351), (10.0, 211.76576921966128),
+     (5.5, 122.45161462547944), (5.5, 167.2404486480442)],
+)
+def test_near_ties_where_numpy_exp_reorders_the_counts(alpha, load):
+    # at these loads np.exp and math.exp order the best two counts
+    # differently (seen with numpy 2.4 on x86-64); the scalar order wins
+    config = RachConfig(alpha=alpha)
+    table = subframe_lookup_table(config, load, load)
+    assert table.lookup(load) == optimal_subframes_integer(load, config).n_s
+
+
+def test_no_fallback_without_near_ties(monkeypatch):
+    seen = spy_on_scalar_argmax(monkeypatch)
+    subframe_lookup_table(ALPHA25, 0.01, 700.0)
+    assert seen == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    alpha=st.floats(0.0, 60.0),
+    n_preambles=st.integers(1, 128),
+    n_s_min=st.integers(1, 10),
+    width=st.integers(0, 9),
+    step=st.floats(1e-3, 50.0),
+    points=st.integers(2, 300),
+    block=st.sampled_from([1, 7, 64, SWEEP_BLOCK]),
+)
+def test_vectorised_sweep_property(alpha, n_preambles, n_s_min, width, step, points, block):
+    config = RachConfig(
+        n_preambles=n_preambles,
+        n_s_min=n_s_min,
+        n_s_max=min(n_s_min + width, 10),
+        alpha=alpha,
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rachsim.optimizer, "SWEEP_BLOCK", block)
+        table = subframe_lookup_table(config, step, step * (points - 1))
+    expected = scalar_sweep(config, table.grid)
+    assert [table.lookup(load) for load in table.grid] == expected
+    assert len(table.entries) == 1 + sum(a != b for a, b in zip(expected, expected[1:]))
