@@ -24,6 +24,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -73,6 +74,12 @@ COMPARE_COLUMNS = [
 
 _KIND_NAMES = sorted(k.value for k in ControllerKind)
 
+# Bound on the frame rows (frames x replications x controllers) one command
+# simulates and holds until its CSV is written. A row costs at most about
+# 1 kB at its peak (tracemalloc over a whole 10 000-frame run), so the
+# largest accepted command stays near 1 GB.
+MAX_FRAME_ROWS = 1_000_000
+
 
 def _fmt(value) -> str:
     """Shortest round-trippable cell text; empty for missing values."""
@@ -99,60 +106,62 @@ def write_run_csv(
     """Per-replication rows followed by per-frame mean rows."""
     n_p = config.n_preambles
     tp_num = _at_true_load(repset, lambda n, n_s: throughput(n, n_s, n_p))
-    ut_num = _at_true_load(repset, lambda n, n_s: utility_of_load(n, n_s, config))
+    # utility_of_load's own last step, eta - alpha * n_s, on the same floats
+    ut_num = tp_num - config.alpha * np.array(
+        [[row.n_s_used for row in run.rows] for run in repset.runs]
+    )
     handle, writer = _open_writer(path)
     with handle:
         writer.writerow(RUN_COLUMNS)
+        # csv writes str() of Python ints and floats and None as an empty
+        # cell, the text _fmt gives
         for run, run_tp, run_ut in zip(repset.runs, tp_num, ut_num):
-            for row, tp, ut in zip(run.rows, run_tp, run_ut):
-                writer.writerow(
-                    [
-                        _fmt(run.replication_id),
-                        _fmt(row.frame),
-                        controller_name,
-                        _fmt(row.n_s_used),
-                        _fmt(row.arrivals),
-                        _fmt(row.contenders),
-                        _fmt(row.successes),
-                        _fmt(row.collided_devices),
-                        _fmt(row.idle),
-                        _fmt(row.est_load),
-                        _fmt(row.true_load),
-                        _fmt(float(row.successes)),
-                        _fmt(tp),
-                        _fmt(row.utility),
-                        _fmt(ut),
-                    ]
+            rep = run.replication_id
+            writer.writerows(
+                (
+                    rep, row.frame, controller_name, row.n_s_used, row.arrivals,
+                    row.contenders, row.successes, row.collided_devices, row.idle,
+                    row.est_load, row.true_load, float(row.successes), tp,
+                    row.utility, ut,
                 )
-        tp_mean, ut_mean = tp_num.mean(axis=0), ut_num.mean(axis=0)
-        means = repset.means
-        for frame in range(repset.n_frames):
-            writer.writerow(
-                [
-                    "mean",
-                    _fmt(frame),
-                    controller_name,
-                    _fmt(means["n_s_used"][frame]),
-                    _fmt(means["arrivals"][frame]),
-                    _fmt(means["contenders"][frame]),
-                    _fmt(means["successes"][frame]),
-                    _fmt(means["collided_devices"][frame]),
-                    _fmt(means["idle"][frame]),
-                    _fmt(means["est_load"][frame]),
-                    _fmt(means["true_load"][frame]),
-                    _fmt(means["successes"][frame]),
-                    _fmt(tp_mean[frame]),
-                    _fmt(means["utility"][frame]),
-                    _fmt(ut_mean[frame]),
-                ]
+                for row, tp, ut in zip(run.rows, run_tp.tolist(), run_ut.tolist())
             )
+        means = repset.means
+        writer.writerows(
+            ("mean", frame, controller_name, *cells)
+            for frame, cells in enumerate(
+                _float_rows(
+                    means["n_s_used"], means["arrivals"], means["contenders"],
+                    means["successes"], means["collided_devices"], means["idle"],
+                    means["est_load"], means["true_load"], means["successes"],
+                    tp_num.mean(axis=0), means["utility"], ut_num.mean(axis=0),
+                )
+            )
+        )
+
+
+def _float_rows(*columns: np.ndarray) -> Iterator[list]:
+    """Row by row, the cells of per-frame float columns: None (empty) for NaN."""
+    for row in zip(*columns):
+        yield [None if math.isnan(value) else float(value) for value in row]
 
 
 def _at_true_load(repset: ReplicationSet, model) -> np.ndarray:
-    """model(true_load, n_s_used) for every row, shaped (replications, frames)."""
-    return np.array(
-        [[model(row.true_load, row.n_s_used) for row in run.rows] for run in repset.runs]
-    )
+    """model(true_load, n_s_used) for every row, shaped (replications, frames).
+
+    The model runs once per distinct (true_load, n_s_used) pair; the pairs
+    recur, and each result is the scalar model's own float.
+    """
+    memo: dict[tuple[int, int], float] = {}
+    values = np.empty((repset.n_reps, repset.n_frames))
+    for run, run_values in zip(repset.runs, values):
+        for frame, row in enumerate(run.rows):
+            key = (row.true_load, row.n_s_used)
+            value = memo.get(key)
+            if value is None:
+                value = memo[key] = model(*key)
+            run_values[frame] = value
+    return values
 
 
 @dataclass
@@ -210,22 +219,16 @@ def write_compare_csv(
                 repset, lambda n, n_s: utility_of_load(n, n_s, config)
             ).mean(axis=0)
             means = repset.means
-            for frame in range(repset.n_frames):
-                writer.writerow(
-                    [
-                        name,
-                        _fmt(frame),
-                        _fmt(means["arrivals"][frame]),
-                        _fmt(means["n_s_used"][frame]),
-                        _fmt(means["contenders"][frame]),
-                        _fmt(means["true_load"][frame]),
-                        _fmt(means["est_load"][frame]),
-                        _fmt(means["successes"][frame]),
-                        _fmt(means["utility"][frame]),
-                        _fmt(ut_mean[frame]),
-                        _fmt(repset.ci95["utility"][frame]),
-                    ]
+            writer.writerows(
+                (name, frame, *cells)
+                for frame, cells in enumerate(
+                    _float_rows(
+                        means["arrivals"], means["n_s_used"], means["contenders"],
+                        means["true_load"], means["est_load"], means["successes"],
+                        means["utility"], ut_mean, repset.ci95["utility"],
+                    )
                 )
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +242,18 @@ def _scenario_for(args) -> Scenario:
     return scenario
 
 
+def _check_frame_rows(scenario: Scenario, reps: int, controllers: int = 1) -> None:
+    rows = scenario.frames * reps * controllers
+    if rows > MAX_FRAME_ROWS:
+        raise ScenarioError(
+            f"{scenario.frames} frames x {reps} replications x {controllers} "
+            f"controller(s) = {rows} frame rows exceed the bound of {MAX_FRAME_ROWS}"
+        )
+
+
 def cmd_run(args) -> int:
     scenario = _scenario_for(args)
+    _check_frame_rows(scenario, args.reps)
     repset = run_replications(scenario, args.reps, args.seed)
     name = scenario.controller.kind.value
     write_run_csv(Path(args.out), repset, name, scenario.config)
@@ -316,8 +329,10 @@ def cmd_compare(args) -> int:
                 f"unknown controller {name!r}; choose from {_KIND_NAMES}"
             )
     scenario = parse_scenario(args.scenario)
+    distinct = list(dict.fromkeys(names))  # run each distinct controller once
+    _check_frame_rows(scenario, args.reps, len(distinct))
     repsets: dict[str, ReplicationSet] = {}
-    for name in dict.fromkeys(names):  # run each distinct controller once
+    for name in distinct:
         variant = scenario.with_controller(ControllerKind(name))
         repsets[name] = run_replications(variant, args.reps, args.seed)
     write_compare_csv(Path(args.out), repsets, scenario.config)

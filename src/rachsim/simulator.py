@@ -359,6 +359,12 @@ class AdaptiveController(Controller):
     The estimate from frame t is used unchanged as the forecast for frame
     t+1 (persistence). A frame whose observation is inconsistent with the
     model yields no estimate and pins the next frame at n_s_max.
+
+    Both steps are pure functions of small keys that recur from frame to
+    frame, so each controller remembers its results: estimates by the
+    estimate_load arguments, decisions by the smoothed load. The memos
+    live as long as the controller, one run, so they hold at most one
+    entry per frame; an inconsistent observation is never remembered.
     """
 
     name = "adaptive"
@@ -370,22 +376,31 @@ class AdaptiveController(Controller):
         self._state = EstimatorState(window=window)
         self._table_max_load = table_max_load
         self._next = config.n_s_min
+        self._estimates: dict[tuple, float] = {}
+        self._decisions: dict[float, int] = {}
         self.fallback = False
 
     def next_n_s(self) -> int:
         return self._next
 
     def observe(self, obs: RachObservation) -> float | None:
-        try:
-            branch = classify_load_branch(obs)
-            raw = estimate_load(obs.successes, obs.n_s_used, obs.n_preambles, branch)
-        except InconsistentObservationError:
-            self.fallback = True
-            self._next = self._config.n_s_max
-            return None
+        key = (obs.successes, obs.n_s_used, obs.n_preambles, classify_load_branch(obs))
+        raw = self._estimates.get(key)
+        if raw is None:
+            try:
+                raw = self._estimates[key] = estimate_load(*key)
+            except InconsistentObservationError:
+                self.fallback = True
+                self._next = self._config.n_s_max
+                return None
         self.fallback = False
         smoothed = smooth_estimate(self._state, raw)
-        self._next = decide_subframes(smoothed, self._config, self._table_max_load).n_s
+        n_s = self._decisions.get(smoothed)
+        if n_s is None:
+            n_s = self._decisions[smoothed] = decide_subframes(
+                smoothed, self._config, self._table_max_load
+            ).n_s
+        self._next = n_s
         return smoothed
 
 

@@ -1,12 +1,19 @@
 """CLI commands: output schemas, determinism, comparisons, exit codes."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from rachsim.cli import RUN_COLUMNS, build_report, main
+import rachsim
+from rachsim.cli import MAX_FRAME_ROWS, RUN_COLUMNS, _check_frame_rows, build_report, main
 from rachsim.simulator import MAX_POOL, run_replications
-from rachsim.scenario import default_scenario
+from rachsim.scenario import default_scenario, parse_scenario
+
+TM2 = Path(__file__).resolve().parents[1] / "benchmarks" / "scenarios" / "tm2_beta.scn"
 
 SMALL = "[load]\nsegments = 0:5:0:200, 5:10:200:0\n"
 ZERO = "[load]\nsegments = 0:6:0:0\n"
@@ -231,3 +238,46 @@ def test_run_huge_rate_fails_before_allocating(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "frame 1:" in err and f"pool bound of {MAX_POOL}" in err
     assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "text, reps, rows",
+    [
+        (None, "1000000000", 1000 * 1_000_000_000),  # the TM2 scenario
+        ("[load]\nsegments = 0:100000000:0.0:0.0\n", "1", 100_000_000),
+    ],
+)
+def test_run_too_many_frame_rows_fails_before_simulating(tmp_path, capsys, text, reps, rows):
+    # both used to run until killed, piling up rows toward running out of memory
+    scn = TM2
+    if text is not None:
+        scn = tmp_path / "long.scn"
+        scn.write_text(text)
+    rc = main(["run", "--scenario", str(scn), "--reps", reps,
+               "--out", str(tmp_path / "o.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"= {rows} frame rows exceed the bound of {MAX_FRAME_ROWS}" in err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_frame_row_bound_counts_distinct_controllers(tmp_path, capsys):
+    tm2 = parse_scenario(TM2)
+    _check_frame_rows(tm2, 100, 4)  # a 100-replication TM2 comparison is accepted
+    # 1000 frames x 300 replications x 4 distinct controllers = 1.2M rows
+    rc = main(["compare", "--scenario", str(TM2), "--controllers",
+               "adaptive,fixed,acb,max,max", "--reps", "300",
+               "--out", str(tmp_path / "o.csv")])
+    assert rc == 2
+    assert "x 4 controller(s) = 1200000 frame rows" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_python_dash_m_rachsim_help():
+    src = str(Path(rachsim.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    done = subprocess.run([sys.executable, "-m", "rachsim", "--help"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: rachsim")

@@ -7,9 +7,13 @@ these digests together with a CHANGES.md entry saying why.
 """
 
 import hashlib
+from dataclasses import replace
+from pathlib import Path
 
 from rachsim.cli import main
 from rachsim.scenario import default_scenario, format_scenario
+
+TM2 = Path(__file__).resolve().parents[1] / "benchmarks" / "scenarios" / "tm2_beta.scn"
 
 GOLDEN = {
     "run.csv": "6a5f107eda8246e2e9e4f660f1ad41c91e8ef03926e02e3a94f993970b87c2ca",
@@ -19,12 +23,22 @@ GOLDEN = {
     # the benchmark's table workload: 70 001 sweep points
     "fine.csv": "b68c8d010e8c6ebe619b0fe1fe66d9e68ab3679d144539ce10f89647ab04c671",
     "fine_sweep.csv": "15c73afe1538645fdb1266ba0a6adffca1acc5eaa274e06ff921882c2aa18652",
+    # the adaptive controller's memos: 1000 TM2 frames, whose observations
+    # and decision loads recur, and a window of 3, whose smoothed loads are
+    # arbitrary floats
+    "tm2.csv": "82295982894b816a4bffd999e11c599f201def3515b79969f96465422b0073e0",
+    "window3.csv": "98c5d0262cfeb831276e9a2f4d72abf81e17c65367a8d8ed0f0b80414847837b",
 }
 
 
 def test_golden_output_digests(tmp_path, capsys):
+    scenario = default_scenario()
     stock = tmp_path / "stock.scn"
-    stock.write_text(format_scenario(default_scenario()))
+    stock.write_text(format_scenario(scenario))
+    window3 = tmp_path / "window3.scn"
+    window3.write_text(
+        format_scenario(replace(scenario, controller=replace(scenario.controller, window=3)))
+    )
     assert main(["run", "--scenario", str(stock), "--controller", "adaptive",
                  "--seed", "1", "--reps", "3", "--out", str(tmp_path / "run.csv")]) == 0
     assert main(["compare", "--scenario", str(stock),
@@ -34,6 +48,10 @@ def test_golden_output_digests(tmp_path, capsys):
                  "--out", str(tmp_path / "table.csv")]) == 0
     assert main(["table", "--alpha", "25", "--max-load", "700", "--step", "0.01",
                  "--out", str(tmp_path / "fine.csv")]) == 0
+    assert main(["run", "--scenario", str(TM2), "--seed", "1", "--reps", "2",
+                 "--out", str(tmp_path / "tm2.csv")]) == 0
+    assert main(["run", "--scenario", str(window3), "--controller", "adaptive",
+                 "--seed", "1", "--reps", "3", "--out", str(tmp_path / "window3.csv")]) == 0
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         for name in GOLDEN

@@ -2,15 +2,23 @@
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rachsim.simulator
-from rachsim.estimator import RachObservation, classify_load_branch, estimate_load
+from rachsim.estimator import (
+    EstimatorState,
+    InconsistentObservationError,
+    RachObservation,
+    classify_load_branch,
+    estimate_load,
+    smooth_estimate,
+)
 from rachsim.model import RachConfig
 from rachsim.optimizer import decide_subframes
-from rachsim.scenario import default_scenario
+from rachsim.scenario import default_scenario, parse_scenario
 from rachsim.simulator import (
     AdaptiveController,
     ControllerKind,
@@ -28,6 +36,10 @@ from rachsim.simulator import (
     run_replications,
     run_scenario,
 )
+
+TM2 = Path(__file__).resolve().parents[1] / "benchmarks" / "scenarios" / "tm2_beta.scn"
+# 70 successes on 128 pairs is beyond any load's expectation
+INCONSISTENT = RachObservation(successes=70, collisions=30, idle=28, n_s_used=2, n_preambles=64)
 
 TRIANGLE = LoadProfile((ProfileSegment(0, 10, 0.0, 600.0), ProfileSegment(10, 20, 600.0, 0.0)))
 
@@ -273,10 +285,7 @@ def test_adaptive_tracks_load_up_and_down():
 
 def test_adaptive_fallback_pins_maximum():
     controller = AdaptiveController(RachConfig())
-    # 70 successes on 128 pairs is beyond any load's expectation
-    est = controller.observe(
-        RachObservation(successes=70, collisions=30, idle=28, n_s_used=2, n_preambles=64)
-    )
+    est = controller.observe(INCONSISTENT)
     assert est is None
     assert controller.fallback
     assert controller.next_n_s() == 8
@@ -286,6 +295,91 @@ def test_adaptive_fallback_pins_maximum():
     )
     assert est is not None
     assert not controller.fallback
+
+
+def recorded_observations():
+    """The observations of an adaptive TM2 run and three stock waves, plus two bad ones."""
+    runs = [run_scenario(parse_scenario(TM2), seed=1)] + [
+        run_scenario(default_scenario("adaptive"), seed) for seed in (1, 2, 3)
+    ]
+    observations = [
+        RachObservation(row.successes, row.collisions, row.idle, row.n_s_used, 64)
+        for run in runs
+        for row in run.rows
+    ]
+    return observations[:500] + [INCONSISTENT] + observations[500:] + [INCONSISTENT]
+
+
+def direct_decisions(observations, config, window):
+    """(estimate, next n_s) per observation from plain estimator and optimizer calls."""
+    state = EstimatorState(window=window)
+    decisions = []
+    for obs in observations:
+        branch = classify_load_branch(obs)
+        try:
+            raw = estimate_load(obs.successes, obs.n_s_used, obs.n_preambles, branch)
+        except InconsistentObservationError:
+            decisions.append((None, config.n_s_max))
+            continue
+        smoothed = smooth_estimate(state, raw)
+        decisions.append((smoothed, decide_subframes(smoothed, config, 700.0).n_s))
+    return decisions
+
+
+@pytest.mark.parametrize("window", [1, 3])
+def test_adaptive_memo_matches_direct_calls(window, monkeypatch):
+    cfg = RachConfig()
+    observations = recorded_observations()
+    expected = direct_decisions(observations, cfg, window)
+    calls = {"estimate_load": 0, "decide_subframes": 0}
+
+    def counted(name):
+        fn = getattr(rachsim.simulator, name)
+
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(rachsim.simulator, name, counted(name))
+    controller = AdaptiveController(cfg, window, 700.0)
+    got = []
+    for seen, obs in enumerate(observations, 1):
+        got.append((controller.observe(obs), controller.next_n_s()))
+        assert len(controller._estimates) <= seen
+        assert len(controller._decisions) <= seen
+    assert got == expected
+    # one entry per distinct consistent observation and smoothed load
+    assert set(controller._estimates) == {
+        (obs.successes, obs.n_s_used, 64, classify_load_branch(obs))
+        for obs, (est, _) in zip(observations, expected)
+        if est is not None
+    }
+    assert set(controller._decisions) == {est for est, _ in expected if est is not None}
+    # misses go through the module-level names, inconsistent ones every time
+    inconsistent = sum(est is None for est, _ in expected)
+    assert inconsistent >= 2
+    assert calls["estimate_load"] == len(controller._estimates) + inconsistent
+    assert calls["decide_subframes"] == len(controller._decisions)
+    assert calls["estimate_load"] < len(observations) / 2
+    if window == 1:
+        assert calls["decide_subframes"] < len(observations) / 2
+
+
+def test_adaptive_memo_never_keeps_an_inconsistent_observation():
+    cfg = RachConfig()
+    controller = AdaptiveController(cfg)
+    sane = RachObservation(successes=30, collisions=5, idle=93, n_s_used=2, n_preambles=64)
+    for _ in range(2):
+        assert controller.observe(INCONSISTENT) is None
+        assert controller.fallback
+        assert controller.next_n_s() == cfg.n_s_max
+        assert controller.observe(sane) is not None
+        assert not controller.fallback
+        assert controller.next_n_s() == cfg.n_s_min
+    assert list(controller._estimates) == [(30, 2, 64, classify_load_branch(sane))]
 
 
 def test_common_random_numbers_share_arrivals():
