@@ -23,8 +23,8 @@ import csv
 import math
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -81,20 +81,6 @@ _KIND_NAMES = sorted(k.value for k in ControllerKind)
 MAX_FRAME_ROWS = 1_000_000
 
 
-def _fmt(value) -> str:
-    """Shortest round-trippable cell text; empty for missing values."""
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    f = float(value)
-    if math.isnan(f):
-        return ""
-    return repr(f)
-
-
 def _open_writer(path: Path):
     handle = path.open("w", encoding="utf-8", newline="")
     return handle, csv.writer(handle, lineterminator="\n")
@@ -107,43 +93,47 @@ def write_run_csv(
     n_p = config.n_preambles
     tp_num = _at_true_load(repset, lambda n, n_s: throughput(n, n_s, n_p))
     # utility_of_load's own last step, eta - alpha * n_s, on the same floats
-    ut_num = tp_num - config.alpha * np.array(
-        [[row.n_s_used for row in run.rows] for run in repset.runs]
-    )
+    ut_num = tp_num - config.alpha * repset.column("n_s_used")
     handle, writer = _open_writer(path)
     with handle:
         writer.writerow(RUN_COLUMNS)
-        # csv writes str() of Python ints and floats and None as an empty
-        # cell, the text _fmt gives
         for run, run_tp, run_ut in zip(repset.runs, tp_num, ut_num):
-            rep = run.replication_id
+            c = run.columns
             writer.writerows(
-                (
-                    rep, row.frame, controller_name, row.n_s_used, row.arrivals,
-                    row.contenders, row.successes, row.collided_devices, row.idle,
-                    row.est_load, row.true_load, float(row.successes), tp,
-                    row.utility, ut,
+                zip(
+                    repeat(run.replication_id), c["frame"].tolist(), repeat(controller_name),
+                    c["n_s_used"].tolist(), c["arrivals"].tolist(), c["contenders"].tolist(),
+                    c["successes"].tolist(), c["collided_devices"].tolist(),
+                    c["idle"].tolist(), _cells(c["est_load"]), c["true_load"].tolist(),
+                    _cells(c["successes"]), _cells(run_tp), _cells(c["utility"]),
+                    _cells(run_ut),
                 )
-                for row, tp, ut in zip(run.rows, run_tp.tolist(), run_ut.tolist())
             )
         means = repset.means
+        mean_columns = (
+            means["n_s_used"], means["arrivals"], means["contenders"], means["successes"],
+            means["collided_devices"], means["idle"], means["est_load"], means["true_load"],
+            means["successes"], tp_num.mean(axis=0), means["utility"], ut_num.mean(axis=0),
+        )
         writer.writerows(
-            ("mean", frame, controller_name, *cells)
-            for frame, cells in enumerate(
-                _float_rows(
-                    means["n_s_used"], means["arrivals"], means["contenders"],
-                    means["successes"], means["collided_devices"], means["idle"],
-                    means["est_load"], means["true_load"], means["successes"],
-                    tp_num.mean(axis=0), means["utility"], ut_num.mean(axis=0),
-                )
+            zip(
+                repeat("mean"), range(repset.n_frames), repeat(controller_name),
+                *map(_cells, mean_columns),
             )
         )
 
 
-def _float_rows(*columns: np.ndarray) -> Iterator[list]:
-    """Row by row, the cells of per-frame float columns: None (empty) for NaN."""
-    for row in zip(*columns):
-        yield [None if math.isnan(value) else float(value) for value in row]
+def _cells(values: np.ndarray) -> list[str | None]:
+    """Cell text of each value as a float: its repr, or None (empty) for NaN.
+
+    csv writes a float as its repr, so the text is the same. Each distinct
+    bit pattern is formatted once; the columns repeat values a lot.
+    """
+    floats = np.asarray(values, dtype=np.float64)
+    keys = floats.view(np.int64).tolist()
+    distinct = dict(zip(keys, floats.tolist()))
+    texts = {key: None if math.isnan(v) else repr(v) for key, v in distinct.items()}
+    return list(map(texts.__getitem__, keys))
 
 
 def _at_true_load(repset: ReplicationSet, model) -> np.ndarray:
@@ -152,16 +142,10 @@ def _at_true_load(repset: ReplicationSet, model) -> np.ndarray:
     The model runs once per distinct (true_load, n_s_used) pair; the pairs
     recur, and each result is the scalar model's own float.
     """
-    memo: dict[tuple[int, int], float] = {}
-    values = np.empty((repset.n_reps, repset.n_frames))
-    for run, run_values in zip(repset.runs, values):
-        for frame, row in enumerate(run.rows):
-            key = (row.true_load, row.n_s_used)
-            value = memo.get(key)
-            if value is None:
-                value = memo[key] = model(*key)
-            run_values[frame] = value
-    return values
+    true_load = repset.column("true_load")
+    keys = list(zip(true_load.ravel().tolist(), repset.column("n_s_used").ravel().tolist()))
+    values = {key: model(*key) for key in dict.fromkeys(keys)}
+    return np.array(list(map(values.__getitem__, keys))).reshape(true_load.shape)
 
 
 @dataclass
@@ -219,15 +203,13 @@ def write_compare_csv(
                 repset, lambda n, n_s: utility_of_load(n, n_s, config)
             ).mean(axis=0)
             means = repset.means
+            mean_columns = (
+                means["arrivals"], means["n_s_used"], means["contenders"],
+                means["true_load"], means["est_load"], means["successes"],
+                means["utility"], ut_mean, repset.ci95["utility"],
+            )
             writer.writerows(
-                (name, frame, *cells)
-                for frame, cells in enumerate(
-                    _float_rows(
-                        means["arrivals"], means["n_s_used"], means["contenders"],
-                        means["true_load"], means["est_load"], means["successes"],
-                        means["utility"], ut_mean, repset.ci95["utility"],
-                    )
-                )
+                zip(repeat(name), range(repset.n_frames), *map(_cells, mean_columns))
             )
 
 
@@ -257,19 +239,23 @@ def cmd_run(args) -> int:
     repset = run_replications(scenario, args.reps, args.seed)
     name = scenario.controller.kind.value
     write_run_csv(Path(args.out), repset, name, scenario.config)
-    print(f"wrote {args.out}: {repset.n_reps} replications x {repset.n_frames} frames ({name})")
+    print(f"wrote {args.out}: {len(repset.runs)} replications x {repset.n_frames} frames ({name})")
     return 0
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of a count that must be >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """argparse type of an int that must be >= low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _config_from_args(args) -> RachConfig:
@@ -290,7 +276,7 @@ def cmd_optimize(args) -> int:
     if not 0 <= args.load < math.inf:
         raise ScenarioError(f"load must be finite and >= 0, got {args.load}")
     decision = optimal_subframes_integer(args.load, config)
-    print(f"n_s={decision.n_s} utility={_fmt(decision.achieved_utility)}")
+    print(f"n_s={decision.n_s} utility={decision.achieved_utility!r}")
     return 0
 
 
@@ -304,15 +290,13 @@ def cmd_table(args) -> int:
     handle, writer = _open_writer(out)
     with handle:
         writer.writerow(["load_threshold", "n_s"])
-        for threshold, n_s in table.entries:
-            writer.writerow([_fmt(threshold), _fmt(n_s)])
+        writer.writerows(table.entries)
     sweep_path = Path(args.sweep_out) if args.sweep_out else out.with_name(
         out.stem + "_sweep" + (out.suffix or ".csv")
     )
     handle, writer = _open_writer(sweep_path)
     with handle:
         writer.writerow(["load", "n_s"])
-        # csv writes str() of Python floats and ints, the cells _fmt writes
         for loads in table.grid.blocks():
             writer.writerows(zip(loads.tolist(), table.lookup_many(loads).tolist()))
     print(f"wrote {out} ({len(table.entries)} thresholds) and {sweep_path}")
@@ -357,8 +341,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="simulate one controller, write per-frame CSV")
     run_p.add_argument("--scenario", required=True, help="scenario file path")
     run_p.add_argument("--controller", choices=_KIND_NAMES, help="override scenario controller")
-    run_p.add_argument("--seed", type=int, default=1)
-    run_p.add_argument("--reps", type=_positive_int, default=100)
+    run_p.add_argument("--seed", type=_int_at_least(0), default=1)
+    run_p.add_argument("--reps", type=_int_at_least(1), default=100)
     run_p.add_argument("--out", required=True, help="output CSV path")
     run_p.set_defaults(func=cmd_run)
 
@@ -388,8 +372,8 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="comma-separated list from " + ", ".join(_KIND_NAMES),
     )
-    cmp_p.add_argument("--seed", type=int, default=1)
-    cmp_p.add_argument("--reps", type=_positive_int, default=100)
+    cmp_p.add_argument("--seed", type=_int_at_least(0), default=1)
+    cmp_p.add_argument("--reps", type=_int_at_least(1), default=100)
     cmp_p.add_argument("--out", required=True, help="merged per-frame CSV path")
     cmp_p.set_defaults(func=cmd_compare)
 

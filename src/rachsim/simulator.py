@@ -18,16 +18,18 @@ One frame is one controller period. The per-frame sequence is:
    load estimate that becomes the forecast for the next frame.
 
 Each run owns two independent random streams spawned from the seed: one
-consumed only by arrival draws (exactly one per frame), one by contention,
-backoff, and barring. Running different controllers at the same seed
-therefore sees identical arrival sequences (common random numbers).
-Runs are deterministic: same scenario and seed, bit-identical output.
+consumed only by arrival draws (one per run, over every frame's rate: the
+numbers of one draw per frame), one by contention, backoff, and barring.
+Running different controllers at the same seed therefore sees identical
+arrival sequences (common random numbers). Runs are deterministic: same
+scenario and seed, bit-identical output. A run's records are columns, one
+array per FrameOutcome field, checked once per run.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Sequence
 
@@ -116,22 +118,28 @@ class LoadProfile:
     def end_frame(self) -> int:
         return self.segments[-1].end_frame
 
-    def rate_at(self, frame: int) -> float:
-        if not self.start_frame <= frame < self.end_frame:
+    def rate_at(self, frame):
+        """Rate at a frame, or at each frame of an integer array."""
+        frames = np.asarray(frame)
+        outside = (frames < self.start_frame) | (frames >= self.end_frame)
+        if outside.any():
             raise ValueError(
-                f"frame {frame} outside profile span "
+                f"frame {frames[outside].flat[0]} outside profile span "
                 f"[{self.start_frame}, {self.end_frame})"
             )
+        rates = np.empty(frames.shape)
         for seg in self.segments:
-            if seg.start_frame <= frame < seg.end_frame:
-                frac = (frame - seg.start_frame) / (seg.end_frame - seg.start_frame)
-                return seg.rate_start + (seg.rate_end - seg.rate_start) * frac
-        raise AssertionError("unreachable: contiguous segments cover the span")
+            inside = (seg.start_frame <= frames) & (frames < seg.end_frame)
+            frac = (frames[inside] - seg.start_frame) / (seg.end_frame - seg.start_frame)
+            rates[inside] = seg.rate_start + (seg.rate_end - seg.rate_start) * frac
+        return rates if frames.ndim else float(rates)
 
 
-def generate_arrivals(profile: LoadProfile, frame: int, rng: np.random.Generator) -> int:
-    """Poisson draw at the profile's interpolated rate for this frame."""
-    return int(rng.poisson(profile.rate_at(frame)))
+def generate_arrivals(
+    profile: LoadProfile, frames: Sequence[int] | np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Poisson draws at the profile's rate of each given frame, in one call."""
+    return rng.poisson(profile.rate_at(frames))
 
 
 # ---------------------------------------------------------------------------
@@ -189,13 +197,9 @@ def _pick_pairs(
         return np.zeros(0, dtype=bool), 0, 0, n_pairs
     picks = rng.integers(0, n_pairs, size=n)
     counts = np.bincount(picks, minlength=n_pairs)
-    lost = counts[picks] != 1
-    return (
-        lost,
-        n - int(np.count_nonzero(lost)),
-        int(np.count_nonzero(counts >= 2)),
-        int(np.count_nonzero(counts == 0)),
-    )
+    # pairs by how many devices picked them: idle ones, then singletons
+    idle, successes = np.bincount(counts)[:2].tolist()
+    return counts[picks] != 1, successes, n_pairs - idle - successes, idle
 
 
 def _defer(n: int, frame: int, window: int, rng: np.random.Generator) -> np.ndarray:
@@ -328,7 +332,6 @@ class ControllerSpec:
 class Controller:
     """Policy mapping observed history to the next frame's subframe count."""
 
-    name = "base"
     fallback = False
 
     def next_n_s(self) -> int:
@@ -345,8 +348,7 @@ class Controller:
 
 
 class FixedController(Controller):
-    def __init__(self, name: str, n_s: int):
-        self.name = name
+    def __init__(self, n_s: int):
         self._n_s = n_s
 
     def next_n_s(self) -> int:
@@ -366,8 +368,6 @@ class AdaptiveController(Controller):
     live as long as the controller, one run, so they hold at most one
     entry per frame; an inconsistent observation is never remembered.
     """
-
-    name = "adaptive"
 
     def __init__(
         self, config: RachConfig, window: int = 1, table_max_load: float = SATURATION_LOAD
@@ -407,8 +407,6 @@ class AdaptiveController(Controller):
 class AcbController(Controller):
     """Probabilistic barring in front of the default fixed allocation."""
 
-    name = "acb"
-
     def __init__(self, config: RachConfig, p_barring: float = 0.5, barring_window: int = 4):
         self._n_s = config.n_s_min
         self._p = p_barring
@@ -424,9 +422,9 @@ class AcbController(Controller):
 
 def make_controller(spec: ControllerSpec, config: RachConfig) -> Controller:
     if spec.kind is ControllerKind.FIXED_DEFAULT:
-        return FixedController("fixed", config.n_s_min)
+        return FixedController(config.n_s_min)
     if spec.kind is ControllerKind.FIXED_MAX:
-        return FixedController("max", config.n_s_max)
+        return FixedController(config.n_s_max)
     if spec.kind is ControllerKind.ADAPTIVE:
         return AdaptiveController(config, spec.window, spec.table_max_load)
     if spec.kind is ControllerKind.ACB:
@@ -491,36 +489,78 @@ class FrameOutcome:
     estimator_fallback: bool = False
 
     def validate(self, config: RachConfig) -> None:
-        pairs = self.n_s_used * config.n_preambles
-        if self.successes + self.collisions + self.idle != pairs:
-            raise ValueError(
-                f"frame {self.frame}: successes + collisions + idle != {pairs}"
-            )
-        if self.successes + self.collided_devices != self.contenders:
-            raise ValueError(
-                f"frame {self.frame}: successes + collided_devices != contenders"
-            )
-        if self.collided_devices < 2 * self.collisions:
-            raise ValueError(f"frame {self.frame}: collided_devices < 2 * collisions")
-        if self.collisions == 0 and self.collided_devices != 0:
-            raise ValueError(f"frame {self.frame}: collided devices without collisions")
-        if min(
-            self.arrivals, self.contenders, self.successes, self.collisions,
-            self.collided_devices, self.idle, self.true_load,
-        ) < 0:
-            raise ValueError(f"frame {self.frame}: negative count")
-        expected_u = utility(self.successes, config.alpha, self.n_s_used)
-        if self.utility != expected_u:
-            raise ValueError(f"frame {self.frame}: utility mismatch")
+        TimeSeries([self]).validate(config)
 
 
-@dataclass
+FRAME_FIELDS = tuple(f.name for f in fields(FrameOutcome))
+_FLOAT_FIELDS = ("est_load", "utility")
+_COUNT_FIELDS = (
+    "arrivals", "contenders", "successes", "collisions", "collided_devices", "idle", "true_load",
+)
+# what run_scenario records each frame, in this order
+_RECORDED = ("n_s_used", *_COUNT_FIELDS[1:], "est_load", "estimator_fallback")
+
+
+def _as_columns(names: Sequence[str], values) -> dict[str, np.ndarray]:
+    """One array per field name from its values; None becomes NaN in a float field."""
+    return {
+        name: np.array(column, dtype=float if name in _FLOAT_FIELDS else None)
+        for name, column in zip(names, values)
+    }
+
+
 class TimeSeries:
-    """Frame-ordered outcome records of one replication."""
+    """Frame-ordered records of one replication, one array per FrameOutcome field.
 
-    rows: list[FrameOutcome]
-    replication_id: int
-    seed: int
+    `columns` maps each field name to its array over the frames; est_load
+    is NaN where a row has None. run_scenario fills the columns directly,
+    TimeSeries(rows=...) builds them from FrameOutcome rows, and `rows`
+    turns them back into rows.
+    """
+
+    def __init__(
+        self, rows: Sequence[FrameOutcome] = (), replication_id: int = 0, seed: int = 0,
+        *, columns: dict[str, np.ndarray] | None = None,
+    ):
+        if columns is None:
+            columns = _as_columns(
+                FRAME_FIELDS, ([getattr(row, name) for row in rows] for name in FRAME_FIELDS)
+            )
+        self.columns = columns
+        self.replication_id = replication_id
+        self.seed = seed
+
+    def __len__(self) -> int:
+        return len(self.columns["frame"])
+
+    @property
+    def rows(self) -> list[FrameOutcome]:
+        """The records as FrameOutcome rows, built anew on each access."""
+        values = {name: self.columns[name].tolist() for name in FRAME_FIELDS}
+        values["est_load"] = [None if math.isnan(e) else e for e in values["est_load"]]
+        return [FrameOutcome(*row) for row in zip(*values.values())]
+
+    def validate(self, config: RachConfig) -> None:
+        """Check every frame's invariants; the error names the first bad frame."""
+        c = self.columns
+        pairs = c["n_s_used"] * config.n_preambles
+        checks = (
+            (c["successes"] + c["collisions"] + c["idle"] != pairs,
+             "successes + collisions + idle != {pairs}"),
+            (c["successes"] + c["collided_devices"] != c["contenders"],
+             "successes + collided_devices != contenders"),
+            (c["collided_devices"] < 2 * c["collisions"], "collided_devices < 2 * collisions"),
+            ((c["collisions"] == 0) & (c["collided_devices"] != 0),
+             "collided devices without collisions"),
+            (np.min([c[name] for name in _COUNT_FIELDS], axis=0) < 0, "negative count"),
+            (c["utility"] != utility(c["successes"], config.alpha, c["n_s_used"]),
+             "utility mismatch"),
+        )
+        bad = np.flatnonzero(np.logical_or.reduce([mask for mask, _ in checks]))
+        if len(bad):
+            k = bad[0]
+            message = next(message for mask, message in checks if mask[k])
+            raise ValueError(f"frame {c['frame'][k]}: " + message.format(pairs=pairs[k]))
 
 
 # ---------------------------------------------------------------------------
@@ -540,24 +580,26 @@ def run_scenario(scenario: Scenario, seed: int, replication_id: int = 0) -> Time
     arrival_seq, event_seq = np.random.SeedSequence(seed).spawn(2)
     arrival_rng = np.random.default_rng(arrival_seq)
     event_rng = np.random.default_rng(event_seq)
+    frames = np.arange(scenario.frames)
+    new_devices = generate_arrivals(scenario.profile, frames, arrival_rng)
 
     due = _NO_DEVICES
     attempts = _NO_DEVICES
     arrived = succeeded = dropped = 0
-    rows: list[FrameOutcome] = []
+    records: list[tuple] = []  # per frame, the _RECORDED fields
 
-    for frame in range(scenario.frames):
+    for frame, arrivals in enumerate(new_devices.tolist()):
         n_s = controller.next_n_s()
 
-        arrivals = generate_arrivals(scenario.profile, frame, arrival_rng)
         if len(due) + arrivals > MAX_POOL:
             raise ValueError(
                 f"frame {frame}: {len(due)} pending devices plus {arrivals} arrivals "
                 f"exceed the pool bound of {MAX_POOL}"
             )
         now = due == frame
+        later = ~now
         pool = np.concatenate((attempts[now], np.zeros(arrivals, dtype=np.int64)))
-        due, attempts = due[~now], attempts[~now]
+        due, attempts = due[later], attempts[later]
 
         admitted, barred, barred_due = controller.admit(pool, frame, event_rng)
         lost, successes, collisions, idle = _pick_pairs(
@@ -580,49 +622,29 @@ def run_scenario(scenario: Scenario, seed: int, replication_id: int = 0) -> Time
             )
 
         est = controller.observe(
-            RachObservation(
-                successes=successes,
-                collisions=collisions,
-                idle=idle,
-                n_s_used=n_s,
-                n_preambles=cfg.n_preambles,
-            )
+            RachObservation(successes, collisions, idle, n_s, cfg.n_preambles)
         )
-        row = FrameOutcome(
-            frame=frame,
-            n_s_used=n_s,
-            arrivals=arrivals,
-            contenders=len(admitted),
-            successes=successes,
-            collisions=collisions,
-            collided_devices=len(losers),
-            idle=idle,
-            true_load=len(pool),
-            est_load=est,
-            utility=utility(successes, cfg.alpha, n_s),
-            estimator_fallback=controller.fallback,
-        )
-        row.validate(cfg)
-        rows.append(row)
+        records.append((
+            n_s, len(admitted), successes, collisions, len(losers), idle, len(pool),
+            est, controller.fallback,
+        ))
 
-    return TimeSeries(rows=rows, replication_id=replication_id, seed=seed)
+    columns = _as_columns(_RECORDED, zip(*records))
+    columns.update(
+        frame=frames,
+        arrivals=new_devices,
+        utility=utility(columns["successes"], cfg.alpha, columns["n_s_used"]),
+    )
+    series = TimeSeries(replication_id=replication_id, seed=seed, columns=columns)
+    series.validate(cfg)
+    return series
 
 
 # ---------------------------------------------------------------------------
 # Replications and aggregation
 
-AGGREGATE_COLUMNS = (
-    "n_s_used",
-    "arrivals",
-    "contenders",
-    "successes",
-    "collisions",
-    "collided_devices",
-    "idle",
-    "true_load",
-    "est_load",
-    "utility",
-)
+# every FrameOutcome field but the frame index and the fallback flag
+AGGREGATE_COLUMNS = FRAME_FIELDS[1:-1]
 
 
 @dataclass
@@ -634,12 +656,12 @@ class ReplicationSet:
     ci95: dict[str, np.ndarray]
 
     @property
-    def n_reps(self) -> int:
-        return len(self.runs)
-
-    @property
     def n_frames(self) -> int:
-        return len(self.runs[0].rows)
+        return len(self.runs[0])
+
+    def column(self, name: str) -> np.ndarray:
+        """One record column of every run, shaped (replications, frames)."""
+        return np.array([run.columns[name] for run in self.runs])
 
 
 def aggregate_runs(runs: list[TimeSeries]) -> ReplicationSet:
@@ -651,22 +673,14 @@ def aggregate_runs(runs: list[TimeSeries]) -> ReplicationSet:
     """
     if not runs:
         raise ValueError("need at least one run")
-    n_frames = len(runs[0].rows)
-    if any(len(r.rows) != n_frames for r in runs):
+    n_frames = len(runs[0])
+    if any(len(r) != n_frames for r in runs):
         raise ValueError("all runs must cover the same number of frames")
     runs = sorted(runs, key=lambda r: r.replication_id)
     means: dict[str, np.ndarray] = {}
     ci95: dict[str, np.ndarray] = {}
     for col in AGGREGATE_COLUMNS:
-        data = np.array(
-            [
-                [
-                    np.nan if getattr(row, col) is None else float(getattr(row, col))
-                    for row in run.rows
-                ]
-                for run in runs
-            ]
-        )
+        data = np.array([run.columns[col] for run in runs], dtype=float)
         valid = ~np.isnan(data)
         n = valid.sum(axis=0)
         filled = np.where(valid, data, 0.0)

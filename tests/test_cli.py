@@ -225,6 +225,12 @@ def test_bad_arguments_exit_two(capsys):
             with pytest.raises(SystemExit) as exc:
                 main(command + ["--scenario", "x.scn", "--reps", reps, "--out", "x.csv"])
             assert exc.value.code == 2
+        # a negative seed is an argument error, not numpy's unlabelled one
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--scenario", "x.scn", "--seed", "-1", "--out", "x.csv"])
+        assert exc.value.code == 2
+        assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
 
 
 def test_run_huge_rate_fails_before_allocating(tmp_path, capsys):

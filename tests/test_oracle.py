@@ -8,22 +8,28 @@ its due devices in the order they were deferred, then the new arrivals;
 barred devices are deferred before retriers. It shares only the load
 profile, the controllers' subframe decisions and the random streams with
 the library, so identical rows check the array core draw for draw,
-including drops and heavy barring.
+including drops and heavy barring. Its arrivals are one scalar Poisson
+draw per frame, which checks the library's single whole-run draw.
 """
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rachsim.estimator import RachObservation
-from rachsim.model import utility
+from rachsim.model import RachConfig, utility
 from rachsim.scenario import default_scenario
 from rachsim.simulator import (
     ControllerKind,
+    ControllerSpec,
     DeviceState,
     FrameOutcome,
-    generate_arrivals,
+    LoadProfile,
+    ProfileSegment,
+    Scenario,
     make_controller,
     run_scenario,
 )
@@ -42,7 +48,7 @@ def reference_run(scenario, seed):
     next_id = 0
     for frame in range(scenario.frames):
         n_s = controller.next_n_s()
-        arrivals = generate_arrivals(scenario.profile, frame, arrival_rng)
+        arrivals = int(arrival_rng.poisson(scenario.profile.rate_at(frame)))
         pool = waiting.pop(frame, []) + [DeviceState(id=next_id + k) for k in range(arrivals)]
         next_id += arrivals
 
@@ -112,3 +118,44 @@ def test_run_scenario_matches_per_device_reference(variant, kind):
     scenario = VARIANTS[variant].with_controller(ControllerKind(kind))
     for seed in range(1, 6):
         assert run_scenario(scenario, seed).rows == reference_run(scenario, seed), seed
+
+
+# rates from idle through light load to deep overload of the 128 default pairs
+RATES = st.one_of(st.just(0.0), st.floats(0.0, 400.0))
+
+
+@st.composite
+def small_scenarios(draw):
+    """Up to four contiguous segments, zero-rate ones included, and random knobs."""
+    segments = []
+    for _ in range(draw(st.integers(1, 4))):
+        start = segments[-1].end_frame if segments else 0
+        end = start + draw(st.integers(1, 8))
+        segments.append(ProfileSegment(start, end, draw(RATES), draw(RATES)))
+    profile = LoadProfile(tuple(segments))
+    controller = ControllerSpec(
+        window=draw(st.integers(1, 3)),
+        acb_p=draw(st.floats(0.05, 1.0)),
+        acb_window=draw(st.integers(1, 4)),
+    )
+    return Scenario(
+        config=RachConfig(),
+        profile=profile,
+        controller=controller,
+        frames=draw(st.integers(1, profile.end_frame)),
+        backoff_window=draw(st.integers(1, 5)),
+        retry_limit=draw(st.integers(0, 4)),
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(scenario=small_scenarios(), seed=st.integers(0, 2**32 - 1))
+def test_run_scenario_matches_reference_on_random_scenarios(scenario, seed):
+    arrivals = set()
+    for kind in ControllerKind:
+        variant = scenario.with_controller(kind)
+        rows = run_scenario(variant, seed).rows
+        assert len(rows) == scenario.frames
+        assert rows == reference_run(variant, seed)
+        arrivals.add(tuple(row.arrivals for row in rows))
+    assert len(arrivals) == 1  # every controller sees the same arrivals

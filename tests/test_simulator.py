@@ -1,6 +1,7 @@
 """Contention simulator: primitives, run loop, determinism, causality."""
 
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from rachsim.simulator import (
     LoadProfile,
     ProfileSegment,
     Scenario,
+    TimeSeries,
     acb_gate,
     aggregate_runs,
     contend,
@@ -79,22 +81,22 @@ def test_profile_validation():
 def test_arrivals_zero_rate():
     profile = LoadProfile((ProfileSegment(0, 5, 0.0, 0.0),))
     rng = np.random.default_rng(1)
-    assert all(generate_arrivals(profile, f, rng) == 0 for f in range(5) for _ in range(50))
+    assert all(generate_arrivals(profile, range(5), rng).tolist() == [0] * 5 for _ in range(50))
 
 
 def test_arrivals_sample_mean():
     profile = LoadProfile((ProfileSegment(0, 1, 300.0, 300.0),))
     rng = np.random.default_rng(2)
-    draws = [generate_arrivals(profile, 0, rng) for _ in range(10_000)]
+    draws = generate_arrivals(profile, [0] * 10_000, rng)
     assert np.mean(draws) == pytest.approx(300.0, rel=0.03)
 
 
 def test_arrivals_outside_span():
     rng = np.random.default_rng(3)
     with pytest.raises(ValueError):
-        generate_arrivals(TRIANGLE, 20, rng)
+        generate_arrivals(TRIANGLE, [20], rng)
     with pytest.raises(ValueError):
-        generate_arrivals(TRIANGLE, -1, rng)
+        generate_arrivals(TRIANGLE, [-1], rng)
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +430,57 @@ def test_device_conservation_every_controller(variant):
                 else:  # every retrier comes back the next frame
                     returning = prev.collided_devices if prev else 0
                     assert row.arrivals <= row.true_load <= row.arrivals + returning
+
+
+def corrupted(series, frames, changes):
+    """A copy of series whose columns are shifted by changes[name] at each frame."""
+    columns = {name: column.copy() for name, column in series.columns.items()}
+    for name, delta in changes.items():
+        columns[name][frames] += delta
+    return TimeSeries(replication_id=series.replication_id, seed=series.seed, columns=columns)
+
+
+# Per invariant: the column changes that break only it at a frame whose
+# values are `at`, and the message naming it.
+INVARIANT_BREAKS = [
+    (lambda at: {"idle": 1}, "successes + collisions + idle != {pairs}"),
+    (lambda at: {"contenders": 1}, "successes + collided_devices != contenders"),
+    (
+        lambda at: {"collisions": at["collided_devices"], "idle": -at["collided_devices"]},
+        "collided_devices < 2 * collisions",
+    ),
+    (
+        lambda at: {"collisions": -at["collisions"], "idle": at["collisions"]},
+        "collided devices without collisions",
+    ),
+    (lambda at: {"arrivals": -at["arrivals"] - 1}, "negative count"),
+    (lambda at: {"utility": 0.5}, "utility mismatch"),
+]
+
+
+@pytest.mark.parametrize(
+    "changes, message", INVARIANT_BREAKS, ids=[m for _, m in INVARIANT_BREAKS]
+)
+def test_whole_run_validation_names_the_first_bad_frame(changes, message):
+    cfg = RachConfig()
+    series = run_scenario(parse_scenario(TM2), seed=1)
+    c = series.columns
+    series.validate(cfg)
+    # a frame past the first with collisions and enough idle pairs to move
+    k = next(
+        f for f in range(1, len(series))
+        if c["collisions"][f] >= 1 and c["idle"][f] >= c["collided_devices"][f]
+    )
+    deltas = changes({name: column[k] for name, column in c.items()})
+    expected = f"frame {k}: " + message.format(pairs=c["n_s_used"][k] * 64)
+    whole = f"^{re.escape(expected)}$"
+    with pytest.raises(ValueError, match=whole):
+        corrupted(series, [k], deltas).validate(cfg)
+    # the same check behind FrameOutcome.validate, and the first of two bad frames
+    with pytest.raises(ValueError, match=whole):
+        corrupted(series, [k], deltas).rows[k].validate(cfg)
+    with pytest.raises(ValueError, match=whole):
+        corrupted(series, [k, k + 5], deltas).validate(cfg)
 
 
 def test_conservation_check_catches_a_lost_device(monkeypatch):
