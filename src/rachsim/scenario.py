@@ -6,6 +6,7 @@ Four sections, all keys optional except the load profile:
     preambles = 64        # preambles per RACH subframe
     ns_min = 2            # minimum RACH subframes per frame
     ns_max = 8            # maximum RACH subframes per frame
+    # ns_max x preambles is at most 1 000 000
     alpha = 25.0          # subframe price, devices per subframe
 
     [load]
@@ -18,11 +19,11 @@ Four sections, all keys optional except the load profile:
     window = 1            # estimate smoothing window (adaptive)
     table_max_load = 700.0  # saturation threshold (adaptive)
     acb_p = 0.5           # barring pass probability (acb)
-    acb_window = 4        # barring backoff window, frames (acb)
+    acb_window = 4        # barring backoff window, frames (acb), <= 2**31 - 1
 
     [sim]
     frames = 20           # defaults to the profile span
-    backoff_window = 4    # collision backoff window, frames
+    backoff_window = 4    # collision backoff window, frames, <= 2**31 - 1
     retry_limit = 10      # failed attempts before a device drops
 
 '#' starts a comment. Unknown sections or keys are rejected with the line
@@ -37,6 +38,8 @@ from pathlib import Path
 from .model import FRAME_SUBFRAMES, RachConfig
 from .optimizer import SATURATION_LOAD
 from .simulator import (
+    MAX_PAIRS,
+    MAX_WINDOW,
     ControllerKind,
     ControllerSpec,
     LoadProfile,
@@ -161,6 +164,12 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> Scenario:
         raise ScenarioError(
             f"{source}:{lineno}: channel.ns_min must not exceed channel.ns_max"
         )
+    if ns_max * preambles > MAX_PAIRS:
+        entry = take("channel", "preambles") or take("channel", "ns_max")
+        raise ScenarioError(
+            f"{source}:{entry[1]}: channel.ns_max x channel.preambles = {ns_max} x "
+            f"{preambles} = {ns_max * preambles} pairs exceed the bound of {MAX_PAIRS}"
+        )
     alpha = take_float("channel", "alpha", 25.0, lo=0.0)
     config = RachConfig(n_preambles=preambles, n_s_min=ns_min, n_s_max=ns_max, alpha=alpha)
 
@@ -187,11 +196,11 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> Scenario:
             "controller", "table_max_load", SATURATION_LOAD, lo=0.0, lo_strict=True
         ),
         acb_p=take_float("controller", "acb_p", 0.5, lo=0.0, lo_strict=True, hi=1.0),
-        acb_window=take_int("controller", "acb_window", 4, lo=1),
+        acb_window=take_int("controller", "acb_window", 4, lo=1, hi=MAX_WINDOW),
     )
 
     frames = take_int("sim", "frames", profile.end_frame, lo=1, hi=profile.end_frame)
-    backoff_window = take_int("sim", "backoff_window", 4, lo=1)
+    backoff_window = take_int("sim", "backoff_window", 4, lo=1, hi=MAX_WINDOW)
     retry_limit = take_int("sim", "retry_limit", 10, lo=0)
 
     return Scenario(

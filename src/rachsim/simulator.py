@@ -22,13 +22,15 @@ consumed only by arrival draws (one per run, over every frame's rate: the
 numbers of one draw per frame), one by contention, backoff, and barring.
 Running different controllers at the same seed therefore sees identical
 arrival sequences (common random numbers). Runs are deterministic: same
-scenario and seed, bit-identical output. A run's records are columns, one
-array per FrameOutcome field, checked once per run.
+scenario and seed, bit-identical output. Pending devices are append-only
+arrays that a frame reads only where due (see run_scenario). A run's
+records are columns, one array per FrameOutcome field, checked once per run.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Sequence
@@ -50,6 +52,8 @@ __all__ = [
     "ProfileSegment",
     "LoadProfile",
     "MAX_POOL",
+    "MAX_PAIRS",
+    "MAX_WINDOW",
     "DeviceStatus",
     "DeviceState",
     "ControllerKind",
@@ -156,6 +160,8 @@ def generate_arrivals(
 # Bound on the devices one frame may hold (pending plus new arrivals); a
 # finite but huge arrival rate fails here instead of exhausting memory.
 MAX_POOL = 10_000_000
+MAX_PAIRS = 1_000_000  # bound on n_s_max x n_preambles; a frame counts picks per pair
+MAX_WINDOW = 2**31 - 1  # bound on the backoff and barring windows: due frames fit int64
 
 _NO_DEVICES = np.zeros(0, dtype=np.int64)
 _NO_DEVICES.flags.writeable = False
@@ -206,7 +212,8 @@ def _defer(n: int, frame: int, window: int, rng: np.random.Generator) -> np.ndar
     """Due frames of n deferred devices, uniform over frame+1..frame+window."""
     if not n:
         return _NO_DEVICES
-    return frame + rng.integers(1, window + 1, size=n)
+    # the same numbers as frame + integers(1, window + 1): the draw depends only on the range
+    return rng.integers(frame + 1, frame + window + 1, size=n)
 
 
 def _backoff(
@@ -325,17 +332,18 @@ class ControllerSpec:
             )
         if not 0.0 < self.acb_p <= 1.0:
             raise ValueError(f"acb_p must be in (0, 1], got {self.acb_p}")
-        if self.acb_window < 1:
-            raise ValueError(f"acb_window must be >= 1, got {self.acb_window}")
+        if not 1 <= self.acb_window <= MAX_WINDOW:
+            raise ValueError(f"acb_window must be in [1, {MAX_WINDOW}], got {self.acb_window}")
 
 
 class Controller:
     """Policy mapping observed history to the next frame's subframe count."""
 
     fallback = False
+    barring_window = 0  # longest barring deferral, frames
 
     def next_n_s(self) -> int:
-        raise NotImplementedError
+        return self._n_s
 
     def admit(
         self, pool: np.ndarray, frame: int, rng: np.random.Generator
@@ -346,13 +354,14 @@ class Controller:
     def observe(self, obs: RachObservation) -> float | None:
         return None
 
+    def observe_counts(self, successes: int, collisions: int, idle: int, n_s: int) -> float | None:
+        """observe() for run_scenario: only a controller that estimates builds the observation."""
+        return None
+
 
 class FixedController(Controller):
     def __init__(self, n_s: int):
         self._n_s = n_s
-
-    def next_n_s(self) -> int:
-        return self._n_s
 
 
 class AdaptiveController(Controller):
@@ -364,9 +373,9 @@ class AdaptiveController(Controller):
 
     Both steps are pure functions of small keys that recur from frame to
     frame, so each controller remembers its results: estimates by the
-    estimate_load arguments, decisions by the smoothed load. The memos
-    live as long as the controller, one run, so they hold at most one
-    entry per frame; an inconsistent observation is never remembered.
+    estimate_load arguments and by frame counts, decisions by the smoothed
+    load. The memos live as long as the controller, one run, so they hold
+    at most one entry per frame; an inconsistent observation is never kept.
     """
 
     def __init__(
@@ -375,13 +384,10 @@ class AdaptiveController(Controller):
         self._config = config
         self._state = EstimatorState(window=window)
         self._table_max_load = table_max_load
-        self._next = config.n_s_min
+        self._n_s = config.n_s_min
         self._estimates: dict[tuple, float] = {}
+        self._by_counts: dict[tuple, float] = {}
         self._decisions: dict[float, int] = {}
-        self.fallback = False
-
-    def next_n_s(self) -> int:
-        return self._next
 
     def observe(self, obs: RachObservation) -> float | None:
         key = (obs.successes, obs.n_s_used, obs.n_preambles, classify_load_branch(obs))
@@ -391,8 +397,20 @@ class AdaptiveController(Controller):
                 raw = self._estimates[key] = estimate_load(*key)
             except InconsistentObservationError:
                 self.fallback = True
-                self._next = self._config.n_s_max
+                self._n_s = self._config.n_s_max
                 return None
+        self._by_counts[obs.successes, obs.idle, obs.n_s_used, obs.n_preambles] = raw
+        return self._forecast(raw)
+
+    def observe_counts(self, successes: int, collisions: int, idle: int, n_s: int) -> float | None:
+        """observe() of one frame's counts; counts seen before build no observation."""
+        n_p = self._config.n_preambles
+        raw = self._by_counts.get((successes, idle, n_s, n_p))
+        if raw is None:
+            return self.observe(RachObservation(successes, collisions, idle, n_s, n_p))
+        return self._forecast(raw)
+
+    def _forecast(self, raw: float) -> float:
         self.fallback = False
         smoothed = smooth_estimate(self._state, raw)
         n_s = self._decisions.get(smoothed)
@@ -400,7 +418,7 @@ class AdaptiveController(Controller):
             n_s = self._decisions[smoothed] = decide_subframes(
                 smoothed, self._config, self._table_max_load
             ).n_s
-        self._next = n_s
+        self._n_s = n_s
         return smoothed
 
 
@@ -410,13 +428,10 @@ class AcbController(Controller):
     def __init__(self, config: RachConfig, p_barring: float = 0.5, barring_window: int = 4):
         self._n_s = config.n_s_min
         self._p = p_barring
-        self._window = barring_window
-
-    def next_n_s(self) -> int:
-        return self._n_s
+        self.barring_window = barring_window
 
     def admit(self, pool, frame, rng):
-        passed, due = _bar(len(pool), self._p, self._window, frame, rng)
+        passed, due = _bar(len(pool), self._p, self.barring_window, frame, rng)
         return pool[passed], pool[~passed], due
 
 
@@ -454,10 +469,15 @@ class Scenario:
             raise ValueError(
                 f"frames must be in [1, {self.profile.end_frame}], got {self.frames}"
             )
-        if self.backoff_window < 1:
-            raise ValueError(f"backoff_window must be >= 1, got {self.backoff_window}")
+        if not 1 <= self.backoff_window <= MAX_WINDOW:
+            raise ValueError(
+                f"backoff_window must be in [1, {MAX_WINDOW}], got {self.backoff_window}"
+            )
         if self.retry_limit < 0:
             raise ValueError(f"retry_limit must be >= 0, got {self.retry_limit}")
+        pairs = self.config.n_s_max * self.config.n_preambles
+        if pairs > MAX_PAIRS:
+            raise ValueError(f"n_s_max x n_preambles = {pairs} exceeds the bound of {MAX_PAIRS}")
 
     def with_controller(self, kind: ControllerKind) -> "Scenario":
         return replace(self, controller=replace(self.controller, kind=kind))
@@ -570,10 +590,12 @@ class TimeSeries:
 def run_scenario(scenario: Scenario, seed: int, replication_id: int = 0) -> TimeSeries:
     """Simulate one replication; deterministic for a fixed (scenario, seed).
 
-    Pending devices are two arrays in the order they were deferred: the
-    frame each one contends in next and its failed attempts so far. A
-    frame's pool is its due devices in that order followed by the new
-    arrivals; barred devices are deferred before retriers.
+    Pending devices are two append-only arrays in the order they were
+    deferred: the frame each one contends in next and its failed attempts
+    so far. A frame's pool is its due devices in that order followed by the
+    new arrivals; it appends its deferrals, barred before retriers. Spent
+    entries (frame passed) never match again; a frame's block is dropped
+    `horizon` frames on, the longest window, when all of it is spent.
     """
     cfg = scenario.config
     controller = make_controller(scenario.controller, cfg)
@@ -583,23 +605,23 @@ def run_scenario(scenario: Scenario, seed: int, replication_id: int = 0) -> Time
     frames = np.arange(scenario.frames)
     new_devices = generate_arrivals(scenario.profile, frames, arrival_rng)
 
-    due = _NO_DEVICES
-    attempts = _NO_DEVICES
-    arrived = succeeded = dropped = 0
+    horizon = max(scenario.backoff_window, controller.barring_window)
+    due = attempts = _NO_DEVICES
+    appended: deque[int] = deque()  # entries appended by each of the last frames
+    arrived = succeeded = dropped = pending = 0
     records: list[tuple] = []  # per frame, the _RECORDED fields
 
     for frame, arrivals in enumerate(new_devices.tolist()):
         n_s = controller.next_n_s()
 
-        if len(due) + arrivals > MAX_POOL:
+        if pending + arrivals > MAX_POOL:
             raise ValueError(
-                f"frame {frame}: {len(due)} pending devices plus {arrivals} arrivals "
+                f"frame {frame}: {pending} pending devices plus {arrivals} arrivals "
                 f"exceed the pool bound of {MAX_POOL}"
             )
-        now = due == frame
-        later = ~now
-        pool = np.concatenate((attempts[now], np.zeros(arrivals, dtype=np.int64)))
-        due, attempts = due[later], attempts[later]
+        pool = np.concatenate((attempts[due == frame], np.zeros(arrivals, dtype=np.int64)))
+        spent = appended.popleft() if len(appended) == horizon else 0
+        due, attempts = due[spent:], attempts[spent:]
 
         admitted, barred, barred_due = controller.admit(pool, frame, event_rng)
         lost, successes, collisions, idle = _pick_pairs(
@@ -611,19 +633,22 @@ def run_scenario(scenario: Scenario, seed: int, replication_id: int = 0) -> Time
         )
         due = np.concatenate((due, barred_due, retry_due))
         attempts = np.concatenate((attempts, barred, losers[retry] + 1))
+        appended.append(len(barred_due) + len(retry_due))
 
         arrived += arrivals
         succeeded += successes
         dropped += len(losers) - int(np.count_nonzero(retry))
-        if arrived != succeeded + dropped + len(due):
+        live = due > frame
+        pending = int(np.count_nonzero(live))
+        if arrived != succeeded + dropped + pending:
             raise ValueError(
                 f"frame {frame}: device conservation broken: {arrived} arrived, "
-                f"{succeeded} succeeded, {dropped} dropped, {len(due)} pending"
+                f"{succeeded} succeeded, {dropped} dropped, {pending} pending"
             )
+        if len(due) > 2 * pending + 4096:  # spent entries pile up: keep the pending ones
+            due, attempts, appended = due[live], attempts[live], deque([pending])
 
-        est = controller.observe(
-            RachObservation(successes, collisions, idle, n_s, cfg.n_preambles)
-        )
+        est = controller.observe_counts(successes, collisions, idle, n_s)
         records.append((
             n_s, len(admitted), successes, collisions, len(losers), idle, len(pool),
             est, controller.fallback,

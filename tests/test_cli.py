@@ -279,6 +279,35 @@ def test_frame_row_bound_counts_distinct_controllers(tmp_path, capsys):
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("section, key", [("sim", "backoff_window"), ("controller", "acb_window")])
+def test_run_window_beyond_the_bound_exits_two(tmp_path, capsys, section, key):
+    # used to exit 3 with numpy's unlabelled "high is out of bounds for int64"
+    scn = tmp_path / "window.scn"
+    scn.write_text(f"{SMALL}\n[{section}]\n{key} = 99999999999999999999\n")
+    rc = main(["run", "--scenario", str(scn), "--controller", "acb", "--reps", "1",
+               "--out", str(tmp_path / "o.csv")])
+    assert rc == 2
+    assert f"{section}.{key} must be in [1, 2147483647]" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_pair_bound_applies_to_simulations_only(tmp_path, capsys):
+    # every simulated frame counts picks per (subframe, preamble) pair
+    scn = tmp_path / "pairs.scn"
+    scn.write_text("[channel]\npreambles = 1000000\n" + SMALL)
+    for command in (["run"], ["compare", "--controllers", "adaptive,fixed"]):
+        rc = main(command + ["--scenario", str(scn), "--reps", "1",
+                             "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "channel.ns_max x channel.preambles = 8 x 1000000 = 8000000 pairs" in err
+    assert not (tmp_path / "o.csv").exists()
+    # table and optimize simulate nothing and keep accepting large counts
+    assert main(["optimize", "--load", "500", "--alpha", "25", "--preambles", "1000000"]) == 0
+    assert main(["table", "--alpha", "25", "--preambles", "1000000",
+                 "--out", str(tmp_path / "t.csv")]) == 0
+
+
 def test_python_dash_m_rachsim_help():
     src = str(Path(rachsim.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")

@@ -28,6 +28,10 @@ GOLDEN = {
     # arbitrary floats
     "tm2.csv": "82295982894b816a4bffd999e11c599f201def3515b79969f96465422b0073e0",
     "window3.csv": "98c5d0262cfeb831276e9a2f4d72abf81e17c65367a8d8ed0f0b80414847837b",
+    # the pending devices' horizon: barring deferrals longer than the
+    # backoff window, and every retrier due again the next frame
+    "acb9.csv": "c65a2aa2e64c685da5e4d7a0cccf1b67b39384c5459b334bdd4502081015dbf7",
+    "backoff1.csv": "13862987c33b36c6f020c4c71369a97e31837d9cabbdfbc6d3c4cf3e1bc7b00c",
 }
 
 
@@ -39,6 +43,12 @@ def test_golden_output_digests(tmp_path, capsys):
     window3.write_text(
         format_scenario(replace(scenario, controller=replace(scenario.controller, window=3)))
     )
+    acb9 = tmp_path / "acb9.scn"
+    acb9.write_text(format_scenario(replace(
+        scenario, backoff_window=2, controller=replace(scenario.controller, acb_window=9)
+    )))
+    backoff1 = tmp_path / "backoff1.scn"
+    backoff1.write_text(format_scenario(replace(scenario, backoff_window=1)))
     assert main(["run", "--scenario", str(stock), "--controller", "adaptive",
                  "--seed", "1", "--reps", "3", "--out", str(tmp_path / "run.csv")]) == 0
     assert main(["compare", "--scenario", str(stock),
@@ -52,6 +62,10 @@ def test_golden_output_digests(tmp_path, capsys):
                  "--out", str(tmp_path / "tm2.csv")]) == 0
     assert main(["run", "--scenario", str(window3), "--controller", "adaptive",
                  "--seed", "1", "--reps", "3", "--out", str(tmp_path / "window3.csv")]) == 0
+    assert main(["run", "--scenario", str(acb9), "--controller", "acb",
+                 "--seed", "1", "--reps", "3", "--out", str(tmp_path / "acb9.csv")]) == 0
+    assert main(["run", "--scenario", str(backoff1), "--controller", "fixed",
+                 "--seed", "1", "--reps", "3", "--out", str(tmp_path / "backoff1.csv")]) == 0
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         for name in GOLDEN

@@ -120,6 +120,58 @@ def test_run_scenario_matches_per_device_reference(variant, kind):
         assert run_scenario(scenario, seed).rows == reference_run(scenario, seed), seed
 
 
+# 70 frames of sustained overload with few retries: run_scenario drops the
+# spent front of its pending arrays many times over, devices drop, and ACB
+# bars; the windows' order decides which one sets that horizon.
+OVERLOAD = replace(
+    STOCK,
+    profile=LoadProfile((
+        ProfileSegment(0, 10, 0.0, 250.0),
+        ProfileSegment(10, 60, 250.0, 250.0),
+        ProfileSegment(60, 70, 250.0, 0.0),
+    )),
+    frames=None,
+    retry_limit=3,
+)
+
+
+@pytest.mark.parametrize("kind", [k.value for k in ControllerKind])
+@pytest.mark.parametrize(
+    "backoff_window, acb_window",
+    # the last windows exceed the run: nothing is ever dropped from the front
+    [(2, 9), (9, 2), (1, 1), (40, 3), (100, 2**31 - 1)],
+)
+def test_run_scenario_matches_reference_across_horizons(backoff_window, acb_window, kind):
+    scenario = replace(
+        OVERLOAD,
+        backoff_window=backoff_window,
+        controller=replace(OVERLOAD.controller, kind=ControllerKind(kind), acb_window=acb_window),
+    )
+    for seed in range(1, 4):
+        rows = run_scenario(scenario, seed).rows
+        assert rows == reference_run(scenario, seed), seed
+        if kind == "acb":
+            assert any(row.contenders < row.true_load for row in rows)
+
+
+def test_run_scenario_matches_reference_when_spent_entries_pile_up():
+    # barring re-defers thousands of devices every frame while the backoff
+    # window keeps each frame's block for 6 frames: run_scenario drops the
+    # spent entries early, again and again while the backlog is large, and
+    # once it drains drops whole blocks from the front again; every device
+    # must keep its turn throughout
+    scenario = Scenario(
+        config=RachConfig(),
+        profile=LoadProfile(
+            (ProfileSegment(0, 20, 150.0, 150.0), ProfileSegment(20, 90, 0.0, 0.0))
+        ),
+        controller=ControllerSpec(kind=ControllerKind.ACB, acb_p=0.2, acb_window=1),
+        backoff_window=6,
+    )
+    for seed in (1, 2):
+        assert run_scenario(scenario, seed).rows == reference_run(scenario, seed), seed
+
+
 # rates from idle through light load to deep overload of the 128 default pairs
 RATES = st.one_of(st.just(0.0), st.floats(0.0, 400.0))
 

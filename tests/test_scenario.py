@@ -132,3 +132,29 @@ def test_default_scenario_kinds():
     assert default_scenario(ControllerKind.ACB).controller.kind is ControllerKind.ACB
     with pytest.raises(ValueError):
         default_scenario("bogus")
+
+
+@pytest.mark.parametrize("section, key", [("sim", "backoff_window"), ("controller", "acb_window")])
+def test_window_bound_names_key(section, key):
+    # beyond the bound a due frame, frame + window, could leave int64
+    text = "[load]\nsegments = 0:5:1:1\n\n[{}]\n{} = {}\n"
+    s = parse_scenario_text(text.format(section, key, 2**31 - 1))
+    assert getattr(s if section == "sim" else s.controller, key) == 2**31 - 1
+    for value in ("2147483648", "99999999999999999999"):
+        with pytest.raises(
+            ScenarioError, match=rf":5: {section}.{key} must be in \[1, 2147483647\], got {value}"
+        ):
+            parse_scenario_text(text.format(section, key, value))
+
+
+def test_pair_bound_names_both_keys_and_product():
+    text = "[channel]\npreambles = {}\nns_max = {}\n\n[load]\nsegments = 0:5:1:1\n"
+    assert parse_scenario_text(text.format(100_000, 10)).config.n_preambles == 100_000
+    with pytest.raises(
+        ScenarioError,
+        match=r":2: channel.ns_max x channel.preambles = 8 x 1000000 = 8000000 pairs "
+        r"exceed the bound of 1000000",
+    ):
+        parse_scenario_text(text.format(1_000_000, 8))
+    with pytest.raises(ScenarioError, match=r"= 10 x 100001 = 1000010 pairs"):
+        parse_scenario_text(text.format(100_001, 10))

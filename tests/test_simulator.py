@@ -21,6 +21,8 @@ from rachsim.model import RachConfig
 from rachsim.optimizer import decide_subframes
 from rachsim.scenario import default_scenario, parse_scenario
 from rachsim.simulator import (
+    MAX_PAIRS,
+    MAX_WINDOW,
     AdaptiveController,
     ControllerKind,
     ControllerSpec,
@@ -493,6 +495,25 @@ def test_conservation_check_catches_a_lost_device(monkeypatch):
     monkeypatch.setattr(rachsim.simulator, "_backoff", lose_one_retrier)
     with pytest.raises(ValueError, match="device conservation broken"):
         run_scenario(default_scenario("fixed"), seed=1)
+
+
+def test_window_and_pair_bounds():
+    # the largest windows run: every due frame stays an int64
+    widest = Scenario(
+        config=RachConfig(), profile=TRIANGLE, backoff_window=MAX_WINDOW,
+        controller=ControllerSpec(kind=ControllerKind.ACB, acb_window=MAX_WINDOW),
+    )
+    rows = run_scenario(widest, seed=1).rows
+    # no deferred device comes back within the run
+    assert sum(row.true_load for row in rows) == sum(row.arrivals for row in rows)
+    with pytest.raises(ValueError, match=rf"backoff_window must be in \[1, {MAX_WINDOW}\]"):
+        replace(widest, backoff_window=MAX_WINDOW + 1)
+    with pytest.raises(ValueError, match=rf"acb_window must be in \[1, {MAX_WINDOW}\]"):
+        ControllerSpec(acb_window=MAX_WINDOW + 1)
+    # n_s_max x n_preambles, checked before any frame
+    Scenario(config=RachConfig(n_preambles=MAX_PAIRS // 8), profile=TRIANGLE)
+    with pytest.raises(ValueError, match=rf"n_s_max x n_preambles = {8 * 125_001} exceeds"):
+        Scenario(config=RachConfig(n_preambles=125_001), profile=TRIANGLE)
 
 
 def test_run_replications_single_equals_run():
