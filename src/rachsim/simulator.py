@@ -30,7 +30,6 @@ records are columns, one array per FrameOutcome field, checked once per run.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Sequence
@@ -40,8 +39,8 @@ import numpy as np
 from .estimator import (
     EstimatorState,
     InconsistentObservationError,
+    LoadBranch,
     RachObservation,
-    classify_load_branch,
     estimate_load,
     smooth_estimate,
 )
@@ -340,7 +339,6 @@ class Controller:
     """Policy mapping observed history to the next frame's subframe count."""
 
     fallback = False
-    barring_window = 0  # longest barring deferral, frames
 
     def next_n_s(self) -> int:
         return self._n_s
@@ -352,10 +350,14 @@ class Controller:
         return pool, _NO_DEVICES, _NO_DEVICES
 
     def observe(self, obs: RachObservation) -> float | None:
-        return None
+        return self.observe_counts(
+            obs.successes, obs.collisions, obs.idle, obs.n_s_used, obs.n_preambles
+        )
 
-    def observe_counts(self, successes: int, collisions: int, idle: int, n_s: int) -> float | None:
-        """observe() for run_scenario: only a controller that estimates builds the observation."""
+    def observe_counts(
+        self, successes: int, collisions: int, idle: int, n_s: int, n_preambles: int
+    ) -> float | None:
+        """observe() of one frame's counts; only a controller that estimates checks them."""
         return None
 
 
@@ -373,9 +375,11 @@ class AdaptiveController(Controller):
 
     Both steps are pure functions of small keys that recur from frame to
     frame, so each controller remembers its results: estimates by the
-    estimate_load arguments and by frame counts, decisions by the smoothed
-    load. The memos live as long as the controller, one run, so they hold
-    at most one entry per frame; an inconsistent observation is never kept.
+    estimate_load arguments, decisions by the smoothed load. Only a miss
+    builds and checks a RachObservation; run_scenario's whole-run check
+    covers the hits. The memos live as long as the controller, one run, so
+    they hold at most one entry per frame; an inconsistent observation is
+    never remembered.
     """
 
     def __init__(
@@ -386,31 +390,21 @@ class AdaptiveController(Controller):
         self._table_max_load = table_max_load
         self._n_s = config.n_s_min
         self._estimates: dict[tuple, float] = {}
-        self._by_counts: dict[tuple, float] = {}
         self._decisions: dict[float, int] = {}
 
-    def observe(self, obs: RachObservation) -> float | None:
-        key = (obs.successes, obs.n_s_used, obs.n_preambles, classify_load_branch(obs))
+    def observe_counts(self, successes, collisions, idle, n_s, n_preambles):
+        # the branch as classify_load_branch picks it
+        light = idle >= n_s * n_preambles / math.e
+        key = (successes, n_s, n_preambles, LoadBranch.LIGHT if light else LoadBranch.HEAVY)
         raw = self._estimates.get(key)
         if raw is None:
+            RachObservation(successes, collisions, idle, n_s, n_preambles)
             try:
                 raw = self._estimates[key] = estimate_load(*key)
             except InconsistentObservationError:
                 self.fallback = True
                 self._n_s = self._config.n_s_max
                 return None
-        self._by_counts[obs.successes, obs.idle, obs.n_s_used, obs.n_preambles] = raw
-        return self._forecast(raw)
-
-    def observe_counts(self, successes: int, collisions: int, idle: int, n_s: int) -> float | None:
-        """observe() of one frame's counts; counts seen before build no observation."""
-        n_p = self._config.n_preambles
-        raw = self._by_counts.get((successes, idle, n_s, n_p))
-        if raw is None:
-            return self.observe(RachObservation(successes, collisions, idle, n_s, n_p))
-        return self._forecast(raw)
-
-    def _forecast(self, raw: float) -> float:
         self.fallback = False
         smoothed = smooth_estimate(self._state, raw)
         n_s = self._decisions.get(smoothed)
@@ -428,10 +422,10 @@ class AcbController(Controller):
     def __init__(self, config: RachConfig, p_barring: float = 0.5, barring_window: int = 4):
         self._n_s = config.n_s_min
         self._p = p_barring
-        self.barring_window = barring_window
+        self._window = barring_window
 
     def admit(self, pool, frame, rng):
-        passed, due = _bar(len(pool), self._p, self.barring_window, frame, rng)
+        passed, due = _bar(len(pool), self._p, self._window, frame, rng)
         return pool[passed], pool[~passed], due
 
 
@@ -594,8 +588,9 @@ def run_scenario(scenario: Scenario, seed: int, replication_id: int = 0) -> Time
     deferred: the frame each one contends in next and its failed attempts
     so far. A frame's pool is its due devices in that order followed by the
     new arrivals; it appends its deferrals, barred before retriers. Spent
-    entries (frame passed) never match again; a frame's block is dropped
-    `horizon` frames on, the longest window, when all of it is spent.
+    entries (frame passed) never match again: a frame drops those in front
+    of the first pending one as views, and once spent entries outnumber the
+    pending ones it keeps only the pending ones, in order.
     """
     cfg = scenario.config
     controller = make_controller(scenario.controller, cfg)
@@ -605,9 +600,7 @@ def run_scenario(scenario: Scenario, seed: int, replication_id: int = 0) -> Time
     frames = np.arange(scenario.frames)
     new_devices = generate_arrivals(scenario.profile, frames, arrival_rng)
 
-    horizon = max(scenario.backoff_window, controller.barring_window)
     due = attempts = _NO_DEVICES
-    appended: deque[int] = deque()  # entries appended by each of the last frames
     arrived = succeeded = dropped = pending = 0
     records: list[tuple] = []  # per frame, the _RECORDED fields
 
@@ -620,8 +613,6 @@ def run_scenario(scenario: Scenario, seed: int, replication_id: int = 0) -> Time
                 f"exceed the pool bound of {MAX_POOL}"
             )
         pool = np.concatenate((attempts[due == frame], np.zeros(arrivals, dtype=np.int64)))
-        spent = appended.popleft() if len(appended) == horizon else 0
-        due, attempts = due[spent:], attempts[spent:]
 
         admitted, barred, barred_due = controller.admit(pool, frame, event_rng)
         lost, successes, collisions, idle = _pick_pairs(
@@ -633,7 +624,6 @@ def run_scenario(scenario: Scenario, seed: int, replication_id: int = 0) -> Time
         )
         due = np.concatenate((due, barred_due, retry_due))
         attempts = np.concatenate((attempts, barred, losers[retry] + 1))
-        appended.append(len(barred_due) + len(retry_due))
 
         arrived += arrivals
         succeeded += successes
@@ -645,10 +635,15 @@ def run_scenario(scenario: Scenario, seed: int, replication_id: int = 0) -> Time
                 f"frame {frame}: device conservation broken: {arrived} arrived, "
                 f"{succeeded} succeeded, {dropped} dropped, {pending} pending"
             )
-        if len(due) > 2 * pending + 4096:  # spent entries pile up: keep the pending ones
-            due, attempts, appended = due[live], attempts[live], deque([pending])
+        # spent entries never match again: keep only the pending ones once
+        # they are outnumbered, else drop the spent ones in front, as views
+        if len(due) > 2 * pending:
+            due, attempts = due[live], attempts[live]
+        elif pending:
+            first = int(live.argmax())
+            due, attempts = due[first:], attempts[first:]
 
-        est = controller.observe_counts(successes, collisions, idle, n_s)
+        est = controller.observe_counts(successes, collisions, idle, n_s, cfg.n_preambles)
         records.append((
             n_s, len(admitted), successes, collisions, len(losers), idle, len(pool),
             est, controller.fallback,

@@ -28,7 +28,7 @@ GOLDEN = {
     # arbitrary floats
     "tm2.csv": "82295982894b816a4bffd999e11c599f201def3515b79969f96465422b0073e0",
     "window3.csv": "98c5d0262cfeb831276e9a2f4d72abf81e17c65367a8d8ed0f0b80414847837b",
-    # the pending devices' horizon: barring deferrals longer than the
+    # the pending devices' order: barring deferrals longer than the
     # backoff window, and every retrier due again the next frame
     "acb9.csv": "c65a2aa2e64c685da5e4d7a0cccf1b67b39384c5459b334bdd4502081015dbf7",
     "backoff1.csv": "13862987c33b36c6f020c4c71369a97e31837d9cabbdfbc6d3c4cf3e1bc7b00c",

@@ -121,8 +121,8 @@ def test_run_scenario_matches_per_device_reference(variant, kind):
 
 
 # 70 frames of sustained overload with few retries: run_scenario drops the
-# spent front of its pending arrays many times over, devices drop, and ACB
-# bars; the windows' order decides which one sets that horizon.
+# spent entries of its pending arrays many times over, devices drop, and
+# ACB bars; the windows' order decides which deferrals come due first.
 OVERLOAD = replace(
     STOCK,
     profile=LoadProfile((
@@ -138,10 +138,10 @@ OVERLOAD = replace(
 @pytest.mark.parametrize("kind", [k.value for k in ControllerKind])
 @pytest.mark.parametrize(
     "backoff_window, acb_window",
-    # the last windows exceed the run: nothing is ever dropped from the front
+    # the last windows exceed the run: no deferred device comes back
     [(2, 9), (9, 2), (1, 1), (40, 3), (100, 2**31 - 1)],
 )
-def test_run_scenario_matches_reference_across_horizons(backoff_window, acb_window, kind):
+def test_run_scenario_matches_reference_across_windows(backoff_window, acb_window, kind):
     scenario = replace(
         OVERLOAD,
         backoff_window=backoff_window,
@@ -155,11 +155,11 @@ def test_run_scenario_matches_reference_across_horizons(backoff_window, acb_wind
 
 
 def test_run_scenario_matches_reference_when_spent_entries_pile_up():
-    # barring re-defers thousands of devices every frame while the backoff
-    # window keeps each frame's block for 6 frames: run_scenario drops the
-    # spent entries early, again and again while the backlog is large, and
-    # once it drains drops whole blocks from the front again; every device
-    # must keep its turn throughout
+    # barring re-defers thousands of devices every frame, each due the next
+    # frame, behind retriers due up to 6 frames on: spent entries pile up
+    # behind a pending one, and run_scenario keeps only the pending ones,
+    # again and again while the backlog is large, and drops the spent ones
+    # in front once it drains; every device must keep its turn throughout
     scenario = Scenario(
         config=RachConfig(),
         profile=LoadProfile(
