@@ -217,13 +217,6 @@ def write_compare_csv(
 # Commands
 
 
-def _scenario_for(args) -> Scenario:
-    scenario = parse_scenario(args.scenario)
-    if getattr(args, "controller", None):
-        scenario = scenario.with_controller(ControllerKind(args.controller))
-    return scenario
-
-
 def _check_frame_rows(scenario: Scenario, reps: int, controllers: int = 1) -> None:
     rows = scenario.frames * reps * controllers
     if rows > MAX_FRAME_ROWS:
@@ -234,7 +227,9 @@ def _check_frame_rows(scenario: Scenario, reps: int, controllers: int = 1) -> No
 
 
 def cmd_run(args) -> int:
-    scenario = _scenario_for(args)
+    scenario = parse_scenario(args.scenario)
+    if args.controller:
+        scenario = scenario.with_controller(ControllerKind(args.controller))
     _check_frame_rows(scenario, args.reps)
     repset = run_replications(scenario, args.reps, args.seed)
     name = scenario.controller.kind.value
@@ -331,6 +326,15 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _add_channel_flags(parser: argparse.ArgumentParser) -> None:
+    """--alpha and the channel sizes; their defaults are RachConfig's."""
+    defaults = RachConfig()
+    parser.add_argument("--alpha", type=float, required=True)
+    parser.add_argument("--preambles", type=int, default=defaults.n_preambles)
+    parser.add_argument("--ns-min", type=int, default=defaults.n_s_min)
+    parser.add_argument("--ns-max", type=int, default=defaults.n_s_max)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rachsim",
@@ -348,17 +352,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     opt_p = sub.add_parser("optimize", help="best subframe count for one load")
     opt_p.add_argument("--load", type=float, required=True)
-    opt_p.add_argument("--alpha", type=float, required=True)
-    opt_p.add_argument("--preambles", type=int, default=64)
-    opt_p.add_argument("--ns-min", type=int, default=2)
-    opt_p.add_argument("--ns-max", type=int, default=8)
+    _add_channel_flags(opt_p)
     opt_p.set_defaults(func=cmd_optimize)
 
     tab_p = sub.add_parser("table", help="emit the offline load -> n_s lookup table")
-    tab_p.add_argument("--alpha", type=float, required=True)
-    tab_p.add_argument("--preambles", type=int, default=64)
-    tab_p.add_argument("--ns-min", type=int, default=2)
-    tab_p.add_argument("--ns-max", type=int, default=8)
+    _add_channel_flags(tab_p)
     tab_p.add_argument("--max-load", type=float, default=SATURATION_LOAD)
     tab_p.add_argument("--step", type=float, default=1.0)
     tab_p.add_argument("--out", required=True, help="thresholds CSV path")

@@ -127,7 +127,7 @@ def estimate_load(eta_obs: float, n_s: int, n_preambles: int, branch: LoadBranch
 class EstimatorState:
     """Sliding window of raw per-frame load estimates. Single-writer."""
 
-    window: int = 1
+    window: int
     history: deque = field(init=False)
 
     def __post_init__(self) -> None:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 __all__ = [
     "FRAME_SUBFRAMES",
+    "MAX_ALPHA",
     "RachConfig",
     "throughput",
     "utility",
@@ -22,6 +23,13 @@ __all__ = [
 ]
 
 FRAME_SUBFRAMES = 10  # an LTE frame is 10 subframes of 1 ms
+
+# Bound on the subframe price. A utility is eta - alpha * n_s with n_s <= 10,
+# so it stays within about 1e101, its sum over a million frame rows within
+# 1e107 and the square of a deviation between two utilities within 1e203,
+# all far from float overflow (1.8e308). A price near that limit made
+# utilities, their sums and the CIs -inf or NaN.
+MAX_ALPHA = 1e100
 
 
 @dataclass(frozen=True)
@@ -48,8 +56,8 @@ class RachConfig:
             )
         if self.n_preambles < 1:
             raise ValueError(f"n_preambles must be >= 1, got {self.n_preambles}")
-        if not 0 <= self.alpha < math.inf:
-            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
+        if not 0 <= self.alpha <= MAX_ALPHA:
+            raise ValueError(f"alpha must be finite and in [0, {MAX_ALPHA}], got {self.alpha}")
 
     @property
     def subframe_range(self) -> range:

@@ -44,7 +44,6 @@ __all__ = [
     "closed_form_decision",
     "decide_subframes",
     "subframe_lookup_table",
-    "load_grid",
     "stationary_alpha_limit",
 ]
 
@@ -117,8 +116,6 @@ class LookupTable:
     the queried load. grid is the sweep the table was built on, if any.
     """
 
-    alpha: float
-    n_preambles: int
     entries: tuple[tuple[float, int], ...]
     grid: LoadGrid | None = None
     _thresholds: tuple[float, ...] = field(init=False, repr=False, compare=False)
@@ -226,11 +223,6 @@ def decide_subframes(
     return optimal_subframes_integer(load, config)
 
 
-def load_grid(step: float, max_load: float) -> Iterator[float]:
-    """Loads 0, step, 2 * step, ... up to max_load (within rounding), lazily."""
-    return iter(LoadGrid.up_to(max_load, step))
-
-
 def _block_argmax(loads: np.ndarray, config: RachConfig) -> np.ndarray:
     """optimal_subframes_integer(load, config).n_s for each load of an array.
 
@@ -267,9 +259,4 @@ def subframe_lookup_table(
         changed = n_s != np.concatenate(([last_n], n_s[:-1]))
         entries.extend(zip(loads[changed].tolist(), n_s[changed].tolist()))
         last_n = n_s[-1]
-    return LookupTable(
-        alpha=config.alpha,
-        n_preambles=config.n_preambles,
-        entries=tuple(entries),
-        grid=grid,
-    )
+    return LookupTable(entries=tuple(entries), grid=grid)

@@ -7,7 +7,7 @@ Four sections, all keys optional except the load profile:
     ns_min = 2            # minimum RACH subframes per frame
     ns_max = 8            # maximum RACH subframes per frame
     # ns_max x preambles is at most 1 000 000
-    alpha = 25.0          # subframe price, devices per subframe
+    alpha = 25.0          # subframe price, devices per subframe, <= 1e100
 
     [load]
     segments = 0:10:0.0:600.0, 10:20:600.0:0.0   # required
@@ -16,7 +16,7 @@ Four sections, all keys optional except the load profile:
 
     [controller]
     kind = adaptive       # fixed | max | adaptive | acb
-    window = 1            # estimate smoothing window (adaptive)
+    window = 1            # estimate smoothing window (adaptive), <= 2**31 - 1
     table_max_load = 700.0  # saturation threshold (adaptive)
     acb_p = 0.5           # barring pass probability (acb)
     acb_window = 4        # barring backoff window, frames (acb), <= 2**31 - 1
@@ -34,9 +34,9 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
+from typing import Callable, NamedTuple
 
-from .model import FRAME_SUBFRAMES, RachConfig
-from .optimizer import SATURATION_LOAD
+from .model import FRAME_SUBFRAMES, MAX_ALPHA, RachConfig
 from .simulator import (
     MAX_PAIRS,
     MAX_WINDOW,
@@ -60,14 +60,37 @@ class ScenarioError(Exception):
     """Malformed scenario file; message carries location and key."""
 
 
-_SECTION_KEYS = {
-    "channel": {"preambles", "ns_min", "ns_max", "alpha"},
-    "load": {"segments"},
-    "controller": {"kind", "window", "table_max_load", "acb_p", "acb_window"},
-    "sim": {"frames", "backoff_window", "retry_limit"},
-}
+class _Key(NamedTuple):
+    """Where a key's value goes and its range; hi may depend on the profile."""
 
-_KINDS = {k.value: k for k in ControllerKind}
+    target: type  # RachConfig, ControllerSpec or Scenario
+    field: str
+    type: type  # int or float
+    lo: float
+    hi: float | Callable[[LoadProfile], float] | None = None
+    lo_open: bool = False  # lo itself is out of range
+
+
+# Every numeric key, in file order. An absent key takes its field's
+# dataclass default. format_scenario writes the same keys.
+_KEYS = {
+    ("channel", "preambles"): _Key(RachConfig, "n_preambles", int, 1),
+    ("channel", "ns_min"): _Key(RachConfig, "n_s_min", int, 1, FRAME_SUBFRAMES),
+    ("channel", "ns_max"): _Key(RachConfig, "n_s_max", int, 1, FRAME_SUBFRAMES),
+    ("channel", "alpha"): _Key(RachConfig, "alpha", float, 0.0, MAX_ALPHA),
+    ("controller", "window"): _Key(ControllerSpec, "window", int, 1, MAX_WINDOW),
+    ("controller", "table_max_load"): _Key(
+        ControllerSpec, "table_max_load", float, 0.0, lo_open=True
+    ),
+    ("controller", "acb_p"): _Key(ControllerSpec, "acb_p", float, 0.0, 1.0, lo_open=True),
+    ("controller", "acb_window"): _Key(ControllerSpec, "acb_window", int, 1, MAX_WINDOW),
+    ("sim", "frames"): _Key(Scenario, "frames", int, 1, lambda profile: profile.end_frame),
+    ("sim", "backoff_window"): _Key(Scenario, "backoff_window", int, 1, MAX_WINDOW),
+    ("sim", "retry_limit"): _Key(Scenario, "retry_limit", int, 0),
+}
+# Parsed and written by hand; each comes first in its section.
+_OTHER_KEYS = (("load", "segments"), ("controller", "kind"))
+_SECTIONS = ("channel", "load", "controller", "sim")
 
 
 def parse_scenario(path: str | Path) -> Scenario:
@@ -92,7 +115,7 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> Scenario:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in _SECTION_KEYS:
+            if section not in _SECTIONS:
                 raise ScenarioError(f"{source}:{lineno}: unknown section [{section}]")
             continue
         if "=" not in line:
@@ -100,117 +123,69 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> Scenario:
         if section is None:
             raise ScenarioError(f"{source}:{lineno}: key outside any section")
         key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in _SECTION_KEYS[section]:
-            raise ScenarioError(f"{source}:{lineno}: unknown key {section}.{key}")
+        name = (section, key.strip())
+        if name not in _KEYS and name not in _OTHER_KEYS:
+            raise ScenarioError(f"{source}:{lineno}: unknown key {section}.{name[1]}")
+        if name in raw:
+            raise ScenarioError(f"{source}:{lineno}: duplicate key {section}.{name[1]}")
+        raw[name] = (value.strip(), lineno)
+
+    if ("load", "segments") not in raw:
+        raise ScenarioError(f"{source}: load.segments required")
+    profile = _parse_segments(*raw["load", "segments"], source=source)
+
+    fields: dict[type, dict] = {RachConfig: {}, ControllerSpec: {}, Scenario: {}}
+    for (section, key), spec in _KEYS.items():
         if (section, key) in raw:
-            raise ScenarioError(f"{source}:{lineno}: duplicate key {section}.{key}")
-        raw[(section, key)] = (value, lineno)
-
-    def take(section: str, key: str) -> tuple[str, int] | None:
-        return raw.get((section, key))
-
-    def take_int(section: str, key: str, default: int, lo: int, hi: int | None = None) -> int:
-        entry = take(section, key)
-        if entry is None:
-            return default
-        value, lineno = entry
+            value, lineno = raw[section, key]
+            where = f"{source}:{lineno}: {section}.{key}"
+            fields[spec.target][spec.field] = _number(value, spec, profile, where)
+    if ("controller", "kind") in raw:
+        value, lineno = raw["controller", "kind"]
         try:
-            n = int(value)
+            fields[ControllerSpec]["kind"] = ControllerKind(value)
         except ValueError:
+            kinds = sorted(k.value for k in ControllerKind)
             raise ScenarioError(
-                f"{source}:{lineno}: {section}.{key} must be an integer, got {value!r}"
+                f"{source}:{lineno}: controller.kind must be one of {kinds}, got {value!r}"
             ) from None
-        if n < lo or (hi is not None and n > hi):
-            bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-            raise ScenarioError(f"{source}:{lineno}: {section}.{key} must be {bound}, got {n}")
-        return n
 
-    def take_float(
-        section: str,
-        key: str,
-        default: float,
-        lo: float,
-        lo_strict: bool = False,
-        hi: float | None = None,
-    ) -> float:
-        entry = take(section, key)
-        if entry is None:
-            return default
-        value, lineno = entry
-        try:
-            x = float(value)
-        except ValueError:
-            raise ScenarioError(
-                f"{source}:{lineno}: {section}.{key} must be a number, got {value!r}"
-            ) from None
-        if not math.isfinite(x):
-            raise ScenarioError(
-                f"{source}:{lineno}: {section}.{key} must be finite, got {value!r}"
-            )
-        if x < lo or (lo_strict and x == lo) or (hi is not None and x > hi):
-            op = ">" if lo_strict else ">="
-            bound = f"{op} {lo}" if hi is None else f"in ({lo}, {hi}]"
-            raise ScenarioError(f"{source}:{lineno}: {section}.{key} must be {bound}, got {x}")
-        return x
-
-    preambles = take_int("channel", "preambles", 64, lo=1)
-    ns_min = take_int("channel", "ns_min", 2, lo=1, hi=FRAME_SUBFRAMES)
-    ns_max = take_int("channel", "ns_max", 8, lo=1, hi=FRAME_SUBFRAMES)
-    if ns_min > ns_max:
-        entry = take("channel", "ns_min") or take("channel", "ns_max")
-        lineno = entry[1] if entry else 0
-        raise ScenarioError(
-            f"{source}:{lineno}: channel.ns_min must not exceed channel.ns_max"
-        )
+    channel = {**vars(RachConfig()), **fields[RachConfig]}
+    ns_max, preambles = channel["n_s_max"], channel["n_preambles"]
+    if channel["n_s_min"] > ns_max:
+        lineno = (raw.get(("channel", "ns_min")) or raw["channel", "ns_max"])[1]
+        raise ScenarioError(f"{source}:{lineno}: channel.ns_min must not exceed channel.ns_max")
     if ns_max * preambles > MAX_PAIRS:
-        entry = take("channel", "preambles") or take("channel", "ns_max")
+        lineno = (raw.get(("channel", "preambles")) or raw["channel", "ns_max"])[1]
         raise ScenarioError(
-            f"{source}:{entry[1]}: channel.ns_max x channel.preambles = {ns_max} x "
+            f"{source}:{lineno}: channel.ns_max x channel.preambles = {ns_max} x "
             f"{preambles} = {ns_max * preambles} pairs exceed the bound of {MAX_PAIRS}"
         )
-    alpha = take_float("channel", "alpha", 25.0, lo=0.0)
-    config = RachConfig(n_preambles=preambles, n_s_min=ns_min, n_s_max=ns_max, alpha=alpha)
-
-    seg_entry = take("load", "segments")
-    if seg_entry is None:
-        raise ScenarioError(f"{source}: load.segments required")
-    profile = _parse_segments(*seg_entry, source=source)
-
-    kind_entry = take("controller", "kind")
-    if kind_entry is None:
-        kind = ControllerKind.ADAPTIVE
-    else:
-        value, lineno = kind_entry
-        if value not in _KINDS:
-            raise ScenarioError(
-                f"{source}:{lineno}: controller.kind must be one of "
-                f"{sorted(_KINDS)}, got {value!r}"
-            )
-        kind = _KINDS[value]
-    controller = ControllerSpec(
-        kind=kind,
-        window=take_int("controller", "window", 1, lo=1),
-        table_max_load=take_float(
-            "controller", "table_max_load", SATURATION_LOAD, lo=0.0, lo_strict=True
-        ),
-        acb_p=take_float("controller", "acb_p", 0.5, lo=0.0, lo_strict=True, hi=1.0),
-        acb_window=take_int("controller", "acb_window", 4, lo=1, hi=MAX_WINDOW),
-    )
-
-    frames = take_int("sim", "frames", profile.end_frame, lo=1, hi=profile.end_frame)
-    backoff_window = take_int("sim", "backoff_window", 4, lo=1, hi=MAX_WINDOW)
-    retry_limit = take_int("sim", "retry_limit", 10, lo=0)
-
     return Scenario(
-        config=config,
+        config=RachConfig(**fields[RachConfig]),
         profile=profile,
-        controller=controller,
-        frames=frames,
-        backoff_window=backoff_window,
-        retry_limit=retry_limit,
+        controller=ControllerSpec(**fields[ControllerSpec]),
+        **fields[Scenario],
     )
+
+
+def _number(value: str, spec: _Key, profile: LoadProfile, where: str) -> int | float:
+    try:
+        x = spec.type(value)
+    except ValueError:
+        noun = "an integer" if spec.type is int else "a number"
+        raise ScenarioError(f"{where} must be {noun}, got {value!r}") from None
+    # finiteness is a float question: math.isfinite overflows on a huge int
+    if spec.type is float and not math.isfinite(x):
+        raise ScenarioError(f"{where} must be finite, got {value!r}")
+    hi = spec.hi(profile) if callable(spec.hi) else spec.hi
+    if x < spec.lo or (spec.lo_open and x == spec.lo) or (hi is not None and x > hi):
+        if hi is None:
+            bound = f"{'>' if spec.lo_open else '>='} {spec.lo}"
+        else:
+            bound = f"in {'(' if spec.lo_open else '['}{spec.lo}, {hi}]"
+        raise ScenarioError(f"{where} must be {bound}, got {x}")
+    return x
 
 
 def _parse_segments(value: str, lineno: int, source: str) -> LoadProfile:
@@ -245,30 +220,18 @@ def _parse_segments(value: str, lineno: int, source: str) -> LoadProfile:
 
 def format_scenario(scenario: Scenario) -> str:
     """Render a scenario back to file text; parse(format(s)) == s."""
-    cfg = scenario.config
-    ctl = scenario.controller
+    objects = {RachConfig: scenario.config, ControllerSpec: scenario.controller, Scenario: scenario}
     segments = ", ".join(
         f"{s.start_frame}:{s.end_frame}:{s.rate_start!r}:{s.rate_end!r}"
         for s in scenario.profile.segments
     )
-    return (
-        "[channel]\n"
-        f"preambles = {cfg.n_preambles}\n"
-        f"ns_min = {cfg.n_s_min}\n"
-        f"ns_max = {cfg.n_s_max}\n"
-        f"alpha = {cfg.alpha!r}\n"
-        "\n[load]\n"
-        f"segments = {segments}\n"
-        "\n[controller]\n"
-        f"kind = {ctl.kind.value}\n"
-        f"window = {ctl.window}\n"
-        f"table_max_load = {ctl.table_max_load!r}\n"
-        f"acb_p = {ctl.acb_p!r}\n"
-        f"acb_window = {ctl.acb_window}\n"
-        "\n[sim]\n"
-        f"frames = {scenario.frames}\n"
-        f"backoff_window = {scenario.backoff_window}\n"
-        f"retry_limit = {scenario.retry_limit}\n"
+    values = dict(zip(_OTHER_KEYS, (segments, scenario.controller.kind.value)))
+    for name, spec in _KEYS.items():
+        values[name] = repr(getattr(objects[spec.target], spec.field))
+    return "\n".join(
+        f"[{section}]\n"
+        + "".join(f"{key} = {value}\n" for (sec, key), value in values.items() if sec == section)
+        for section in _SECTIONS
     )
 
 
@@ -280,22 +243,5 @@ def default_scenario(kind: ControllerKind | str = ControllerKind.ADAPTIVE) -> Sc
     adaptive controller can face (idle, light, the contention pivot, deep
     overload past the lookup-table range).
     """
-    if isinstance(kind, str):
-        try:
-            kind = _KINDS[kind]
-        except KeyError:
-            raise ValueError(f"unknown controller kind {kind!r}") from None
-    profile = LoadProfile(
-        (
-            ProfileSegment(0, 10, 0.0, 600.0),
-            ProfileSegment(10, 20, 600.0, 0.0),
-        )
-    )
-    return Scenario(
-        config=RachConfig(),
-        profile=profile,
-        controller=ControllerSpec(kind=kind),
-        frames=20,
-        backoff_window=4,
-        retry_limit=10,
-    )
+    profile = LoadProfile((ProfileSegment(0, 10, 0.0, 600.0), ProfileSegment(10, 20, 600.0, 0.0)))
+    return Scenario(RachConfig(), profile, ControllerSpec(kind=ControllerKind(kind)))

@@ -160,7 +160,9 @@ def generate_arrivals(
 # finite but huge arrival rate fails here instead of exhausting memory.
 MAX_POOL = 10_000_000
 MAX_PAIRS = 1_000_000  # bound on n_s_max x n_preambles; a frame counts picks per pair
-MAX_WINDOW = 2**31 - 1  # bound on the backoff and barring windows: due frames fit int64
+# Bound on the backoff, barring and estimate smoothing windows: due frames
+# fit int64, and a smoothing window fits a deque's maximum length.
+MAX_WINDOW = 2**31 - 1
 
 _NO_DEVICES = np.zeros(0, dtype=np.int64)
 _NO_DEVICES.flags.writeable = False
@@ -323,8 +325,8 @@ class ControllerSpec:
     acb_window: int = 4
 
     def __post_init__(self) -> None:
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
+        if not 1 <= self.window <= MAX_WINDOW:
+            raise ValueError(f"window must be in [1, {MAX_WINDOW}], got {self.window}")
         if not 0 < self.table_max_load < math.inf:
             raise ValueError(
                 f"table_max_load must be finite and > 0, got {self.table_max_load}"
@@ -382,9 +384,7 @@ class AdaptiveController(Controller):
     never remembered.
     """
 
-    def __init__(
-        self, config: RachConfig, window: int = 1, table_max_load: float = SATURATION_LOAD
-    ):
+    def __init__(self, config: RachConfig, window: int, table_max_load: float):
         self._config = config
         self._state = EstimatorState(window=window)
         self._table_max_load = table_max_load
@@ -419,7 +419,7 @@ class AdaptiveController(Controller):
 class AcbController(Controller):
     """Probabilistic barring in front of the default fixed allocation."""
 
-    def __init__(self, config: RachConfig, p_barring: float = 0.5, barring_window: int = 4):
+    def __init__(self, config: RachConfig, p_barring: float, barring_window: int):
         self._n_s = config.n_s_min
         self._p = p_barring
         self._window = barring_window

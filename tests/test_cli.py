@@ -1,15 +1,26 @@
 """CLI commands: output schemas, determinism, comparisons, exit codes."""
 
 import csv
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import rachsim
-from rachsim.cli import MAX_FRAME_ROWS, RUN_COLUMNS, _check_frame_rows, build_report, main
+from rachsim.cli import (
+    MAX_FRAME_ROWS,
+    RUN_COLUMNS,
+    _build_parser,
+    _check_frame_rows,
+    _config_from_args,
+    build_report,
+    main,
+)
+from rachsim.model import RachConfig
 from rachsim.simulator import MAX_POOL, run_replications
 from rachsim.scenario import default_scenario, parse_scenario
 
@@ -279,7 +290,10 @@ def test_frame_row_bound_counts_distinct_controllers(tmp_path, capsys):
     assert not (tmp_path / "o.csv").exists()
 
 
-@pytest.mark.parametrize("section, key", [("sim", "backoff_window"), ("controller", "acb_window")])
+@pytest.mark.parametrize(
+    "section, key",
+    [("sim", "backoff_window"), ("controller", "acb_window"), ("controller", "window")],
+)
 def test_run_window_beyond_the_bound_exits_two(tmp_path, capsys, section, key):
     # used to exit 3 with numpy's unlabelled "high is out of bounds for int64"
     scn = tmp_path / "window.scn"
@@ -316,3 +330,49 @@ def test_python_dash_m_rachsim_help():
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: rachsim")
+
+
+@pytest.mark.parametrize("command", [["optimize", "--load", "10"], ["table", "--out", "t.csv"]])
+def test_channel_flag_defaults_are_the_config_defaults(command):
+    args = _build_parser().parse_args(command + ["--alpha", "25"])
+    config = RachConfig(alpha=25.0)
+    assert (args.preambles, args.ns_min, args.ns_max) == (
+        config.n_preambles, config.n_s_min, config.n_s_max
+    )
+    assert _config_from_args(args) == config
+
+
+def test_alpha_beyond_the_bound_exits_two(tmp_path, capsys):
+    # a finite price near float overflow used to run, printing -inf
+    # aggregates and writing NaN confidence intervals after numpy warnings
+    scn = tmp_path / "alpha.scn"
+    scn.write_text("[channel]\nalpha = 1e308\n" + SMALL)
+    rc = main(["compare", "--scenario", str(scn), "--controllers", "adaptive,fixed",
+               "--reps", "2", "--out", str(tmp_path / "o.csv")])
+    assert rc == 2
+    assert "alpha.scn:2: channel.alpha must be in [0.0, 1e+100], got 1e+308" in (
+        capsys.readouterr().err
+    )
+    for command in (["optimize", "--load", "100"], ["table", "--out", str(tmp_path / "o.csv")]):
+        assert main(command + ["--alpha", "1e308"]) == 2
+        err = capsys.readouterr().err
+        assert "alpha must be finite and in [0, 1e+100], got 1e+308" in err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_largest_alpha_keeps_every_number_finite(tmp_path, capsys):
+    scn = tmp_path / "alpha.scn"
+    scn.write_text("[channel]\nalpha = 1e100\n" + SMALL)
+    out = tmp_path / "o.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow and invalid warnings too
+        assert main(["compare", "--scenario", str(scn), "--controllers",
+                     "adaptive,fixed,acb,max", "--reps", "3", "--out", str(out)]) == 0
+        assert main(["optimize", "--load", "100", "--alpha", "1e100"]) == 0
+    printed = capsys.readouterr().out
+    assert "inf" not in printed and "nan" not in printed
+    assert "n_s=2 utility=-2e+100" in printed
+    rows = read_csv(out)
+    assert len(rows) == 4 * 10
+    assert all(math.isfinite(float(row["ci95_utility_sim"])) for row in rows)
+    assert all(math.isfinite(float(row["utility_sim"])) for row in rows)

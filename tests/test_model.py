@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rachsim.model import (
+    MAX_ALPHA,
     RachConfig,
     throughput,
     utility,
@@ -161,3 +162,11 @@ def test_config_validation():
         with pytest.raises(ValueError, match="finite"):
             RachConfig(alpha=alpha)
     assert list(RachConfig().subframe_range) == [2, 3, 4, 5, 6, 7, 8]
+
+
+def test_alpha_bound():
+    # utilities, their sums and squared deviations stay finite below it
+    assert RachConfig(alpha=MAX_ALPHA).alpha == 1e100
+    for alpha in (1e101, 1e308):
+        with pytest.raises(ValueError, match=r"alpha must be finite and in \[0, 1e\+100\], got"):
+            RachConfig(alpha=alpha)

@@ -18,7 +18,6 @@ from rachsim.optimizer import (
     LookupTable,
     closed_form_decision,
     decide_subframes,
-    load_grid,
     optimal_subframes_closed_form,
     optimal_subframes_integer,
     stationary_alpha_limit,
@@ -176,9 +175,9 @@ def test_lookup_table_between_grid_points_matches_grid_decision():
 
 def test_lookup_table_validation():
     with pytest.raises(ValueError):
-        LookupTable(alpha=1.0, n_preambles=64, entries=())
+        LookupTable(entries=())
     with pytest.raises(ValueError):
-        LookupTable(alpha=1.0, n_preambles=64, entries=((0.0, 2), (0.0, 3)))
+        LookupTable(entries=((0.0, 2), (0.0, 3)))
     with pytest.raises(ValueError):
         subframe_lookup_table(ALPHA25, 0.0, 700.0)
     with pytest.raises(ValueError):
@@ -187,12 +186,12 @@ def test_lookup_table_validation():
 
 def test_load_grid_point_bound():
     # the check runs on the point count, before any point is generated
-    grid = load_grid(1.0, MAX_GRID_POINTS - 1)  # exactly MAX_GRID_POINTS points
-    assert next(grid) == 0.0
+    grid = LoadGrid.up_to(MAX_GRID_POINTS - 1, 1.0)  # exactly MAX_GRID_POINTS points
+    assert next(iter(grid)) == 0.0
     with pytest.raises(ValueError, match="points"):
-        load_grid(1.0, float(MAX_GRID_POINTS))
+        LoadGrid.up_to(float(MAX_GRID_POINTS), 1.0)
     with pytest.raises(ValueError, match="points"):
-        load_grid(1e-300, 1e300)  # the quotient overflows to inf
+        LoadGrid.up_to(1e300, 1e-300)  # the quotient overflows to inf
 
 
 # ---------------------------------------------------------------------------
@@ -251,11 +250,11 @@ def test_grid_blocks_are_the_grid_bit_for_bit():
     grid = LoadGrid.up_to(700.0, 0.37)
     blocks = list(grid.blocks())
     assert all(len(b) <= SWEEP_BLOCK for b in blocks)
-    assert np.concatenate(blocks).tolist() == list(grid) == list(load_grid(0.37, 700.0))
+    assert np.concatenate(blocks).tolist() == list(grid)
 
 
 def test_lookup_many_is_lookup():
-    table = LookupTable(alpha=1.0, n_preambles=64, entries=((0.0, 2), (3.5, 4), (9.0, 8)))
+    table = LookupTable(entries=((0.0, 2), (3.5, 4), (9.0, 8)))
     loads = np.array([-1.0, 0.0, 1.0, 3.4999, 3.5, 8.0, 9.0, 1e9])
     assert table.lookup_many(loads).tolist() == [table.lookup(x) for x in loads]
 

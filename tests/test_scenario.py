@@ -1,7 +1,11 @@
 """Scenario file parsing, defaults, and round-trip formatting."""
 
+from pathlib import Path
+
 import pytest
 
+import rachsim.scenario
+from rachsim.model import RachConfig
 from rachsim.scenario import (
     ScenarioError,
     default_scenario,
@@ -9,7 +13,13 @@ from rachsim.scenario import (
     parse_scenario,
     parse_scenario_text,
 )
-from rachsim.simulator import ControllerKind
+from rachsim.simulator import (
+    ControllerKind,
+    ControllerSpec,
+    LoadProfile,
+    ProfileSegment,
+    Scenario,
+)
 
 MINIMAL = "[load]\nsegments = 0:10:0:600, 10:20:600:0\n"
 
@@ -134,9 +144,13 @@ def test_default_scenario_kinds():
         default_scenario("bogus")
 
 
-@pytest.mark.parametrize("section, key", [("sim", "backoff_window"), ("controller", "acb_window")])
+@pytest.mark.parametrize(
+    "section, key",
+    [("sim", "backoff_window"), ("controller", "acb_window"), ("controller", "window")],
+)
 def test_window_bound_names_key(section, key):
-    # beyond the bound a due frame, frame + window, could leave int64
+    # beyond the bound a due frame, frame + window, could leave int64, and a
+    # smoothing window a deque's maximum length
     text = "[load]\nsegments = 0:5:1:1\n\n[{}]\n{} = {}\n"
     s = parse_scenario_text(text.format(section, key, 2**31 - 1))
     assert getattr(s if section == "sim" else s.controller, key) == 2**31 - 1
@@ -158,3 +172,84 @@ def test_pair_bound_names_both_keys_and_product():
         parse_scenario_text(text.format(1_000_000, 8))
     with pytest.raises(ScenarioError, match=r"= 10 x 100001 = 1000010 pairs"):
         parse_scenario_text(text.format(100_001, 10))
+
+
+@pytest.mark.parametrize(
+    "section, key, not_a_number, out_of_range",
+    [
+        ("channel", "preambles", "must be an integer, got 'x'", "must be >= 1, got 0"),
+        ("channel", "ns_min", "must be an integer, got 'x'", "must be in [1, 10], got 11"),
+        ("channel", "ns_max", "must be an integer, got 'x'", "must be in [1, 10], got 0"),
+        ("channel", "alpha", "must be a number, got 'x'", "must be in [0.0, 1e+100], got -1.0"),
+        (
+            "controller",
+            "window",
+            "must be an integer, got 'x'",
+            "must be in [1, 2147483647], got 0",
+        ),
+        ("controller", "table_max_load", "must be a number, got 'x'", "must be > 0.0, got 0.0"),
+        ("controller", "acb_p", "must be a number, got 'x'", "must be in (0.0, 1.0], got 1.5"),
+        (
+            "controller",
+            "acb_window",
+            "must be an integer, got 'x'",
+            "must be in [1, 2147483647], got 0",
+        ),
+        ("sim", "frames", "must be an integer, got 'x'", "must be in [1, 5], got 6"),
+        (
+            "sim",
+            "backoff_window",
+            "must be an integer, got 'x'",
+            "must be in [1, 2147483647], got 0",
+        ),
+        ("sim", "retry_limit", "must be an integer, got 'x'", "must be >= 0, got -1"),
+    ],
+)
+def test_single_error_messages(section, key, not_a_number, out_of_range):
+    text = "[load]\nsegments = 0:5:1:1\n\n[{}]\n{} = {}\n"
+    value = out_of_range.rpartition(" ")[2]
+    for given, message in (("x", not_a_number), (value, out_of_range)):
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario_text(text.format(section, key, given), source="f.scn")
+        assert str(exc.value) == f"f.scn:5: {section}.{key} {message}"
+
+
+def test_format_writes_every_key():
+    scenario = Scenario(
+        RachConfig(n_preambles=32, n_s_min=1, n_s_max=6, alpha=3.5),
+        LoadProfile((ProfileSegment(0, 4, 0.0, 100.0), ProfileSegment(4, 12, 100.0, 50.5))),
+        ControllerSpec(
+            ControllerKind.ACB, window=3, table_max_load=350.25, acb_p=0.25, acb_window=9
+        ),
+        frames=10,
+        backoff_window=2,
+        retry_limit=5,
+    )
+    text = format_scenario(scenario)
+    assert text == (
+        "[channel]\npreambles = 32\nns_min = 1\nns_max = 6\nalpha = 3.5\n"
+        "\n[load]\nsegments = 0:4:0.0:100.0, 4:12:100.0:50.5\n"
+        "\n[controller]\nkind = acb\nwindow = 3\ntable_max_load = 350.25\nacb_p = 0.25\n"
+        "acb_window = 9\n"
+        "\n[sim]\nframes = 10\nbackoff_window = 2\nretry_limit = 5\n"
+    )
+    assert parse_scenario_text(text) == scenario
+
+
+def test_documented_examples_are_the_default_scenario():
+    # both examples list every key at its default value
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    ini = readme.split("### Scenario files", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    docstring = rachsim.scenario.__doc__.split("load profile:", 1)[1].split("'#' starts", 1)[0]
+    for text in (ini, docstring):
+        assert parse_scenario_text(text) == default_scenario()
+
+
+def test_alpha_bound_names_key():
+    # a price near float overflow made utilities, their sums and CIs -inf or NaN
+    text = "[channel]\nalpha = {}\n\n[load]\nsegments = 0:5:1:1\n"
+    assert parse_scenario_text(text.format("1e100")).config.alpha == 1e100
+    for value in ("1.0000000000000002e+100", "1e+101", "1e+308"):
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario_text(text.format(value), source="f.scn")
+        assert str(exc.value) == f"f.scn:2: channel.alpha must be in [0.0, 1e+100], got {value}"

@@ -288,7 +288,7 @@ def test_adaptive_tracks_load_up_and_down():
 
 
 def test_adaptive_fallback_pins_maximum():
-    controller = AdaptiveController(RachConfig())
+    controller = AdaptiveController(RachConfig(), 1, 700.0)
     est = controller.observe(INCONSISTENT)
     assert est is None
     assert controller.fallback
@@ -374,7 +374,7 @@ def test_adaptive_memo_matches_direct_calls(window, monkeypatch):
 
 def test_adaptive_memo_never_keeps_an_inconsistent_observation():
     cfg = RachConfig()
-    controller = AdaptiveController(cfg)
+    controller = AdaptiveController(cfg, 1, 700.0)
     sane = RachObservation(successes=30, collisions=5, idle=93, n_s_used=2, n_preambles=64)
     for _ in range(2):
         assert controller.observe(INCONSISTENT) is None
@@ -510,6 +510,10 @@ def test_window_and_pair_bounds():
         replace(widest, backoff_window=MAX_WINDOW + 1)
     with pytest.raises(ValueError, match=rf"acb_window must be in \[1, {MAX_WINDOW}\]"):
         ControllerSpec(acb_window=MAX_WINDOW + 1)
+    # the widest smoothing window is a deque's maximum length
+    run_scenario(replace(widest, controller=ControllerSpec(window=MAX_WINDOW)), seed=1)
+    with pytest.raises(ValueError, match=rf"^window must be in \[1, {MAX_WINDOW}\]"):
+        ControllerSpec(window=MAX_WINDOW + 1)
     # n_s_max x n_preambles, checked before any frame
     Scenario(config=RachConfig(n_preambles=MAX_PAIRS // 8), profile=TRIANGLE)
     with pytest.raises(ValueError, match=rf"n_s_max x n_preambles = {8 * 125_001} exceeds"):
