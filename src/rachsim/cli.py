@@ -19,12 +19,12 @@ byte-identical file. Exit codes: 0 ok, 2 argument or scenario problems,
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -81,9 +81,27 @@ _KIND_NAMES = sorted(k.value for k in ControllerKind)
 MAX_FRAME_ROWS = 1_000_000
 
 
-def _open_writer(path: Path):
-    handle = path.open("w", encoding="utf-8", newline="")
-    return handle, csv.writer(handle, lineterminator="\n")
+# Rows per write of a CSV: its text is built and written this many rows at a
+# time, about 0.5 MB, so that no file is held whole. Larger chunks wrote no
+# faster and raised the writer's peak memory.
+CSV_CHUNK_ROWS = 1 << 12
+
+
+def _create(path: Path) -> TextIO:
+    return path.open("w", encoding="utf-8", newline="")
+
+
+def _write_rows(handle: TextIO, rows: Iterable[Sequence[str]]) -> None:
+    """Write rows of text fields, joined by "," and each ended by "\n".
+
+    No field is quoted, and none needs to be: every field the CLI writes is
+    a number, a ControllerKind value, "mean" or a column name, none of which
+    holds a comma, a quote or a line break. The text goes out
+    CSV_CHUNK_ROWS rows per write.
+    """
+    lines = map(",".join, rows)
+    while chunk := list(islice(lines, CSV_CHUNK_ROWS)):
+        handle.write("\n".join(chunk) + "\n")
 
 
 def write_run_csv(
@@ -94,20 +112,20 @@ def write_run_csv(
     tp_num = _at_true_load(repset, lambda n, n_s: throughput(n, n_s, n_p))
     # utility_of_load's own last step, eta - alpha * n_s, on the same floats
     ut_num = tp_num - config.alpha * repset.column("n_s_used")
-    handle, writer = _open_writer(path)
-    with handle:
-        writer.writerow(RUN_COLUMNS)
+    with _create(path) as handle:
+        _write_rows(handle, [RUN_COLUMNS])
         for run, run_tp, run_ut in zip(repset.runs, tp_num, ut_num):
             c = run.columns
-            writer.writerows(
+            _write_rows(
+                handle,
                 zip(
-                    repeat(run.replication_id), c["frame"].tolist(), repeat(controller_name),
-                    c["n_s_used"].tolist(), c["arrivals"].tolist(), c["contenders"].tolist(),
-                    c["successes"].tolist(), c["collided_devices"].tolist(),
-                    c["idle"].tolist(), _cells(c["est_load"]), c["true_load"].tolist(),
-                    _cells(c["successes"]), _cells(run_tp), _cells(c["utility"]),
-                    _cells(run_ut),
-                )
+                    repeat(str(run.replication_id)), _cells(c["frame"]), repeat(controller_name),
+                    _cells(c["n_s_used"]), _cells(c["arrivals"]), _cells(c["contenders"]),
+                    _cells(c["successes"]), _cells(c["collided_devices"]), _cells(c["idle"]),
+                    _cells(c["est_load"]), _cells(c["true_load"]),
+                    _cells(c["successes"].astype(np.float64)), _cells(run_tp),
+                    _cells(c["utility"]), _cells(run_ut),
+                ),
             )
         means = repset.means
         mean_columns = (
@@ -115,24 +133,26 @@ def write_run_csv(
             means["collided_devices"], means["idle"], means["est_load"], means["true_load"],
             means["successes"], tp_num.mean(axis=0), means["utility"], ut_num.mean(axis=0),
         )
-        writer.writerows(
+        _write_rows(
+            handle,
             zip(
-                repeat("mean"), range(repset.n_frames), repeat(controller_name),
+                repeat("mean"), map(str, range(repset.n_frames)), repeat(controller_name),
                 *map(_cells, mean_columns),
-            )
+            ),
         )
 
 
-def _cells(values: np.ndarray) -> list[str | None]:
-    """Cell text of each value as a float: its repr, or None (empty) for NaN.
+def _cells(values: np.ndarray) -> list[str]:
+    """Cell text of each value: str of an int, repr of a float, "" for NaN.
 
-    csv writes a float as its repr, so the text is the same. Each distinct
-    bit pattern is formatted once; the columns repeat values a lot.
+    These are the texts csv wrote for an int, a float and None. Each
+    distinct value is formatted once; the columns repeat values a lot.
+    Floats are told apart by bit pattern, so NaN is one value and -0.0
+    another than 0.0.
     """
-    floats = np.asarray(values, dtype=np.float64)
-    keys = floats.view(np.int64).tolist()
-    distinct = dict(zip(keys, floats.tolist()))
-    texts = {key: None if math.isnan(v) else repr(v) for key, v in distinct.items()}
+    items = values.tolist()
+    keys = values.view(np.int64).tolist() if values.dtype == np.float64 else items
+    texts = {key: "" if v != v else repr(v) for key, v in dict(zip(keys, items)).items()}
     return list(map(texts.__getitem__, keys))
 
 
@@ -195,9 +215,8 @@ def build_report(repsets: dict[str, ReplicationSet]) -> ComparisonReport:
 def write_compare_csv(
     path: Path, repsets: dict[str, ReplicationSet], config: RachConfig
 ) -> None:
-    handle, writer = _open_writer(path)
-    with handle:
-        writer.writerow(COMPARE_COLUMNS)
+    with _create(path) as handle:
+        _write_rows(handle, [COMPARE_COLUMNS])
         for name, repset in repsets.items():
             ut_mean = _at_true_load(
                 repset, lambda n, n_s: utility_of_load(n, n_s, config)
@@ -208,8 +227,9 @@ def write_compare_csv(
                 means["true_load"], means["est_load"], means["successes"],
                 means["utility"], ut_mean, repset.ci95["utility"],
             )
-            writer.writerows(
-                zip(repeat(name), range(repset.n_frames), *map(_cells, mean_columns))
+            _write_rows(
+                handle,
+                zip(repeat(name), map(str, range(repset.n_frames)), *map(_cells, mean_columns)),
             )
 
 
@@ -253,6 +273,13 @@ def _int_at_least(low: int):
     return parse
 
 
+# The channel flags by the RachConfig field each sets, which the config's
+# errors name.
+_CHANNEL_FLAGS = {
+    "n_preambles": "--preambles", "n_s_min": "--ns-min", "n_s_max": "--ns-max", "alpha": "--alpha",
+}
+
+
 def _config_from_args(args) -> RachConfig:
     # every failure here is a bad command-line value, an argument error
     try:
@@ -263,7 +290,8 @@ def _config_from_args(args) -> RachConfig:
             alpha=args.alpha,
         )
     except ValueError as exc:
-        raise ScenarioError(str(exc)) from None
+        flags = "/".join(flag for name, flag in _CHANNEL_FLAGS.items() if name in str(exc))
+        raise ScenarioError(f"{flags}: {exc}") from None
 
 
 def cmd_optimize(args) -> int:
@@ -277,23 +305,33 @@ def cmd_optimize(args) -> int:
 
 def cmd_table(args) -> int:
     config = _config_from_args(args)
+    out = Path(args.out)
+    sweep_path = Path(args.sweep_out) if args.sweep_out else out.with_name(
+        out.stem + "_sweep" + (out.suffix or ".csv")
+    )
+    if sweep_path.resolve() == out.resolve() or (
+        out.exists() and sweep_path.exists() and sweep_path.samefile(out)  # hard links
+    ):
+        raise ScenarioError(f"--out and --sweep-out name the same file, {out}")
     try:
         table = subframe_lookup_table(config, args.step, args.max_load)
     except ValueError as exc:  # a bad --step or --max-load
         raise ScenarioError(str(exc)) from None
-    out = Path(args.out)
-    handle, writer = _open_writer(out)
-    with handle:
-        writer.writerow(["load_threshold", "n_s"])
-        writer.writerows(table.entries)
-    sweep_path = Path(args.sweep_out) if args.sweep_out else out.with_name(
-        out.stem + "_sweep" + (out.suffix or ".csv")
-    )
-    handle, writer = _open_writer(sweep_path)
-    with handle:
-        writer.writerow(["load", "n_s"])
+    with _create(out) as handle:
+        _write_rows(handle, [
+            ("load_threshold", "n_s"), *((repr(t), str(n)) for t, n in table.entries)
+        ])
+    with _create(sweep_path) as handle:
+        handle.write("load,n_s\n")
         for loads in table.grid.blocks():
-            writer.writerows(zip(loads.tolist(), table.lookup_many(loads).tolist()))
+            n_s = table.lookup_many(loads)
+            # n_s changes only at the thresholds, so each run of one n_s is
+            # written as its loads joined by the run's row ending
+            starts = [0, *(np.flatnonzero(np.diff(n_s)) + 1).tolist()]
+            values = loads.tolist()
+            for start, end, k in zip(starts, [*starts[1:], len(values)], n_s[starts].tolist()):
+                suffix = f",{k}\n"
+                handle.write(suffix.join(map(repr, values[start:end])) + suffix)
     print(f"wrote {out} ({len(table.entries)} thresholds) and {sweep_path}")
     return 0
 

@@ -622,12 +622,13 @@ def run_scenario(scenario: Scenario, seed: int, replication_id: int = 0) -> Time
         retry, retry_due = _backoff(
             losers, frame, scenario.backoff_window, scenario.retry_limit, event_rng
         )
+        retriers = losers[retry]
         due = np.concatenate((due, barred_due, retry_due))
-        attempts = np.concatenate((attempts, barred, losers[retry] + 1))
+        attempts = np.concatenate((attempts, barred, retriers + 1))
 
         arrived += arrivals
         succeeded += successes
-        dropped += len(losers) - int(np.count_nonzero(retry))
+        dropped += len(losers) - len(retriers)
         live = due > frame
         pending = int(np.count_nonzero(live))
         if arrived != succeeded + dropped + pending:

@@ -8,9 +8,12 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rachsim
+import rachsim.cli
+import rachsim.optimizer
 from rachsim.cli import (
     MAX_FRAME_ROWS,
     RUN_COLUMNS,
@@ -20,9 +23,10 @@ from rachsim.cli import (
     build_report,
     main,
 )
-from rachsim.model import RachConfig
-from rachsim.simulator import MAX_POOL, run_replications
-from rachsim.scenario import default_scenario, parse_scenario
+from rachsim.model import RachConfig, throughput, utility_of_load
+from rachsim.optimizer import subframe_lookup_table
+from rachsim.simulator import MAX_POOL, ControllerKind, run_replications
+from rachsim.scenario import default_scenario, format_scenario, parse_scenario
 
 TM2 = Path(__file__).resolve().parents[1] / "benchmarks" / "scenarios" / "tm2_beta.scn"
 
@@ -157,6 +161,81 @@ def test_table_outputs(tmp_path, capsys):
     sweep = read_csv(tmp_path / "table_sweep.csv")
     assert len(sweep) == 701
     assert sweep[0] == {"load": "0.0", "n_s": "2"}
+
+
+def test_table_sweep_out_naming_the_out_file_exits_two(tmp_path, capsys):
+    # the sweep used to overwrite the thresholds written a moment before
+    out = tmp_path / "same.csv"
+    out.write_text("kept\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(out)
+    hard = tmp_path / "hard.csv"
+    os.link(out, hard)
+    for sweep in (out, tmp_path / "." / "same.csv", link, hard):
+        assert main(["table", "--alpha", "25", "--step", "1", "--out", str(out),
+                     "--sweep-out", str(sweep)]) == 2
+        assert "--out and --sweep-out name the same file" in capsys.readouterr().err
+    assert out.read_text() == "kept\n"
+
+
+def _write_reference(path, rows):
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
+
+
+@pytest.mark.parametrize("flags,edges", [
+    # thresholds on the first point of the second block and the last of the third
+    (["--alpha", "2", "--step", "2"], {0, 15}),
+    # one count: a single run with no cut
+    (["--alpha", "25", "--ns-min", "4", "--ns-max", "4", "--step", "1"], set()),
+])
+def test_table_files_match_csv_writer(tmp_path, capsys, monkeypatch, flags, edges):
+    monkeypatch.setattr(rachsim.optimizer, "SWEEP_BLOCK", 16)
+    monkeypatch.setattr(rachsim.cli, "CSV_CHUNK_ROWS", 16)
+    args = _build_parser().parse_args(["table", *flags, "--out", str(tmp_path / "t.csv")])
+    table = subframe_lookup_table(_config_from_args(args), args.step, args.max_load)
+    assert {round(t / args.step) % 16 for t, _ in table.entries[1:]} >= edges
+    assert main(["table", *flags, "--out", str(tmp_path / "t.csv")]) == 0
+    _write_reference(tmp_path / "ref.csv", [("load_threshold", "n_s"), *table.entries])
+    _write_reference(tmp_path / "ref_sweep.csv",
+                     [("load", "n_s"), *((load, table.lookup(load)) for load in table.grid)])
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert (tmp_path / "t_sweep.csv").read_bytes() == (tmp_path / "ref_sweep.csv").read_bytes()
+
+
+@pytest.mark.parametrize("controller", ["adaptive", "fixed"])
+def test_run_csv_matches_csv_writer(tmp_path, capsys, monkeypatch, controller):
+    # 20 frames: each replication's rows and the mean rows go out as 16 and 4
+    monkeypatch.setattr(rachsim.cli, "CSV_CHUNK_ROWS", 16)
+    stock = tmp_path / "stock.scn"
+    stock.write_text(format_scenario(default_scenario()))
+    assert main(["run", "--scenario", str(stock), "--controller", controller,
+                 "--seed", "3", "--reps", "3", "--out", str(tmp_path / "run.csv")]) == 0
+    scenario = parse_scenario(stock).with_controller(ControllerKind(controller))
+    config = scenario.config
+    repset = run_replications(scenario, 3, 3)
+    assert repset.n_frames == 20
+    rows = [RUN_COLUMNS]
+    tp_num, ut_num = [], []
+    for run in repset.runs:
+        tp_num.append([throughput(r.true_load, r.n_s_used, config.n_preambles) for r in run.rows])
+        ut_num.append([utility_of_load(r.true_load, r.n_s_used, config) for r in run.rows])
+        rows.extend(
+            (run.replication_id, r.frame, controller, r.n_s_used, r.arrivals, r.contenders,
+             r.successes, r.collided_devices, r.idle, r.est_load, r.true_load,
+             float(r.successes), tp, r.utility, ut)
+            for r, tp, ut in zip(run.rows, tp_num[-1], ut_num[-1])
+        )
+    means = repset.means
+    mean_columns = [
+        means["n_s_used"], means["arrivals"], means["contenders"], means["successes"],
+        means["collided_devices"], means["idle"], means["est_load"], means["true_load"],
+        means["successes"], np.mean(tp_num, axis=0), means["utility"], np.mean(ut_num, axis=0),
+    ]
+    for frame, values in enumerate(zip(*(column.tolist() for column in mean_columns))):
+        rows.append(("mean", frame, controller, *(None if v != v else v for v in values)))
+    _write_reference(tmp_path / "ref.csv", rows)
+    assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_table_alpha100_single_row(tmp_path, capsys):
@@ -358,6 +437,18 @@ def test_alpha_beyond_the_bound_exits_two(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "alpha must be finite and in [0, 1e+100], got 1e+308" in err
     assert not (tmp_path / "o.csv").exists()
+
+
+def test_bad_channel_flag_is_named(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    for command in (["optimize", "--load", "10"], ["table", "--out", str(out)]):
+        for flags, named in (
+            (["--ns-min", "9", "--ns-max", "3"], "--ns-min/--ns-max: "),
+            (["--preambles", "0"], "--preambles: "),
+        ):
+            assert main(command + ["--alpha", "5", *flags]) == 2
+            assert capsys.readouterr().err.startswith(f"error: {named}")
+    assert not out.exists()
 
 
 def test_largest_alpha_keeps_every_number_finite(tmp_path, capsys):

@@ -32,6 +32,12 @@ GOLDEN = {
     # backoff window, and every retrier due again the next frame
     "acb9.csv": "c65a2aa2e64c685da5e4d7a0cccf1b67b39384c5459b334bdd4502081015dbf7",
     "backoff1.csv": "13862987c33b36c6f020c4c71369a97e31837d9cabbdfbc6d3c4cf3e1bc7b00c",
+    # the sweep's runs of one n_s: a free subframe, whose load 0 ties every
+    # count, with reprs such as 1.1099999999999999; and one count, one run
+    "zero.csv": "e5e9f0d9ed9683698353619c69a27d7129963ca322124cb11bee19b09cf5ad3c",
+    "zero_sweep.csv": "009747a89739de58e274f7099bb891c0ee71e88fd47c1a19ecf2ad4d73e6e634",
+    "single.csv": "e18156465c57a8f0a7f5ef702311bdf6313fd05b4ae898193eeeebfa72563233",
+    "single_sweep.csv": "d1ac866ca63e0047bf507d4befe55fa832bf63e5ade2ec8532656b3ffda06963",
 }
 
 
@@ -58,6 +64,10 @@ def test_golden_output_digests(tmp_path, capsys):
                  "--out", str(tmp_path / "table.csv")]) == 0
     assert main(["table", "--alpha", "25", "--max-load", "700", "--step", "0.01",
                  "--out", str(tmp_path / "fine.csv")]) == 0
+    assert main(["table", "--alpha", "0", "--max-load", "50", "--step", "0.37",
+                 "--out", str(tmp_path / "zero.csv")]) == 0
+    assert main(["table", "--alpha", "25", "--ns-min", "4", "--ns-max", "4", "--step", "1",
+                 "--out", str(tmp_path / "single.csv")]) == 0
     assert main(["run", "--scenario", str(TM2), "--seed", "1", "--reps", "2",
                  "--out", str(tmp_path / "tm2.csv")]) == 0
     assert main(["run", "--scenario", str(window3), "--controller", "adaptive",
