@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import combinations, islice, repeat
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
@@ -246,7 +247,23 @@ def _check_frame_rows(scenario: Scenario, reps: int, controllers: int = 1) -> No
         )
 
 
+def _refuse_same_file(paths: dict[str, Path]) -> None:
+    """Refuse a command whose path flags name one file twice, before any is opened.
+
+    Existing files match by inode, so a symlink or a hard link counts as the
+    file; a path that does not exist yet matches by its resolved name.
+    """
+    for (flag, path), (other_flag, other) in combinations(paths.items(), 2):
+        try:
+            same = path.samefile(other)
+        except OSError:
+            same = os.path.realpath(path) == os.path.realpath(other)
+        if same:
+            raise ScenarioError(f"{flag} and {other_flag} name the same file, {path}")
+
+
 def cmd_run(args) -> int:
+    _refuse_same_file({"--scenario": Path(args.scenario), "--out": Path(args.out)})
     scenario = parse_scenario(args.scenario)
     if args.controller:
         scenario = scenario.with_controller(ControllerKind(args.controller))
@@ -309,10 +326,7 @@ def cmd_table(args) -> int:
     sweep_path = Path(args.sweep_out) if args.sweep_out else out.with_name(
         out.stem + "_sweep" + (out.suffix or ".csv")
     )
-    if sweep_path.resolve() == out.resolve() or (
-        out.exists() and sweep_path.exists() and sweep_path.samefile(out)  # hard links
-    ):
-        raise ScenarioError(f"--out and --sweep-out name the same file, {out}")
+    _refuse_same_file({"--out": out, "--sweep-out": sweep_path})
     try:
         table = subframe_lookup_table(config, args.step, args.max_load)
     except ValueError as exc:  # a bad --step or --max-load
@@ -345,6 +359,7 @@ def cmd_compare(args) -> int:
             raise ScenarioError(
                 f"unknown controller {name!r}; choose from {_KIND_NAMES}"
             )
+    _refuse_same_file({"--scenario": Path(args.scenario), "--out": Path(args.out)})
     scenario = parse_scenario(args.scenario)
     distinct = list(dict.fromkeys(names))  # run each distinct controller once
     _check_frame_rows(scenario, args.reps, len(distinct))

@@ -154,7 +154,8 @@ def generate_arrivals(
 # `_bar` (barring draw and barring delay). `run_scenario` calls them
 # directly; `contend`, `resolve_backoff` and `acb_gate` adapt them to
 # DeviceState lists. A kernel draws nothing for an empty selection, so
-# both callers consume the event stream identically.
+# both callers consume the event stream identically. A pick or delay out of
+# n values is floor(u * n), u uniform in [0, 1): total-variation bias < n * 2**-53.
 
 # Bound on the devices one frame may hold (pending plus new arrivals); a
 # finite but huge arrival rate fails here instead of exhausting memory.
@@ -202,7 +203,7 @@ def _pick_pairs(
     n_pairs = n_s * n_preambles
     if n == 0:
         return np.zeros(0, dtype=bool), 0, 0, n_pairs
-    picks = rng.integers(0, n_pairs, size=n)
+    picks = (rng.random(n) * n_pairs).astype(np.int64)
     counts = np.bincount(picks, minlength=n_pairs)
     # pairs by how many devices picked them: idle ones, then singletons
     idle, successes = np.bincount(counts)[:2].tolist()
@@ -213,8 +214,7 @@ def _defer(n: int, frame: int, window: int, rng: np.random.Generator) -> np.ndar
     """Due frames of n deferred devices, uniform over frame+1..frame+window."""
     if not n:
         return _NO_DEVICES
-    # the same numbers as frame + integers(1, window + 1): the draw depends only on the range
-    return rng.integers(frame + 1, frame + window + 1, size=n)
+    return frame + 1 + (rng.random(n) * window).astype(np.int64)
 
 
 def _backoff(

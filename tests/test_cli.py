@@ -178,6 +178,19 @@ def test_table_sweep_out_naming_the_out_file_exits_two(tmp_path, capsys):
     assert out.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_out_naming_the_scenario_file_exits_two(small_scn, tmp_path, capsys, command):
+    # the CSV used to overwrite the scenario it was simulated from
+    hard = tmp_path / "hard.scn"
+    os.link(small_scn, hard)
+    flags = ["--controller", "fixed"] if command == "run" else ["--controllers", "fixed,max"]
+    for out in (small_scn, hard):
+        assert main([command, "--scenario", str(small_scn), *flags, "--reps", "1",
+                     "--out", str(out)]) == 2
+        assert "--scenario and --out name the same file" in capsys.readouterr().err
+    assert small_scn.read_text() == SMALL
+
+
 def _write_reference(path, rows):
     with open(path, "w", encoding="utf-8", newline="") as handle:
         csv.writer(handle, lineterminator="\n").writerows(rows)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rachsim.estimator import (
     EstimatorState,
@@ -90,6 +92,20 @@ def test_estimate_round_trip_grid():
         branch = LoadBranch.LIGHT if n_d <= pairs else LoadBranch.HEAVY
         est = estimate_load(throughput(n_d, 2, 64), 2, 64, branch)
         assert est == pytest.approx(n_d, rel=1e-9)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    # load over pairs, 10% or more away from the peak at 1 on either side
+    ratio=st.one_of(st.floats(1e-6, 0.9), st.floats(1.1, 30.0)),
+    n_s=st.integers(1, 16),
+    n_p=st.integers(1, 128),
+)
+def test_estimate_inverts_throughput_on_both_branches(ratio, n_s, n_p):
+    load = ratio * n_s * n_p
+    branch = LoadBranch.LIGHT if ratio < 1 else LoadBranch.HEAVY
+    est = estimate_load(throughput(load, n_s, n_p), n_s, n_p, branch)
+    assert est == pytest.approx(load, rel=1e-9)
 
 
 def test_estimate_branches_straddle_pivot():

@@ -16,8 +16,8 @@ from rachsim.scenario import default_scenario, format_scenario
 TM2 = Path(__file__).resolve().parents[1] / "benchmarks" / "scenarios" / "tm2_beta.scn"
 
 GOLDEN = {
-    "run.csv": "6a5f107eda8246e2e9e4f660f1ad41c91e8ef03926e02e3a94f993970b87c2ca",
-    "compare.csv": "6433dadb6eefb7305354e4f460bb3ffb036d26e196704321dbdaacaae6836f7a",
+    "run.csv": "0c94b93673a4ad5ca041084fbbc85e7bba6865ed994709e0c4597f4404664bde",
+    "compare.csv": "f5a6df8fc1d3e62b734b3694497589260742bd718699171f92a9c5493115bf47",
     "table.csv": "70c8cec2250b8a213f44370b5a2964ecd5f5a93e9e485a8dd21e25899039326f",
     "table_sweep.csv": "e72806c5369ef21cb237e961aaf2da0584073b6f48df5ada77919c2784948a8f",
     # the benchmark's table workload: 70 001 sweep points
@@ -26,12 +26,12 @@ GOLDEN = {
     # the adaptive controller's memos: 1000 TM2 frames, whose observations
     # and decision loads recur, and a window of 3, whose smoothed loads are
     # arbitrary floats
-    "tm2.csv": "82295982894b816a4bffd999e11c599f201def3515b79969f96465422b0073e0",
-    "window3.csv": "98c5d0262cfeb831276e9a2f4d72abf81e17c65367a8d8ed0f0b80414847837b",
+    "tm2.csv": "31e0033cd8db2ad9e35f4f02ef6c7192d0c2336e500154d880949720c88bee8b",
+    "window3.csv": "18e885783bda953cb9b52eeec4811f1a174f1bc873b8554d09eea9b85cde5651",
     # the pending devices' order: barring deferrals longer than the
     # backoff window, and every retrier due again the next frame
-    "acb9.csv": "c65a2aa2e64c685da5e4d7a0cccf1b67b39384c5459b334bdd4502081015dbf7",
-    "backoff1.csv": "13862987c33b36c6f020c4c71369a97e31837d9cabbdfbc6d3c4cf3e1bc7b00c",
+    "acb9.csv": "c6b85a24dd3cc3cc085eb06a598c4290aeccc7a100020796e947ea1dc491b30f",
+    "backoff1.csv": "488925f8b56b56c16291122d198bbc076d28d6686ca8e2609d00c786488efc6b",
     # the sweep's runs of one n_s: a free subframe, whose load 0 ties every
     # count, with reprs such as 1.1099999999999999; and one count, one run
     "zero.csv": "e5e9f0d9ed9683698353619c69a27d7129963ca322124cb11bee19b09cf5ad3c",

@@ -9,7 +9,9 @@ barred devices are deferred before retriers. It shares only the load
 profile, the controllers' subframe decisions and the random streams with
 the library, so identical rows check the array core draw for draw,
 including drops and heavy barring. Its arrivals are one scalar Poisson
-draw per frame, which checks the library's single whole-run draw.
+draw per frame, which checks the library's single whole-run draw. A pick
+out of n pairs or a delay of 1..n frames takes one uniform u each, as
+int(u * n) and 1 + int(u * n).
 """
 
 from dataclasses import replace
@@ -58,25 +60,23 @@ def reference_run(scenario, seed):
             admitted = [dev for dev, u in zip(pool, passed) if u < spec.acb_p]
             barred = [dev for dev, u in zip(pool, passed) if not u < spec.acb_p]
             if barred:
-                delays = rng.integers(1, spec.acb_window + 1, size=len(barred))
-                for dev, delay in zip(barred, delays):
-                    waiting.setdefault(frame + int(delay), []).append(dev)
+                for dev, u in zip(barred, rng.random(len(barred))):
+                    waiting.setdefault(frame + 1 + int(u * spec.acb_window), []).append(dev)
 
         n_pairs = n_s * cfg.n_preambles
         counts = [0] * n_pairs
         picks = []
         if admitted:
-            picks = [int(p) for p in rng.integers(0, n_pairs, size=len(admitted))]
+            picks = [int(u * n_pairs) for u in rng.random(len(admitted))]
             for pick in picks:
                 counts[pick] += 1
         losers = [dev for dev, pick in zip(admitted, picks) if counts[pick] != 1]
 
         retriers = [dev for dev in losers if dev.attempts < scenario.retry_limit]
         if retriers:
-            delays = rng.integers(1, scenario.backoff_window + 1, size=len(retriers))
-            for dev, delay in zip(retriers, delays):
+            for dev, u in zip(retriers, rng.random(len(retriers))):
                 dev.attempts += 1
-                waiting.setdefault(frame + int(delay), []).append(dev)
+                waiting.setdefault(frame + 1 + int(u * scenario.backoff_window), []).append(dev)
 
         successes = len(admitted) - len(losers)
         collisions = sum(1 for c in counts if c >= 2)

@@ -23,6 +23,8 @@ from rachsim.scenario import default_scenario, parse_scenario
 from rachsim.simulator import (
     MAX_PAIRS,
     MAX_WINDOW,
+    _defer,
+    _pick_pairs,
     AdaptiveController,
     ControllerKind,
     ControllerSpec,
@@ -40,6 +42,7 @@ from rachsim.simulator import (
     run_replications,
     run_scenario,
 )
+from stream_equivalence import compare_streams
 
 TM2 = Path(__file__).resolve().parents[1] / "benchmarks" / "scenarios" / "tm2_beta.scn"
 # 70 successes on 128 pairs is beyond any load's expectation
@@ -178,6 +181,87 @@ def test_backoff_delays_uniform():
     expected = len(devs) / 4
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     assert chi2 < 7.815  # chi-square 95% critical value, 3 dof
+
+
+def chi_square(values, k):
+    counts = np.bincount(values, minlength=k)
+    assert len(counts) == k
+    expected = len(values) / k
+    return float(((counts - expected) ** 2 / expected).sum())
+
+
+class RecordingRng:
+    """A Generator stand-in for the kernels that keeps every uniform it draws."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.uniforms = []
+
+    def random(self, n):
+        self.uniforms.append(self._rng.random(n))
+        return self.uniforms[-1]
+
+
+def test_picks_and_delays_uniform():
+    # 15 pairs and a 6-frame window, neither a power of two; chi-square
+    # 99% critical values 29.141 (14 dof) and 15.086 (5 dof)
+    rng = RecordingRng(17)
+    picks = []
+    for _ in range(2000):
+        lost, successes, _, idle = _pick_pairs(10, 3, 5, rng)
+        # the kernel's counts are those of floor(u * 15) for its uniforms
+        drawn = (rng.uniforms[-1] * 15).astype(np.int64)
+        counts = np.bincount(drawn, minlength=15)
+        assert (successes, idle) == (np.sum(counts == 1), np.sum(counts == 0))
+        assert np.array_equal(lost, counts[drawn] != 1)
+        picks.append(drawn)
+    assert chi_square(np.concatenate(picks), 15) < 29.141
+    due = _defer(20_000, 100, 6, np.random.default_rng(18))
+    assert chi_square(due - 101, 6) < 15.086
+
+
+def test_scaled_uniforms_stay_below_their_range():
+    # floor(u * n) < n at the largest uniform below 1, up to the largest n
+    # whose every integer a double holds
+    top = np.nextafter(1.0, 0.0)
+    for n in (MAX_WINDOW, MAX_PAIRS, 2**52, 2**53 - 1):
+        assert math.floor(top * n) < n, n
+    # the bias bound of the law at the widest window
+    assert MAX_WINDOW * 2.0**-53 < 2.5e-7
+
+    class TopRng:
+        def random(self, n):
+            return np.full(n, top)
+
+    assert _defer(3, 10, MAX_WINDOW, TopRng()).tolist() == [10 + MAX_WINDOW] * 3
+    assert _pick_pairs(1, 8, MAX_PAIRS // 8, TopRng())[1:] == (1, 0, MAX_PAIRS - 1)
+
+
+@pytest.mark.parametrize("poisson, size, n_s, n_p", [
+    (False, 6, 1, 4), (False, 20, 1, 64), (False, 128, 2, 64), (False, 300, 2, 64),
+    (True, 50.0, 1, 64), (True, 200.0, 2, 64), (True, 600.0, 8, 64),
+])
+def test_pick_pairs_success_law(poisson, size, n_s, n_p):
+    """Mean successes of 2000 frames within 4 standard errors of the ALOHA law."""
+    rng = np.random.default_rng(19)
+    pairs = n_s * n_p
+    if poisson:
+        # N ~ Poisson(lam): each pair is picked Poisson(lam / P) times
+        devices = rng.poisson(size, 2000)
+        expected = size * math.exp(-size / pairs)
+    else:
+        # a device is alone on its pair with probability (1 - 1/P)^(N - 1)
+        devices = np.full(2000, size)
+        expected = size * (1 - 1 / pairs) ** (size - 1)
+    wins = np.array([_pick_pairs(n, n_s, n_p, rng)[1] for n in devices.tolist()])
+    assert abs(wins.mean() - expected) < 4 * wins.std(ddof=1) / math.sqrt(len(wins))
+
+
+def test_draws_match_the_old_integers_stream():
+    # the stock wave at 20 reps; `tests/stream_equivalence.py --reps 200`
+    # runs the same check on the stock wave and tm2_beta.scn
+    families = compare_streams("stock", default_scenario(), reps=20)
+    assert [family.rejected for family in families] == [0] * len(ControllerKind)
 
 
 def test_acb_gate_admit_all():
