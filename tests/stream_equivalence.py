@@ -39,6 +39,7 @@ from rachsim.simulator import ControllerKind, Scenario, run_scenario
 TM2 = Path(__file__).resolve().parents[1] / "benchmarks" / "scenarios" / "tm2_beta.scn"
 PER_FRAME = ("successes", "collided_devices", "contenders", "n_s_used")
 TOTALS = ("successes", "utility")
+ALPHA = 0.05  # family-wise level of each scenario and controller
 
 
 def old_pick_pairs(n, n_s, n_preambles, rng):
@@ -141,9 +142,7 @@ class Family:
     totals: dict[str, tuple[float, float, float]]  # name -> (old mean, new mean, p)
 
 
-def compare_streams(
-    name: str, scenario: Scenario, reps: int, alpha: float = 0.05
-) -> list[Family]:
+def compare_streams(name: str, scenario: Scenario, reps: int) -> list[Family]:
     """Old law on seeds 0..reps-1 against the new one on reps..2*reps-1, per controller."""
     families = []
     for kind in ControllerKind:
@@ -157,7 +156,7 @@ def compare_streams(
             for column in p if column.startswith("total_")
         }
         families.append(Family(
-            name, kind.value, len(every), holm_rejected(every, alpha), float(every.min()), totals
+            name, kind.value, len(every), holm_rejected(every, ALPHA), float(every.min()), totals
         ))
     return families
 
@@ -165,15 +164,14 @@ def compare_streams(
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--reps", type=int, default=200, help="runs per law and controller")
-    parser.add_argument("--alpha", type=float, default=0.05, help="family-wise level")
     args = parser.parse_args(argv)
     print(f"old law on seeds 0..{args.reps - 1}, new law on seeds {args.reps}.."
-          f"{2 * args.reps - 1}; Welch t-tests, Holm at family-wise alpha {args.alpha}")
+          f"{2 * args.reps - 1}; Welch t-tests, Holm at family-wise alpha {ALPHA}")
     print("scenario   controller  tests  rejected  min_p     "
           "total_successes old/new (p)     total_utility old/new (p)")
     rejected = 0
     for name, scenario in (("stock", default_scenario()), ("tm2_beta", parse_scenario(TM2))):
-        for family in compare_streams(name, scenario, args.reps, args.alpha):
+        for family in compare_streams(name, scenario, args.reps):
             rejected += family.rejected
             totals = "  ".join(
                 f"{old:10.1f} / {new:10.1f} ({p:.3f})" for old, new, p in family.totals.values()
