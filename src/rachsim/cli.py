@@ -29,7 +29,7 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .model import RachConfig, throughput, utility_of_load
+from .model import RachConfig, SettingError, throughput, utility_of_load
 from .optimizer import SATURATION_LOAD, optimal_subframes_integer, subframe_lookup_table
 from .scenario import ScenarioError, parse_scenario
 from .simulator import (
@@ -290,8 +290,7 @@ def _int_at_least(low: int):
     return parse
 
 
-# The channel flags by the RachConfig field each sets, which the config's
-# errors name.
+# The channel flags by the RachConfig field each sets.
 _CHANNEL_FLAGS = {
     "n_preambles": "--preambles", "n_s_min": "--ns-min", "n_s_max": "--ns-max", "alpha": "--alpha",
 }
@@ -306,8 +305,8 @@ def _config_from_args(args) -> RachConfig:
             n_s_max=args.ns_max,
             alpha=args.alpha,
         )
-    except ValueError as exc:
-        flags = "/".join(flag for name, flag in _CHANNEL_FLAGS.items() if name in str(exc))
+    except SettingError as exc:
+        flags = "/".join(_CHANNEL_FLAGS[field] for field in exc.fields)
         raise ScenarioError(f"{flags}: {exc}") from None
 
 

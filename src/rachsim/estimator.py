@@ -88,9 +88,9 @@ class RachObservation:
         return self.n_s_used * self.n_preambles
 
 
-def classify_load_branch(obs: RachObservation) -> LoadBranch:
-    """Light if idles are at or above pairs / e, heavy otherwise."""
-    if obs.idle >= obs.pairs / math.e:
+def classify_load_branch(idle: int, pairs: int) -> LoadBranch:
+    """Light if idle pairs are at or above pairs / e, heavy otherwise."""
+    if idle >= pairs / math.e:
         return LoadBranch.LIGHT
     return LoadBranch.HEAVY
 

@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Mapping
 
 __all__ = [
     "FRAME_SUBFRAMES",
     "MAX_ALPHA",
+    "SettingError",
+    "check_range",
     "RachConfig",
     "throughput",
     "utility",
@@ -30,6 +33,40 @@ FRAME_SUBFRAMES = 10  # an LTE frame is 10 subframes of 1 ms
 # all far from float overflow (1.8e308). A price near that limit made
 # utilities, their sums and the CIs -inf or NaN.
 MAX_ALPHA = 1e100
+
+
+class SettingError(ValueError):
+    """A setting out of its range, raised by the dataclass that owns the field.
+
+    `fields` names the fields the error concerns, the one to blame first.
+    `template` is the message with each field as a `{field}` placeholder,
+    so that a scenario file or a command line can name the field its own way.
+    """
+
+    def __init__(self, template: str, *fields: str):
+        self.template = template
+        self.fields = fields
+        super().__init__(self.naming({field: field for field in fields}))
+
+    def naming(self, names: Mapping[str, str]) -> str:
+        """The message with each field called by its name in `names`."""
+        return self.template.format_map(names)
+
+
+def check_range(
+    obj: object, field: str, lo: float, hi: float | None = None, lo_open: bool = False
+) -> None:
+    """Raise SettingError unless obj.field is finite and in [lo, hi], or (lo, hi] if lo_open."""
+    x = getattr(obj, field)
+    # finiteness is a float question: math.isfinite overflows on a huge int
+    if isinstance(x, float) and not math.isfinite(x):
+        raise SettingError(f"{{{field}}} must be finite, got {x}", field)
+    if x < lo or (lo_open and x == lo) or (hi is not None and x > hi):
+        if hi is None:
+            bound = f"{'>' if lo_open else '>='} {lo}"
+        else:
+            bound = f"in {'(' if lo_open else '['}{lo}, {hi}]"
+        raise SettingError(f"{{{field}}} must be {bound}, got {x}", field)
 
 
 @dataclass(frozen=True)
@@ -49,15 +86,12 @@ class RachConfig:
     alpha: float = 25.0
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n_s_min <= self.n_s_max <= FRAME_SUBFRAMES:
-            raise ValueError(
-                f"require 1 <= n_s_min <= n_s_max <= {FRAME_SUBFRAMES}, "
-                f"got [{self.n_s_min}, {self.n_s_max}]"
-            )
-        if self.n_preambles < 1:
-            raise ValueError(f"n_preambles must be >= 1, got {self.n_preambles}")
-        if not 0 <= self.alpha <= MAX_ALPHA:
-            raise ValueError(f"alpha must be finite and in [0, {MAX_ALPHA}], got {self.alpha}")
+        check_range(self, "n_preambles", 1)
+        check_range(self, "n_s_min", 1, FRAME_SUBFRAMES)
+        check_range(self, "n_s_max", 1, FRAME_SUBFRAMES)
+        check_range(self, "alpha", 0.0, MAX_ALPHA)
+        if self.n_s_min > self.n_s_max:
+            raise SettingError("{n_s_min} must not exceed {n_s_max}", "n_s_min", "n_s_max")
 
     @property
     def subframe_range(self) -> range:

@@ -32,14 +32,11 @@ number; out-of-range values are rejected naming the offending key.
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
-from .model import FRAME_SUBFRAMES, MAX_ALPHA, RachConfig
+from .model import RachConfig, SettingError
 from .simulator import (
-    MAX_PAIRS,
-    MAX_WINDOW,
     ControllerKind,
     ControllerSpec,
     LoadProfile,
@@ -61,32 +58,27 @@ class ScenarioError(Exception):
 
 
 class _Key(NamedTuple):
-    """Where a key's value goes and its range; hi may depend on the profile."""
+    """Where a key's value goes; the dataclass that owns the field checks its range."""
 
     target: type  # RachConfig, ControllerSpec or Scenario
     field: str
     type: type  # int or float
-    lo: float
-    hi: float | Callable[[LoadProfile], float] | None = None
-    lo_open: bool = False  # lo itself is out of range
 
 
 # Every numeric key, in file order. An absent key takes its field's
 # dataclass default. format_scenario writes the same keys.
 _KEYS = {
-    ("channel", "preambles"): _Key(RachConfig, "n_preambles", int, 1),
-    ("channel", "ns_min"): _Key(RachConfig, "n_s_min", int, 1, FRAME_SUBFRAMES),
-    ("channel", "ns_max"): _Key(RachConfig, "n_s_max", int, 1, FRAME_SUBFRAMES),
-    ("channel", "alpha"): _Key(RachConfig, "alpha", float, 0.0, MAX_ALPHA),
-    ("controller", "window"): _Key(ControllerSpec, "window", int, 1, MAX_WINDOW),
-    ("controller", "table_max_load"): _Key(
-        ControllerSpec, "table_max_load", float, 0.0, lo_open=True
-    ),
-    ("controller", "acb_p"): _Key(ControllerSpec, "acb_p", float, 0.0, 1.0, lo_open=True),
-    ("controller", "acb_window"): _Key(ControllerSpec, "acb_window", int, 1, MAX_WINDOW),
-    ("sim", "frames"): _Key(Scenario, "frames", int, 1, lambda profile: profile.end_frame),
-    ("sim", "backoff_window"): _Key(Scenario, "backoff_window", int, 1, MAX_WINDOW),
-    ("sim", "retry_limit"): _Key(Scenario, "retry_limit", int, 0),
+    ("channel", "preambles"): _Key(RachConfig, "n_preambles", int),
+    ("channel", "ns_min"): _Key(RachConfig, "n_s_min", int),
+    ("channel", "ns_max"): _Key(RachConfig, "n_s_max", int),
+    ("channel", "alpha"): _Key(RachConfig, "alpha", float),
+    ("controller", "window"): _Key(ControllerSpec, "window", int),
+    ("controller", "table_max_load"): _Key(ControllerSpec, "table_max_load", float),
+    ("controller", "acb_p"): _Key(ControllerSpec, "acb_p", float),
+    ("controller", "acb_window"): _Key(ControllerSpec, "acb_window", int),
+    ("sim", "frames"): _Key(Scenario, "frames", int),
+    ("sim", "backoff_window"): _Key(Scenario, "backoff_window", int),
+    ("sim", "retry_limit"): _Key(Scenario, "retry_limit", int),
 }
 # Parsed and written by hand; each comes first in its section.
 _OTHER_KEYS = (("load", "segments"), ("controller", "kind"))
@@ -139,7 +131,7 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> Scenario:
         if (section, key) in raw:
             value, lineno = raw[section, key]
             where = f"{source}:{lineno}: {section}.{key}"
-            fields[spec.target][spec.field] = _number(value, spec, profile, where)
+            fields[spec.target][spec.field] = _number(value, spec.type, where)
     if ("controller", "kind") in raw:
         value, lineno = raw["controller", "kind"]
         try:
@@ -150,42 +142,27 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> Scenario:
                 f"{source}:{lineno}: controller.kind must be one of {kinds}, got {value!r}"
             ) from None
 
-    channel = {**vars(RachConfig()), **fields[RachConfig]}
-    ns_max, preambles = channel["n_s_max"], channel["n_preambles"]
-    if channel["n_s_min"] > ns_max:
-        lineno = (raw.get(("channel", "ns_min")) or raw["channel", "ns_max"])[1]
-        raise ScenarioError(f"{source}:{lineno}: channel.ns_min must not exceed channel.ns_max")
-    if ns_max * preambles > MAX_PAIRS:
-        lineno = (raw.get(("channel", "preambles")) or raw["channel", "ns_max"])[1]
-        raise ScenarioError(
-            f"{source}:{lineno}: channel.ns_max x channel.preambles = {ns_max} x "
-            f"{preambles} = {ns_max * preambles} pairs exceed the bound of {MAX_PAIRS}"
-        )
-    return Scenario(
-        config=RachConfig(**fields[RachConfig]),
-        profile=profile,
-        controller=ControllerSpec(**fields[ControllerSpec]),
-        **fields[Scenario],
-    )
-
-
-def _number(value: str, spec: _Key, profile: LoadProfile, where: str) -> int | float:
     try:
-        x = spec.type(value)
+        return Scenario(
+            config=RachConfig(**fields[RachConfig]),
+            profile=profile,
+            controller=ControllerSpec(**fields[ControllerSpec]),
+            **fields[Scenario],
+        )
+    except SettingError as exc:
+        keys = {spec.field: name for name, spec in _KEYS.items()}
+        # the defaults are in range, so the file sets at least one named field
+        lineno = next(raw[keys[field]][1] for field in exc.fields if keys[field] in raw)
+        names = {field: ".".join(name) for field, name in keys.items()}
+        raise ScenarioError(f"{source}:{lineno}: {exc.naming(names)}") from None
+
+
+def _number(value: str, type_: type, where: str) -> int | float:
+    try:
+        return type_(value)
     except ValueError:
-        noun = "an integer" if spec.type is int else "a number"
+        noun = "an integer" if type_ is int else "a number"
         raise ScenarioError(f"{where} must be {noun}, got {value!r}") from None
-    # finiteness is a float question: math.isfinite overflows on a huge int
-    if spec.type is float and not math.isfinite(x):
-        raise ScenarioError(f"{where} must be finite, got {value!r}")
-    hi = spec.hi(profile) if callable(spec.hi) else spec.hi
-    if x < spec.lo or (spec.lo_open and x == spec.lo) or (hi is not None and x > hi):
-        if hi is None:
-            bound = f"{'>' if spec.lo_open else '>='} {spec.lo}"
-        else:
-            bound = f"in {'(' if spec.lo_open else '['}{spec.lo}, {hi}]"
-        raise ScenarioError(f"{where} must be {bound}, got {x}")
-    return x
 
 
 def _parse_segments(value: str, lineno: int, source: str) -> LoadProfile:

@@ -39,12 +39,12 @@ import numpy as np
 from .estimator import (
     EstimatorState,
     InconsistentObservationError,
-    LoadBranch,
     RachObservation,
+    classify_load_branch,
     estimate_load,
     smooth_estimate,
 )
-from .model import RachConfig, utility
+from .model import RachConfig, SettingError, check_range, utility
 from .optimizer import SATURATION_LOAD, decide_subframes
 
 __all__ = [
@@ -325,16 +325,10 @@ class ControllerSpec:
     acb_window: int = 4
 
     def __post_init__(self) -> None:
-        if not 1 <= self.window <= MAX_WINDOW:
-            raise ValueError(f"window must be in [1, {MAX_WINDOW}], got {self.window}")
-        if not 0 < self.table_max_load < math.inf:
-            raise ValueError(
-                f"table_max_load must be finite and > 0, got {self.table_max_load}"
-            )
-        if not 0.0 < self.acb_p <= 1.0:
-            raise ValueError(f"acb_p must be in (0, 1], got {self.acb_p}")
-        if not 1 <= self.acb_window <= MAX_WINDOW:
-            raise ValueError(f"acb_window must be in [1, {MAX_WINDOW}], got {self.acb_window}")
+        check_range(self, "window", 1, MAX_WINDOW)
+        check_range(self, "table_max_load", 0.0, lo_open=True)
+        check_range(self, "acb_p", 0.0, 1.0, lo_open=True)
+        check_range(self, "acb_window", 1, MAX_WINDOW)
 
 
 class Controller:
@@ -351,15 +345,13 @@ class Controller:
         """Split the pool's attempt counts into (admitted, barred, barred due frames)."""
         return pool, _NO_DEVICES, _NO_DEVICES
 
-    def observe(self, obs: RachObservation) -> float | None:
-        return self.observe_counts(
-            obs.successes, obs.collisions, obs.idle, obs.n_s_used, obs.n_preambles
-        )
-
     def observe_counts(
         self, successes: int, collisions: int, idle: int, n_s: int, n_preambles: int
     ) -> float | None:
-        """observe() of one frame's counts; only a controller that estimates checks them."""
+        """Take one frame's counts and return the load estimate, if the controller makes one.
+
+        Only a controller that estimates checks the counts.
+        """
         return None
 
 
@@ -393,9 +385,7 @@ class AdaptiveController(Controller):
         self._decisions: dict[float, int] = {}
 
     def observe_counts(self, successes, collisions, idle, n_s, n_preambles):
-        # the branch as classify_load_branch picks it
-        light = idle >= n_s * n_preambles / math.e
-        key = (successes, n_s, n_preambles, LoadBranch.LIGHT if light else LoadBranch.HEAVY)
+        key = (successes, n_s, n_preambles, classify_load_branch(idle, n_s * n_preambles))
         raw = self._estimates.get(key)
         if raw is None:
             RachObservation(successes, collisions, idle, n_s, n_preambles)
@@ -459,19 +449,17 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.frames is None:
             object.__setattr__(self, "frames", self.profile.end_frame)
-        if not 1 <= self.frames <= self.profile.end_frame:
-            raise ValueError(
-                f"frames must be in [1, {self.profile.end_frame}], got {self.frames}"
+        check_range(self, "frames", 1, self.profile.end_frame)
+        check_range(self, "backoff_window", 1, MAX_WINDOW)
+        check_range(self, "retry_limit", 0)
+        # the config's fields, bounded here because a frame counts picks per pair
+        ns_max, preambles = self.config.n_s_max, self.config.n_preambles
+        if ns_max * preambles > MAX_PAIRS:
+            raise SettingError(
+                f"{{n_s_max}} x {{n_preambles}} = {ns_max} x {preambles} = "
+                f"{ns_max * preambles} pairs exceed the bound of {MAX_PAIRS}",
+                "n_preambles", "n_s_max",
             )
-        if not 1 <= self.backoff_window <= MAX_WINDOW:
-            raise ValueError(
-                f"backoff_window must be in [1, {MAX_WINDOW}], got {self.backoff_window}"
-            )
-        if self.retry_limit < 0:
-            raise ValueError(f"retry_limit must be >= 0, got {self.retry_limit}")
-        pairs = self.config.n_s_max * self.config.n_preambles
-        if pairs > MAX_PAIRS:
-            raise ValueError(f"n_s_max x n_preambles = {pairs} exceeds the bound of {MAX_PAIRS}")
 
     def with_controller(self, kind: ControllerKind) -> "Scenario":
         return replace(self, controller=replace(self.controller, kind=kind))
@@ -501,9 +489,6 @@ class FrameOutcome:
     est_load: float | None
     utility: float
     estimator_fallback: bool = False
-
-    def validate(self, config: RachConfig) -> None:
-        TimeSeries([self]).validate(config)
 
 
 FRAME_FIELDS = tuple(f.name for f in fields(FrameOutcome))

@@ -109,12 +109,15 @@ def welch_p(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Two-sided Welch t-test p-values of x against y along axis 0.
 
     A column that is constant in both samples gives p = 1 where the two
-    constants agree and p = 0 where they differ.
+    constants agree. Where they differ it gets the exact two-sided
+    permutation p-value: no other split of the pooled values into samples of
+    these sizes is as extreme, except the mirror split when the sizes agree,
+    so p = 2 / C(2n, n) for two samples of n.
     """
     n_x, n_y = len(x), len(y)
     var_x, var_y = x.var(axis=0, ddof=1) / n_x, y.var(axis=0, ddof=1) / n_y
     diff = x.mean(axis=0) - y.mean(axis=0)
-    p = np.where(diff == 0, 1.0, 0.0)
+    p = np.where(diff == 0, 1.0, (2 if n_x == n_y else 1) / math.comb(n_x + n_y, n_x))
     for k in np.flatnonzero(var_x + var_y > 0):
         se2 = var_x[k] + var_y[k]
         df = se2**2 / (var_x[k] ** 2 / (n_x - 1) + var_y[k] ** 2 / (n_y - 1))
@@ -165,6 +168,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--reps", type=int, default=200, help="runs per law and controller")
     args = parser.parse_args(argv)
+    if args.reps < 2:  # a sample variance needs two runs
+        parser.error(f"--reps must be >= 2, got {args.reps}")
     print(f"old law on seeds 0..{args.reps - 1}, new law on seeds {args.reps}.."
           f"{2 * args.reps - 1}; Welch t-tests, Holm at family-wise alpha {ALPHA}")
     print("scenario   controller  tests  rejected  min_p     "

@@ -258,8 +258,8 @@ def test_criterion_10_conservation_invariants(adaptive_100, tmp_path):
     cfg = RachConfig()
     violations = 0
     for run in adaptive_100.runs:
+        run.validate(cfg)
         for row in run.rows:
-            row.validate(cfg)
             if row.successes + row.collisions + row.idle != row.n_s_used * 64:
                 violations += 1
             if row.successes + row.collided_devices != row.contenders:

@@ -448,7 +448,7 @@ def test_alpha_beyond_the_bound_exits_two(tmp_path, capsys):
     for command in (["optimize", "--load", "100"], ["table", "--out", str(tmp_path / "o.csv")]):
         assert main(command + ["--alpha", "1e308"]) == 2
         err = capsys.readouterr().err
-        assert "alpha must be finite and in [0, 1e+100], got 1e+308" in err
+        assert "error: --alpha: alpha must be in [0.0, 1e+100], got 1e+308" in err
     assert not (tmp_path / "o.csv").exists()
 
 
@@ -462,6 +462,18 @@ def test_bad_channel_flag_is_named(tmp_path, capsys):
             assert main(command + ["--alpha", "5", *flags]) == 2
             assert capsys.readouterr().err.startswith(f"error: {named}")
     assert not out.exists()
+
+
+def test_channel_error_names_only_the_flags_it_concerns(capsys):
+    # the config's error names its fields; the message text is not searched
+    for flags, error in (
+        (["--ns-max", "11"], "--ns-max: n_s_max must be in [1, 10], got 11"),
+        (["--ns-min", "9", "--ns-max", "3"], "--ns-min/--ns-max: n_s_min must not exceed n_s_max"),
+        (["--ns-min", "9"], "--ns-min/--ns-max: n_s_min must not exceed n_s_max"),
+        (["--alpha", "inf"], "--alpha: alpha must be finite, got inf"),
+    ):
+        assert main(["optimize", "--load", "10", "--alpha", "5", *flags]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def test_largest_alpha_keeps_every_number_finite(tmp_path, capsys):

@@ -39,14 +39,14 @@ def test_observation_invariants():
 
 
 def test_classify_extremes():
-    assert classify_load_branch(obs(0, 128)) is LoadBranch.LIGHT
-    assert classify_load_branch(obs(0, 0)) is LoadBranch.HEAVY
+    assert classify_load_branch(128, 128) is LoadBranch.LIGHT
+    assert classify_load_branch(0, 128) is LoadBranch.HEAVY
 
 
 def test_classify_threshold_boundary():
     # pivot is 128/e ~ 47.09 idle pairs
-    assert classify_load_branch(obs(50, 48)) is LoadBranch.LIGHT
-    assert classify_load_branch(obs(50, 47)) is LoadBranch.HEAVY
+    assert classify_load_branch(48, 128) is LoadBranch.LIGHT
+    assert classify_load_branch(47, 128) is LoadBranch.HEAVY
 
 
 def test_classify_matches_simulated_majority():
@@ -59,11 +59,7 @@ def test_classify_matches_simulated_majority():
         for _ in range(300):
             picks = rng.integers(0, pairs, size=n_d)
             counts = np.bincount(picks, minlength=pairs)
-            o = obs(
-                int((counts == 1).sum()),
-                int((counts == 0).sum()),
-            )
-            if classify_load_branch(o) is expected:
+            if classify_load_branch(int((counts == 0).sum()), pairs) is expected:
                 hits += 1
         assert hits >= 240
 

@@ -21,7 +21,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rachsim.estimator import RachObservation
 from rachsim.model import RachConfig, utility
 from rachsim.scenario import default_scenario
 from rachsim.simulator import (
@@ -81,9 +80,7 @@ def reference_run(scenario, seed):
         successes = len(admitted) - len(losers)
         collisions = sum(1 for c in counts if c >= 2)
         idle = sum(1 for c in counts if c == 0)
-        est = controller.observe(
-            RachObservation(successes, collisions, idle, n_s, cfg.n_preambles)
-        )
+        est = controller.observe_counts(successes, collisions, idle, n_s, cfg.n_preambles)
         rows.append(
             FrameOutcome(
                 frame=frame,

@@ -2,7 +2,7 @@
 
 import math
 import re
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +42,7 @@ from rachsim.simulator import (
     run_replications,
     run_scenario,
 )
-from stream_equivalence import compare_streams
+from stream_equivalence import ALPHA, compare_streams, holm_rejected, main, welch_p
 
 TM2 = Path(__file__).resolve().parents[1] / "benchmarks" / "scenarios" / "tm2_beta.scn"
 # 70 successes on 128 pairs is beyond any load's expectation
@@ -261,6 +261,20 @@ def test_draws_match_the_old_integers_stream():
     assert [family.rejected for family in families] == [0] * len(ControllerKind)
 
 
+def test_distinct_constants_get_the_exact_permutation_p():
+    # a column constant in each sample, with another constant in each, as
+    # sparse frames give at few reps; p = 0 here used to reject at once
+    for n, expected in ((3, 0.1), (20, 2 / math.comb(40, 20))):
+        p = welch_p(np.zeros((n, 2)), np.array([[1.0, 0.0]] * n))
+        assert p.tolist() == [expected, 1.0]
+    assert holm_rejected(welch_p(np.zeros((3, 1)), np.ones((3, 1))), ALPHA) == 0
+    # fewer than two runs have no sample variance
+    for reps in ("1", "0"):
+        with pytest.raises(SystemExit) as exc:
+            main(["--reps", reps])
+        assert exc.value.code == 2
+
+
 def test_acb_gate_admit_all():
     rng = np.random.default_rng(13)
     devs = make_devices(100)
@@ -319,7 +333,7 @@ def test_rows_satisfy_conservation():
     ts = run_scenario(default_scenario("adaptive"), seed=3)
     cfg = RachConfig()
     for row in ts.rows:
-        row.validate(cfg)
+        TimeSeries([row]).validate(cfg)
         assert row.successes + row.collisions + row.idle == row.n_s_used * 64
         assert row.successes + row.collided_devices == row.contenders
         assert row.true_load == row.contenders  # no barring
@@ -349,14 +363,8 @@ def test_adaptive_est_load_is_next_frame_forecast():
             assert prev.est_load is None
             assert cur.n_s_used == cfg.n_s_max
             continue
-        o = RachObservation(
-            successes=prev.successes,
-            collisions=prev.collisions,
-            idle=prev.idle,
-            n_s_used=prev.n_s_used,
-            n_preambles=64,
-        )
-        raw = estimate_load(prev.successes, prev.n_s_used, 64, classify_load_branch(o))
+        branch = classify_load_branch(prev.idle, prev.n_s_used * 64)
+        raw = estimate_load(prev.successes, prev.n_s_used, 64, branch)
         assert prev.est_load == pytest.approx(raw, rel=1e-12)  # window = 1
         assert cur.n_s_used == decide_subframes(raw, cfg, 700.0).n_s
 
@@ -370,14 +378,12 @@ def test_adaptive_tracks_load_up_and_down():
 
 def test_adaptive_fallback_pins_maximum():
     controller = AdaptiveController(RachConfig(), 1, 700.0)
-    est = controller.observe(INCONSISTENT)
+    est = controller.observe_counts(*astuple(INCONSISTENT))
     assert est is None
     assert controller.fallback
     assert controller.next_n_s() == 8
     # a sane observation afterwards recovers
-    est = controller.observe(
-        RachObservation(successes=30, collisions=5, idle=477, n_s_used=8, n_preambles=64)
-    )
+    est = controller.observe_counts(successes=30, collisions=5, idle=477, n_s=8, n_preambles=64)
     assert est is not None
     assert not controller.fallback
 
@@ -400,7 +406,7 @@ def direct_decisions(observations, config, window):
     state = EstimatorState(window=window)
     decisions = []
     for obs in observations:
-        branch = classify_load_branch(obs)
+        branch = classify_load_branch(obs.idle, obs.pairs)
         try:
             raw = estimate_load(obs.successes, obs.n_s_used, obs.n_preambles, branch)
         except InconsistentObservationError:
@@ -432,13 +438,13 @@ def test_adaptive_memo_matches_direct_calls(window, monkeypatch):
     controller = AdaptiveController(cfg, window, 700.0)
     got = []
     for seen, obs in enumerate(observations, 1):
-        got.append((controller.observe(obs), controller.next_n_s()))
+        got.append((controller.observe_counts(*astuple(obs)), controller.next_n_s()))
         assert len(controller._estimates) <= seen
         assert len(controller._decisions) <= seen
     assert got == expected
     # one entry per distinct consistent observation and smoothed load
     assert set(controller._estimates) == {
-        (obs.successes, obs.n_s_used, 64, classify_load_branch(obs))
+        (obs.successes, obs.n_s_used, 64, classify_load_branch(obs.idle, obs.pairs))
         for obs, (est, _) in zip(observations, expected)
         if est is not None
     }
@@ -458,13 +464,13 @@ def test_adaptive_memo_never_keeps_an_inconsistent_observation():
     controller = AdaptiveController(cfg, 1, 700.0)
     sane = RachObservation(successes=30, collisions=5, idle=93, n_s_used=2, n_preambles=64)
     for _ in range(2):
-        assert controller.observe(INCONSISTENT) is None
+        assert controller.observe_counts(*astuple(INCONSISTENT)) is None
         assert controller.fallback
         assert controller.next_n_s() == cfg.n_s_max
-        assert controller.observe(sane) is not None
+        assert controller.observe_counts(*astuple(sane)) is not None
         assert not controller.fallback
         assert controller.next_n_s() == cfg.n_s_min
-    assert list(controller._estimates) == [(30, 2, 64, classify_load_branch(sane))]
+    assert list(controller._estimates) == [(30, 2, 64, classify_load_branch(93, 128))]
 
 
 def test_common_random_numbers_share_arrivals():
@@ -559,9 +565,9 @@ def test_whole_run_validation_names_the_first_bad_frame(changes, message):
     whole = f"^{re.escape(expected)}$"
     with pytest.raises(ValueError, match=whole):
         corrupted(series, [k], deltas).validate(cfg)
-    # the same check behind FrameOutcome.validate, and the first of two bad frames
+    # the same check on the bad frame's row alone, and the first of two bad frames
     with pytest.raises(ValueError, match=whole):
-        corrupted(series, [k], deltas).rows[k].validate(cfg)
+        TimeSeries([corrupted(series, [k], deltas).rows[k]]).validate(cfg)
     with pytest.raises(ValueError, match=whole):
         corrupted(series, [k, k + 5], deltas).validate(cfg)
 
@@ -597,7 +603,9 @@ def test_window_and_pair_bounds():
         ControllerSpec(window=MAX_WINDOW + 1)
     # n_s_max x n_preambles, checked before any frame
     Scenario(config=RachConfig(n_preambles=MAX_PAIRS // 8), profile=TRIANGLE)
-    with pytest.raises(ValueError, match=rf"n_s_max x n_preambles = {8 * 125_001} exceeds"):
+    with pytest.raises(
+        ValueError, match=rf"n_s_max x n_preambles = 8 x 125001 = {8 * 125_001} pairs exceed"
+    ):
         Scenario(config=RachConfig(n_preambles=125_001), profile=TRIANGLE)
 
 
