@@ -190,15 +190,10 @@ def build_report(repsets: dict[str, ReplicationSet]) -> ComparisonReport:
     improvement: dict[tuple[str, str], float] = {}
     wins: dict[tuple[str, str], float] = {}
     names = list(repsets)
-    if len(names) == 1:
-        # comparing a controller against itself on common seeds
-        name = names[0]
-        improvement[(name, name)] = 0.0
-        wins[(name, name)] = 1.0
-        return ComparisonReport(aggregate, improvement, wins)
     for a in names:
         for b in names:
-            if a == b:
+            # a controller meets itself only when it is the one compared
+            if a == b and len(names) > 1:
                 continue
             ua, ub = aggregate[a], aggregate[b]
             if ua == ub:

@@ -7,28 +7,20 @@ preamble count picks the side: expected idles are pairs * exp(-N / pairs),
 which crosses pairs / e exactly at the peak load, so fewer idles than that
 mean the heavy side. The light-side root comes from the principal Lambert
 W branch, the heavy-side root from the lower branch.
-
-Per-frame raw estimates can then be averaged over a sliding window; with
-window 1 the latest estimate is used as-is (persistence forecasting).
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .lambertw import WBranch, lambert_w
 
 __all__ = [
     "LoadBranch",
-    "RachObservation",
-    "EstimatorState",
     "InconsistentObservationError",
     "classify_load_branch",
     "estimate_load",
-    "smooth_estimate",
     "SUCCESS_CLAMP_FACTOR",
     "LOAD_CAP_FACTOR",
 ]
@@ -55,37 +47,6 @@ class LoadBranch(Enum):
 
 class InconsistentObservationError(ValueError):
     """Observed successes exceed what any load could produce."""
-
-
-@dataclass(frozen=True)
-class RachObservation:
-    """Per-frame observables at the eNodeB.
-
-    Every (subframe, preamble) pair lands in exactly one bucket, so
-    successes + collisions + idle must equal n_s_used * n_preambles.
-    """
-
-    successes: int
-    collisions: int
-    idle: int
-    n_s_used: int
-    n_preambles: int
-
-    def __post_init__(self) -> None:
-        if min(self.successes, self.collisions, self.idle) < 0:
-            raise ValueError("observation counts must be >= 0")
-        if self.n_s_used < 1 or self.n_preambles < 1:
-            raise ValueError("n_s_used and n_preambles must be >= 1")
-        total = self.successes + self.collisions + self.idle
-        if total != self.n_s_used * self.n_preambles:
-            raise ValueError(
-                f"successes + collisions + idle = {total}, expected "
-                f"{self.n_s_used * self.n_preambles}"
-            )
-
-    @property
-    def pairs(self) -> int:
-        return self.n_s_used * self.n_preambles
 
 
 def classify_load_branch(idle: int, pairs: int) -> LoadBranch:
@@ -121,24 +82,3 @@ def estimate_load(eta_obs: float, n_s: int, n_preambles: int, branch: LoadBranch
         )
     w_branch = WBranch.PRINCIPAL if branch is LoadBranch.LIGHT else WBranch.LOWER
     return -pairs * lambert_w(-u, w_branch)
-
-
-@dataclass
-class EstimatorState:
-    """Sliding window of raw per-frame load estimates. Single-writer."""
-
-    window: int
-    history: deque = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
-        self.history = deque(maxlen=self.window)
-
-
-def smooth_estimate(state: EstimatorState, new_estimate: float) -> float:
-    """Push a raw estimate into the window and return the window mean."""
-    if new_estimate < 0:
-        raise ValueError(f"estimate must be >= 0, got {new_estimate}")
-    state.history.append(float(new_estimate))
-    return sum(state.history) / len(state.history)

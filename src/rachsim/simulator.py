@@ -30,20 +30,14 @@ records are columns, one array per FrameOutcome field, checked once per run.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-from .estimator import (
-    EstimatorState,
-    InconsistentObservationError,
-    RachObservation,
-    classify_load_branch,
-    estimate_load,
-    smooth_estimate,
-)
+from .estimator import InconsistentObservationError, classify_load_branch, estimate_load
 from .model import RachConfig, SettingError, check_range, utility
 from .optimizer import SATURATION_LOAD, decide_subframes
 
@@ -152,10 +146,12 @@ def generate_arrivals(
 # on per-device arrays in pool order: `_pick_pairs` (pair selection and
 # the singleton test), `_backoff` (retry-limit drop and backoff draw) and
 # `_bar` (barring draw and barring delay). `run_scenario` calls them
-# directly; `contend`, `resolve_backoff` and `acb_gate` adapt them to
-# DeviceState lists. A kernel draws nothing for an empty selection, so
-# both callers consume the event stream identically. A pick or delay out of
-# n values is floor(u * n), u uniform in [0, 1): total-variation bias < n * 2**-53.
+# directly with settings its Scenario already checked; `contend`,
+# `resolve_backoff` and `acb_gate` check their raw arguments and adapt the
+# kernels to DeviceState lists. A kernel draws nothing for an empty
+# selection, so both callers consume the event stream identically. A pick or
+# delay out of n values is floor(u * n), u uniform in [0, 1): total-variation
+# bias < n * 2**-53.
 
 # Bound on the devices one frame may hold (pending plus new arrivals); a
 # finite but huge arrival rate fails here instead of exhausting memory.
@@ -198,8 +194,6 @@ def _pick_pairs(
     n: int, n_s: int, n_preambles: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, int, int, int]:
     """n devices pick uniform pairs: (lost mask, successes, collisions, idle)."""
-    if n_s < 1 or n_preambles < 1:
-        raise ValueError("n_s and n_preambles must be >= 1")
     n_pairs = n_s * n_preambles
     if n == 0:
         return np.zeros(0, dtype=bool), 0, 0, n_pairs
@@ -225,10 +219,6 @@ def _backoff(
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Collided devices' (retry mask, due frames of the retriers)."""
-    if backoff_window < 1:
-        raise ValueError(f"backoff_window must be >= 1, got {backoff_window}")
-    if retry_limit < 0:
-        raise ValueError(f"retry_limit must be >= 0, got {retry_limit}")
     retry = attempts < retry_limit
     return retry, _defer(int(np.count_nonzero(retry)), frame, backoff_window, rng)
 
@@ -237,10 +227,6 @@ def _bar(
     n: int, p_barring: float, barring_window: int, frame: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Barring of n devices: (passed mask, due frames of the barred)."""
-    if not 0.0 < p_barring <= 1.0:
-        raise ValueError(f"p_barring must be in (0, 1], got {p_barring}")
-    if barring_window < 1:
-        raise ValueError(f"barring_window must be >= 1, got {barring_window}")
     if n == 0:
         return np.zeros(0, dtype=bool), _NO_DEVICES
     passed = rng.random(n) < p_barring
@@ -254,6 +240,8 @@ def contend(
     rng: np.random.Generator,
 ) -> ContentionResult:
     """Uniform (subframe, preamble) selection; singleton pairs win."""
+    if n_s < 1 or n_preambles < 1:
+        raise ValueError("n_s and n_preambles must be >= 1")
     devices = list(contenders)
     lost, successes, collisions, idle = _pick_pairs(len(devices), n_s, n_preambles, rng)
     losers = [dev for dev, lose in zip(devices, lost.tolist()) if lose]
@@ -271,6 +259,10 @@ def resolve_backoff(
 
     A device that has already failed retry_limit times is dropped instead.
     """
+    if backoff_window < 1:
+        raise ValueError(f"backoff_window must be >= 1, got {backoff_window}")
+    if retry_limit < 0:
+        raise ValueError(f"retry_limit must be >= 0, got {retry_limit}")
     devices = list(collided)
     attempts = np.array([dev.attempts for dev in devices], dtype=np.int64)
     retry, due = _backoff(attempts, frame, backoff_window, retry_limit, rng)
@@ -294,6 +286,10 @@ def acb_gate(
     rng: np.random.Generator,
 ) -> tuple[list[DeviceState], list[DeviceState]]:
     """Admit each contender with probability p_barring; bar the rest."""
+    if not 0.0 < p_barring <= 1.0:
+        raise ValueError(f"p_barring must be in (0, 1], got {p_barring}")
+    if barring_window < 1:
+        raise ValueError(f"barring_window must be >= 1, got {barring_window}")
     devices = list(contenders)
     passed, due = _bar(len(devices), p_barring, barring_window, frame, rng)
     admitted = [dev for dev, ok in zip(devices, passed.tolist()) if ok]
@@ -345,13 +341,8 @@ class Controller:
         """Split the pool's attempt counts into (admitted, barred, barred due frames)."""
         return pool, _NO_DEVICES, _NO_DEVICES
 
-    def observe_counts(
-        self, successes: int, collisions: int, idle: int, n_s: int, n_preambles: int
-    ) -> float | None:
-        """Take one frame's counts and return the load estimate, if the controller makes one.
-
-        Only a controller that estimates checks the counts.
-        """
+    def observe_counts(self, successes: int, idle: int, n_s: int) -> float | None:
+        """Take one frame's counts and return the load estimate, if the controller makes one."""
         return None
 
 
@@ -363,40 +354,44 @@ class FixedController(Controller):
 class AdaptiveController(Controller):
     """Estimate the load from the last frame, re-optimize the allocation.
 
-    The estimate from frame t is used unchanged as the forecast for frame
-    t+1 (persistence). A frame whose observation is inconsistent with the
-    model yields no estimate and pins the next frame at n_s_max.
+    The forecast for frame t+1 is the mean of the raw estimates of the
+    last `window` frames; with window 1 the estimate from frame t is used
+    unchanged (persistence forecasting). A frame whose observation is
+    inconsistent with the model yields no estimate and pins the next frame
+    at n_s_max.
 
     Both steps are pure functions of small keys that recur from frame to
-    frame, so each controller remembers its results: estimates by the
-    estimate_load arguments, decisions by the smoothed load. Only a miss
-    builds and checks a RachObservation; run_scenario's whole-run check
-    covers the hits. The memos live as long as the controller, one run, so
-    they hold at most one entry per frame; an inconsistent observation is
-    never remembered.
+    frame, so each controller remembers its results: estimates by
+    (successes, n_s, branch), decisions by the smoothed load. The counts
+    themselves are checked by run_scenario's whole-run check. The memos
+    live as long as the controller, one run, so they hold at most one entry
+    per frame; an inconsistent observation is never remembered.
     """
 
     def __init__(self, config: RachConfig, window: int, table_max_load: float):
         self._config = config
-        self._state = EstimatorState(window=window)
+        self._history: deque[float] = deque(maxlen=window)
         self._table_max_load = table_max_load
         self._n_s = config.n_s_min
         self._estimates: dict[tuple, float] = {}
         self._decisions: dict[float, int] = {}
 
-    def observe_counts(self, successes, collisions, idle, n_s, n_preambles):
-        key = (successes, n_s, n_preambles, classify_load_branch(idle, n_s * n_preambles))
+    def observe_counts(self, successes, idle, n_s):
+        n_preambles = self._config.n_preambles
+        branch = classify_load_branch(idle, n_s * n_preambles)
+        key = (successes, n_s, branch)
         raw = self._estimates.get(key)
         if raw is None:
-            RachObservation(successes, collisions, idle, n_s, n_preambles)
             try:
-                raw = self._estimates[key] = estimate_load(*key)
+                raw = self._estimates[key] = estimate_load(successes, n_s, n_preambles, branch)
             except InconsistentObservationError:
                 self.fallback = True
                 self._n_s = self._config.n_s_max
                 return None
         self.fallback = False
-        smoothed = smooth_estimate(self._state, raw)
+        history = self._history
+        history.append(raw)
+        smoothed = sum(history) / len(history)
         n_s = self._decisions.get(smoothed)
         if n_s is None:
             n_s = self._decisions[smoothed] = decide_subframes(
@@ -629,7 +624,7 @@ def run_scenario(scenario: Scenario, seed: int, replication_id: int = 0) -> Time
             first = int(live.argmax())
             due, attempts = due[first:], attempts[first:]
 
-        est = controller.observe_counts(successes, collisions, idle, n_s, cfg.n_preambles)
+        est = controller.observe_counts(successes, idle, n_s)
         records.append((
             n_s, len(admitted), successes, collisions, len(losers), idle, len(pool),
             est, controller.fallback,

@@ -314,6 +314,10 @@ def test_build_report_win_fraction_semantics():
     # a win is "at least ties", so the two directions cover every frame
     assert a_vs_f + f_vs_a >= 1.0
     assert set(report.aggregate_utility) == {"adaptive", "fixed"}
+    # one controller (`--controllers adaptive,adaptive`) is compared with itself
+    alone = build_report({"adaptive": reps["adaptive"]})
+    assert alone.improvement_pct == {("adaptive", "adaptive"): 0.0}
+    assert alone.win_fraction == {("adaptive", "adaptive"): 1.0}
 
 
 def test_bad_arguments_exit_two(capsys):

@@ -7,35 +7,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rachsim.simulator
 from rachsim.estimator import (
-    EstimatorState,
     InconsistentObservationError,
     LoadBranch,
-    RachObservation,
     classify_load_branch,
     estimate_load,
-    smooth_estimate,
 )
-from rachsim.model import throughput
+from rachsim.model import RachConfig, throughput, utility
+from rachsim.simulator import AdaptiveController, ControllerSpec, FrameOutcome, TimeSeries
 
 
-def obs(successes, idle, n_s=2, n_p=64):
-    pairs = n_s * n_p
-    return RachObservation(
-        successes=successes,
-        collisions=pairs - successes - idle,
-        idle=idle,
-        n_s_used=n_s,
-        n_preambles=n_p,
+def observed(successes, collisions, idle):
+    """A frame at 2 subframes of 64 preambles with these counts, two devices per collision."""
+    collided = 2 * collisions
+    return FrameOutcome(
+        frame=0, n_s_used=2, arrivals=0, contenders=successes + collided,
+        successes=successes, collisions=collisions, collided_devices=collided, idle=idle,
+        true_load=successes + collided, est_load=None, utility=utility(successes, 25.0, 2),
     )
 
 
 def test_observation_invariants():
-    with pytest.raises(ValueError):
-        RachObservation(successes=1, collisions=1, idle=1, n_s_used=2, n_preambles=64)
-    with pytest.raises(ValueError):
-        RachObservation(successes=-1, collisions=1, idle=128, n_s_used=2, n_preambles=64)
-    assert obs(40, 60).pairs == 128
+    # the counts an estimate is made from are checked with the run's records
+    TimeSeries([observed(40, 28, 60)]).validate(RachConfig())
+    with pytest.raises(ValueError, match=r"successes \+ collisions \+ idle != 128"):
+        TimeSeries([observed(1, 1, 1)]).validate(RachConfig())
+    with pytest.raises(ValueError, match="negative count"):
+        TimeSeries([observed(-1, 1, 128)]).validate(RachConfig())
 
 
 def test_classify_extremes():
@@ -127,43 +126,55 @@ def test_estimate_rejects_large_overshoot():
         estimate_load(-1.0, 2, 64, LoadBranch.LIGHT)
 
 
-def test_smooth_single_and_mean():
-    state = EstimatorState(window=4)
-    assert smooth_estimate(state, 300.0) == 300.0
-    state = EstimatorState(window=4)
-    smooth_estimate(state, 100.0)
-    smooth_estimate(state, 200.0)
-    assert smooth_estimate(state, 300.0) == 200.0
+@pytest.fixture
+def raw_is_successes(monkeypatch):
+    """Make the adaptive controller's raw estimate of a frame its success count."""
+    monkeypatch.setattr(rachsim.simulator, "estimate_load", lambda successes, *_: float(successes))
 
 
-def test_smooth_window_one_is_persistence():
-    state = EstimatorState(window=1)
+def smooth(controller, raw):
+    """Feed the controller a light-load frame whose raw estimate is raw; its window mean."""
+    return controller.observe_counts(raw, 128, 2)
+
+
+def test_smooth_single_and_mean(raw_is_successes):
+    assert smooth(AdaptiveController(RachConfig(), 4, 700.0), 300.0) == 300.0
+    controller = AdaptiveController(RachConfig(), 4, 700.0)
+    smooth(controller, 100.0)
+    smooth(controller, 200.0)
+    assert smooth(controller, 300.0) == 200.0
+
+
+def test_smooth_window_one_is_persistence(raw_is_successes):
+    controller = AdaptiveController(RachConfig(), 1, 700.0)
     for value in (10.0, 500.0, 42.0):
-        assert smooth_estimate(state, value) == value
+        assert smooth(controller, value) == value
 
 
-def test_smooth_evicts_beyond_window():
-    state = EstimatorState(window=2)
-    smooth_estimate(state, 0.0)
-    smooth_estimate(state, 10.0)
-    assert smooth_estimate(state, 20.0) == 15.0
-    assert list(state.history) == [10.0, 20.0]
+def test_smooth_evicts_beyond_window(raw_is_successes):
+    controller = AdaptiveController(RachConfig(), 2, 700.0)
+    smooth(controller, 0.0)
+    smooth(controller, 10.0)
+    assert smooth(controller, 20.0) == 15.0
+    assert list(controller._history) == [10.0, 20.0]
 
 
-def test_smooth_stays_within_range():
+def test_smooth_stays_within_range(raw_is_successes):
     rng = np.random.default_rng(43)
-    state = EstimatorState(window=5)
+    controller = AdaptiveController(RachConfig(), 5, 700.0)
     seen = []
     for _ in range(50):
         value = float(rng.uniform(0, 1000))
         seen.append(value)
-        mean = smooth_estimate(state, value)
+        mean = smooth(controller, value)
         window = seen[-5:]
         assert min(window) <= mean <= max(window)
 
 
 def test_state_and_input_validation():
-    with pytest.raises(ValueError):
-        EstimatorState(window=0)
-    with pytest.raises(ValueError):
-        smooth_estimate(EstimatorState(window=1), -1.0)
+    with pytest.raises(ValueError, match="window"):
+        ControllerSpec(window=0)
+    # the window averages estimates that are never negative
+    for successes in range(59):
+        for branch in LoadBranch:
+            assert estimate_load(successes, 2, 64, branch) >= 0.0

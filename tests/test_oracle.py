@@ -80,7 +80,7 @@ def reference_run(scenario, seed):
         successes = len(admitted) - len(losers)
         collisions = sum(1 for c in counts if c >= 2)
         idle = sum(1 for c in counts if c == 0)
-        est = controller.observe_counts(successes, collisions, idle, n_s, cfg.n_preambles)
+        est = controller.observe_counts(successes, idle, n_s)
         rows.append(
             FrameOutcome(
                 frame=frame,

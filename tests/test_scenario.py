@@ -3,10 +3,13 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rachsim.scenario
-from rachsim.model import RachConfig
+from rachsim.model import MAX_ALPHA, RachConfig
 from rachsim.scenario import (
+    _KEYS,
     ScenarioError,
     default_scenario,
     format_scenario,
@@ -14,6 +17,8 @@ from rachsim.scenario import (
     parse_scenario_text,
 )
 from rachsim.simulator import (
+    MAX_PAIRS,
+    MAX_WINDOW,
     ControllerKind,
     ControllerSpec,
     LoadProfile,
@@ -127,6 +132,50 @@ def test_round_trip_is_idempotent():
     emitted = format_scenario(parsed)
     assert parse_scenario_text(emitted) == parsed
     assert format_scenario(parse_scenario_text(emitted)) == emitted
+
+
+@st.composite
+def scenarios(draw):
+    """A scenario with every key of the key table drawn across its range."""
+    segments = []
+    for _ in range(draw(st.integers(1, 3))):
+        start = segments[-1].end_frame if segments else 0
+        rates = st.floats(0.0, 1e6)
+        segments.append(ProfileSegment(start, start + draw(st.integers(1, 50)),
+                                       draw(rates), draw(rates)))
+    profile = LoadProfile(tuple(segments))
+    n_s_max = draw(st.integers(1, 10))
+    windows = st.integers(1, MAX_WINDOW)
+    values = {
+        "n_preambles": draw(st.integers(1, MAX_PAIRS // n_s_max)),
+        "n_s_min": draw(st.integers(1, n_s_max)),
+        "n_s_max": n_s_max,
+        "alpha": draw(st.floats(0.0, MAX_ALPHA)),
+        "window": draw(windows),
+        "table_max_load": draw(st.floats(0.0, 1e300, exclude_min=True)),
+        "acb_p": draw(st.floats(0.0, 1.0, exclude_min=True)),
+        "acb_window": draw(windows),
+        "frames": draw(st.integers(1, profile.end_frame)),
+        "backoff_window": draw(windows),
+        "retry_limit": draw(st.integers(0, 2**63)),
+    }
+    kwargs = {RachConfig: {}, ControllerSpec: {"kind": draw(st.sampled_from(ControllerKind))},
+              Scenario: {}}
+    for spec in _KEYS.values():  # a key without a strategy above fails here
+        kwargs[spec.target][spec.field] = values.pop(spec.field)
+    assert not values
+    return Scenario(
+        config=RachConfig(**kwargs[RachConfig]),
+        profile=profile,
+        controller=ControllerSpec(**kwargs[ControllerSpec]),
+        **kwargs[Scenario],
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(scenario=scenarios())
+def test_format_then_parse_is_the_identity(scenario):
+    assert parse_scenario_text(format_scenario(scenario)) == scenario
 
 
 def test_parse_scenario_from_file(tmp_path):

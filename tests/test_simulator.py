@@ -2,21 +2,14 @@
 
 import math
 import re
-from dataclasses import astuple, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rachsim.simulator
-from rachsim.estimator import (
-    EstimatorState,
-    InconsistentObservationError,
-    RachObservation,
-    classify_load_branch,
-    estimate_load,
-    smooth_estimate,
-)
+from rachsim.estimator import InconsistentObservationError, classify_load_branch, estimate_load
 from rachsim.model import RachConfig
 from rachsim.optimizer import decide_subframes
 from rachsim.scenario import default_scenario, parse_scenario
@@ -45,8 +38,9 @@ from rachsim.simulator import (
 from stream_equivalence import ALPHA, compare_streams, holm_rejected, main, welch_p
 
 TM2 = Path(__file__).resolve().parents[1] / "benchmarks" / "scenarios" / "tm2_beta.scn"
+# observe_counts arguments (successes, idle, n_s) at 64 preambles:
 # 70 successes on 128 pairs is beyond any load's expectation
-INCONSISTENT = RachObservation(successes=70, collisions=30, idle=28, n_s_used=2, n_preambles=64)
+INCONSISTENT = (70, 28, 2)
 
 TRIANGLE = LoadProfile((ProfileSegment(0, 10, 0.0, 600.0), ProfileSegment(10, 20, 600.0, 0.0)))
 
@@ -164,6 +158,14 @@ def test_backoff_schedules_and_counts_attempts():
         assert d.status is DeviceStatus.BACKED_OFF
         assert d.attempts == 1
         assert 6 <= d.backoff_until <= 9
+
+
+def test_backoff_validation():
+    rng = np.random.default_rng(16)
+    with pytest.raises(ValueError, match="backoff_window must be >= 1"):
+        resolve_backoff(make_devices(1), frame=0, backoff_window=0, retry_limit=10, rng=rng)
+    with pytest.raises(ValueError, match="retry_limit must be >= 0"):
+        resolve_backoff(make_devices(1), frame=0, backoff_window=4, retry_limit=-1, rng=rng)
 
 
 def test_backoff_window_one_means_next_frame():
@@ -378,41 +380,40 @@ def test_adaptive_tracks_load_up_and_down():
 
 def test_adaptive_fallback_pins_maximum():
     controller = AdaptiveController(RachConfig(), 1, 700.0)
-    est = controller.observe_counts(*astuple(INCONSISTENT))
+    est = controller.observe_counts(*INCONSISTENT)
     assert est is None
     assert controller.fallback
     assert controller.next_n_s() == 8
     # a sane observation afterwards recovers
-    est = controller.observe_counts(successes=30, collisions=5, idle=477, n_s=8, n_preambles=64)
+    est = controller.observe_counts(successes=30, idle=477, n_s=8)
     assert est is not None
     assert not controller.fallback
 
 
 def recorded_observations():
-    """The observations of an adaptive TM2 run and three stock waves, plus two bad ones."""
+    """(successes, idle, n_s) of an adaptive TM2 run and three stock waves, plus two bad ones."""
     runs = [run_scenario(parse_scenario(TM2), seed=1)] + [
         run_scenario(default_scenario("adaptive"), seed) for seed in (1, 2, 3)
     ]
     observations = [
-        RachObservation(row.successes, row.collisions, row.idle, row.n_s_used, 64)
-        for run in runs
-        for row in run.rows
+        (row.successes, row.idle, row.n_s_used) for run in runs for row in run.rows
     ]
     return observations[:500] + [INCONSISTENT] + observations[500:] + [INCONSISTENT]
 
 
 def direct_decisions(observations, config, window):
     """(estimate, next n_s) per observation from plain estimator and optimizer calls."""
-    state = EstimatorState(window=window)
+    recent = []  # the raw estimates of the last `window` consistent frames
     decisions = []
-    for obs in observations:
-        branch = classify_load_branch(obs.idle, obs.pairs)
+    for successes, idle, n_s in observations:
+        branch = classify_load_branch(idle, n_s * 64)
         try:
-            raw = estimate_load(obs.successes, obs.n_s_used, obs.n_preambles, branch)
+            raw = estimate_load(successes, n_s, 64, branch)
         except InconsistentObservationError:
             decisions.append((None, config.n_s_max))
             continue
-        smoothed = smooth_estimate(state, raw)
+        recent = (recent + [raw])[-window:]
+        smoothed = sum(recent) / len(recent)
         decisions.append((smoothed, decide_subframes(smoothed, config, 700.0).n_s))
     return decisions
 
@@ -438,14 +439,14 @@ def test_adaptive_memo_matches_direct_calls(window, monkeypatch):
     controller = AdaptiveController(cfg, window, 700.0)
     got = []
     for seen, obs in enumerate(observations, 1):
-        got.append((controller.observe_counts(*astuple(obs)), controller.next_n_s()))
+        got.append((controller.observe_counts(*obs), controller.next_n_s()))
         assert len(controller._estimates) <= seen
         assert len(controller._decisions) <= seen
     assert got == expected
     # one entry per distinct consistent observation and smoothed load
     assert set(controller._estimates) == {
-        (obs.successes, obs.n_s_used, 64, classify_load_branch(obs.idle, obs.pairs))
-        for obs, (est, _) in zip(observations, expected)
+        (successes, n_s, classify_load_branch(idle, n_s * 64))
+        for (successes, idle, n_s), (est, _) in zip(observations, expected)
         if est is not None
     }
     assert set(controller._decisions) == {est for est, _ in expected if est is not None}
@@ -462,15 +463,15 @@ def test_adaptive_memo_matches_direct_calls(window, monkeypatch):
 def test_adaptive_memo_never_keeps_an_inconsistent_observation():
     cfg = RachConfig()
     controller = AdaptiveController(cfg, 1, 700.0)
-    sane = RachObservation(successes=30, collisions=5, idle=93, n_s_used=2, n_preambles=64)
+    sane = (30, 93, 2)
     for _ in range(2):
-        assert controller.observe_counts(*astuple(INCONSISTENT)) is None
+        assert controller.observe_counts(*INCONSISTENT) is None
         assert controller.fallback
         assert controller.next_n_s() == cfg.n_s_max
-        assert controller.observe_counts(*astuple(sane)) is not None
+        assert controller.observe_counts(*sane) is not None
         assert not controller.fallback
         assert controller.next_n_s() == cfg.n_s_min
-    assert list(controller._estimates) == [(30, 2, 64, classify_load_branch(93, 128))]
+    assert list(controller._estimates) == [(30, 2, classify_load_branch(93, 128))]
 
 
 def test_common_random_numbers_share_arrivals():
@@ -582,6 +583,20 @@ def test_conservation_check_catches_a_lost_device(monkeypatch):
     monkeypatch.setattr(rachsim.simulator, "_backoff", lose_one_retrier)
     with pytest.raises(ValueError, match="device conservation broken"):
         run_scenario(default_scenario("fixed"), seed=1)
+
+
+def test_whole_run_check_catches_miscounted_pairs(monkeypatch):
+    # the adaptive controller takes the counts unchecked; the run's check
+    # still refuses a frame whose pairs do not add up
+    pick_pairs = rachsim.simulator._pick_pairs
+
+    def one_idle_too_many(*args):
+        lost, successes, collisions, idle = pick_pairs(*args)
+        return lost, successes, collisions, idle + 1
+
+    monkeypatch.setattr(rachsim.simulator, "_pick_pairs", one_idle_too_many)
+    with pytest.raises(ValueError, match=r"^frame 0: successes \+ collisions \+ idle != 128$"):
+        run_scenario(default_scenario("adaptive"), seed=1)
 
 
 def test_window_and_pair_bounds():
