@@ -41,37 +41,25 @@ from .simulator import (
 
 __all__ = ["main", "ComparisonReport", "build_report"]
 
-RUN_COLUMNS = [
-    "rep",
-    "frame",
-    "controller",
-    "n_s",
-    "arrivals",
-    "contenders",
-    "successes",
-    "collided_devices",
-    "idle",
-    "est_load",
-    "true_load",
-    "throughput_sim",
-    "throughput_num",
-    "utility_sim",
-    "utility_num",
-]
-
-COMPARE_COLUMNS = [
-    "controller",
-    "frame",
-    "arrivals",
-    "n_s",
-    "contenders",
-    "true_load",
-    "est_load",
-    "successes",
-    "utility_sim",
-    "utility_num",
-    "ci95_utility_sim",
-]
+# Each CSV's columns in order, as (header, source). A source names a record
+# column, or a value the writer adds beside them under that name: a str is
+# the text of every row, an array holds one value per row.
+_RUN_TABLE = (
+    ("rep", "rep"), ("frame", "frame"), ("controller", "controller"), ("n_s", "n_s_used"),
+    ("arrivals", "arrivals"), ("contenders", "contenders"), ("successes", "successes"),
+    ("collided_devices", "collided_devices"), ("idle", "idle"), ("est_load", "est_load"),
+    ("true_load", "true_load"), ("throughput_sim", "throughput_sim"),
+    ("throughput_num", "throughput_num"), ("utility_sim", "utility"),
+    ("utility_num", "utility_num"),
+)
+_COMPARE_TABLE = (
+    ("controller", "controller"), ("frame", "frame"), ("arrivals", "arrivals"),
+    ("n_s", "n_s_used"), ("contenders", "contenders"), ("true_load", "true_load"),
+    ("est_load", "est_load"), ("successes", "successes"), ("utility_sim", "utility"),
+    ("utility_num", "utility_num"), ("ci95_utility_sim", "ci95_utility_sim"),
+)
+RUN_COLUMNS = [header for header, _ in _RUN_TABLE]
+COMPARE_COLUMNS = [header for header, _ in _COMPARE_TABLE]
 
 _KIND_NAMES = sorted(k.value for k in ControllerKind)
 
@@ -105,6 +93,12 @@ def _write_rows(handle: TextIO, rows: Iterable[Sequence[str]]) -> None:
         handle.write("\n".join(chunk) + "\n")
 
 
+def _table_rows(table: Sequence[tuple[str, str]], columns: dict) -> Iterable[tuple[str, ...]]:
+    """The cell text of table's rows, each column read from columns by source."""
+    sources = (columns[source] for _, source in table)
+    return zip(*(repeat(v) if isinstance(v, str) else _cells(v) for v in sources))
+
+
 def write_run_csv(
     path: Path, repset: ReplicationSet, controller_name: str, config: RachConfig
 ) -> None:
@@ -117,30 +111,17 @@ def write_run_csv(
         _write_rows(handle, [RUN_COLUMNS])
         for run, run_tp, run_ut in zip(repset.runs, tp_num, ut_num):
             c = run.columns
-            _write_rows(
-                handle,
-                zip(
-                    repeat(str(run.replication_id)), _cells(c["frame"]), repeat(controller_name),
-                    _cells(c["n_s_used"]), _cells(c["arrivals"]), _cells(c["contenders"]),
-                    _cells(c["successes"]), _cells(c["collided_devices"]), _cells(c["idle"]),
-                    _cells(c["est_load"]), _cells(c["true_load"]),
-                    _cells(c["successes"].astype(np.float64)), _cells(run_tp),
-                    _cells(c["utility"]), _cells(run_ut),
-                ),
-            )
+            _write_rows(handle, _table_rows(_RUN_TABLE, {
+                **c, "rep": str(run.replication_id), "controller": controller_name,
+                "throughput_sim": c["successes"].astype(np.float64),
+                "throughput_num": run_tp, "utility_num": run_ut,
+            }))
         means = repset.means
-        mean_columns = (
-            means["n_s_used"], means["arrivals"], means["contenders"], means["successes"],
-            means["collided_devices"], means["idle"], means["est_load"], means["true_load"],
-            means["successes"], tp_num.mean(axis=0), means["utility"], ut_num.mean(axis=0),
-        )
-        _write_rows(
-            handle,
-            zip(
-                repeat("mean"), map(str, range(repset.n_frames)), repeat(controller_name),
-                *map(_cells, mean_columns),
-            ),
-        )
+        _write_rows(handle, _table_rows(_RUN_TABLE, {
+            **means, "rep": "mean", "frame": np.arange(repset.n_frames),
+            "controller": controller_name, "throughput_sim": means["successes"],
+            "throughput_num": tp_num.mean(axis=0), "utility_num": ut_num.mean(axis=0),
+        }))
 
 
 def _cells(values: np.ndarray) -> list[str]:
@@ -214,19 +195,11 @@ def write_compare_csv(
     with _create(path) as handle:
         _write_rows(handle, [COMPARE_COLUMNS])
         for name, repset in repsets.items():
-            ut_mean = _at_true_load(
-                repset, lambda n, n_s: utility_of_load(n, n_s, config)
-            ).mean(axis=0)
-            means = repset.means
-            mean_columns = (
-                means["arrivals"], means["n_s_used"], means["contenders"],
-                means["true_load"], means["est_load"], means["successes"],
-                means["utility"], ut_mean, repset.ci95["utility"],
-            )
-            _write_rows(
-                handle,
-                zip(repeat(name), map(str, range(repset.n_frames)), *map(_cells, mean_columns)),
-            )
+            ut_num = _at_true_load(repset, lambda n, n_s: utility_of_load(n, n_s, config))
+            _write_rows(handle, _table_rows(_COMPARE_TABLE, {
+                **repset.means, "controller": name, "frame": np.arange(repset.n_frames),
+                "utility_num": ut_num.mean(axis=0), "ci95_utility_sim": repset.ci95["utility"],
+            }))
 
 
 # ---------------------------------------------------------------------------

@@ -187,8 +187,6 @@ def _parse_segments(value: str, lineno: int, source: str) -> LoadProfile:
         fields.append((start, end, r0, r1))
     if not fields:
         raise ScenarioError(f"{source}:{lineno}: load.segments is empty")
-    if fields[0][0] != 0:
-        raise ScenarioError(f"{source}:{lineno}: load.segments must start at frame 0")
     try:
         return LoadProfile(tuple(ProfileSegment(*f) for f in fields))
     except ValueError as exc:

@@ -94,22 +94,20 @@ class ProfileSegment:
 
 @dataclass(frozen=True)
 class LoadProfile:
-    """Piecewise-linear mean arrival rate, devices per frame."""
+    """Piecewise-linear mean arrival rate, devices per frame, over [0, end_frame)."""
 
     segments: tuple[ProfileSegment, ...]
 
     def __post_init__(self) -> None:
         if not self.segments:
             raise ValueError("profile needs at least one segment")
+        if (start := self.segments[0].start_frame) != 0:
+            raise ValueError(f"segments must start at frame 0, not {start}")
         for a, b in zip(self.segments, self.segments[1:]):
             if b.start_frame != a.end_frame:
                 raise ValueError(
                     f"segments must be contiguous: {a.end_frame} then {b.start_frame}"
                 )
-
-    @property
-    def start_frame(self) -> int:
-        return self.segments[0].start_frame
 
     @property
     def end_frame(self) -> int:
@@ -118,11 +116,11 @@ class LoadProfile:
     def rate_at(self, frame):
         """Rate at a frame, or at each frame of an integer array."""
         frames = np.asarray(frame)
-        outside = (frames < self.start_frame) | (frames >= self.end_frame)
+        outside = (frames < 0) | (frames >= self.end_frame)
         if outside.any():
             raise ValueError(
                 f"frame {frames[outside].flat[0]} outside profile span "
-                f"[{self.start_frame}, {self.end_frame})"
+                f"[0, {self.end_frame})"
             )
         rates = np.empty(frames.shape)
         for seg in self.segments:

@@ -1,7 +1,8 @@
 """The benchmark's tracer and layer timings against the current package.
 
 benchmarks/tracing.py replaces functions by the names in TRACE_POINTS, and
-benchmarks/micro.py builds TimeSeries from FrameOutcome rows. A renamed or
+benchmarks/micro.py builds TimeSeries from FrameOutcome rows and times
+DeviceState pools through contend, resolve_backoff and acb_gate. A renamed or
 removed name would otherwise show only in the benchmark's own slow smoke
 run, so both modules are loaded here by path and exercised on small inputs.
 """
@@ -69,4 +70,12 @@ def test_micro_baselines_run():
     micro = load("micro")
     out = micro.baselines(seed=1, calls=20)
     assert out["micro.aggregate_runs.ms_100x20"] > 0
+    assert all(value > 0 for value in out.values())
+
+
+def test_micro_pool_sweep_runs():
+    # the benchmark's only use of DeviceState, contend, resolve_backoff and acb_gate
+    micro = load("micro")
+    out = micro.pool_sweep(seed=1, devices_per_point=500)
+    assert len(out) == 12  # three adapters at four pool sizes
     assert all(value > 0 for value in out.values())

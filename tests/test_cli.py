@@ -251,6 +251,38 @@ def test_run_csv_matches_csv_writer(tmp_path, capsys, monkeypatch, controller):
     assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+def test_compare_csv_matches_csv_writer(tmp_path, capsys, monkeypatch):
+    # 20 frames: each controller's mean rows go out as 16 and 4
+    monkeypatch.setattr(rachsim.cli, "CSV_CHUNK_ROWS", 16)
+    stock = tmp_path / "stock.scn"
+    stock.write_text(format_scenario(default_scenario()))
+    names = ["adaptive", "fixed", "acb"]
+    assert main(["compare", "--scenario", str(stock), "--controllers", ",".join(names),
+                 "--seed", "2", "--reps", "3", "--out", str(tmp_path / "cmp.csv")]) == 0
+    scenario = parse_scenario(stock)
+    config = scenario.config
+    rows = [("controller", "frame", "arrivals", "n_s", "contenders", "true_load", "est_load",
+             "successes", "utility_sim", "utility_num", "ci95_utility_sim")]
+    for name in names:
+        repset = run_replications(scenario.with_controller(ControllerKind(name)), 3, 2)
+        assert repset.n_frames == 20
+        ut_num = np.mean(
+            [[utility_of_load(r.true_load, r.n_s_used, config) for r in run.rows]
+             for run in repset.runs],
+            axis=0,
+        )
+        means = repset.means
+        columns = [
+            means["arrivals"], means["n_s_used"], means["contenders"], means["true_load"],
+            means["est_load"], means["successes"], means["utility"], ut_num,
+            repset.ci95["utility"],
+        ]
+        for frame, values in enumerate(zip(*(column.tolist() for column in columns))):
+            rows.append((name, frame, *(None if v != v else v for v in values)))
+    _write_reference(tmp_path / "ref.csv", rows)
+    assert (tmp_path / "cmp.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 def test_table_alpha100_single_row(tmp_path, capsys):
     out = tmp_path / "t100.csv"
     main(["table", "--alpha", "100", "--out", str(out)])

@@ -75,6 +75,9 @@ def test_profile_validation():
             ProfileSegment(0, 5, 1.0, rate)
     with pytest.raises(ValueError):
         LoadProfile((ProfileSegment(0, 5, 1.0, 1.0), ProfileSegment(6, 10, 1.0, 1.0)))
+    # the profile owns this rule, so one built in Python is refused at once
+    with pytest.raises(ValueError, match="start at frame 0, not 5"):
+        LoadProfile((ProfileSegment(5, 10, 1.0, 1.0),))
 
 
 def test_arrivals_zero_rate():
