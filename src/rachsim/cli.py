@@ -198,7 +198,7 @@ def write_compare_csv(
             ut_num = _at_true_load(repset, lambda n, n_s: utility_of_load(n, n_s, config))
             _write_rows(handle, _table_rows(_COMPARE_TABLE, {
                 **repset.means, "controller": name, "frame": np.arange(repset.n_frames),
-                "utility_num": ut_num.mean(axis=0), "ci95_utility_sim": repset.ci95["utility"],
+                "utility_num": ut_num.mean(axis=0), "ci95_utility_sim": repset.ci95_utility,
             }))
 
 
@@ -302,17 +302,19 @@ def cmd_table(args) -> int:
         _write_rows(handle, [
             ("load_threshold", "n_s"), *((repr(t), str(n)) for t, n in table.entries)
         ])
+    thresholds = [t for t, _ in table.entries]
     with _create(sweep_path) as handle:
         handle.write("load,n_s\n")
         for loads in table.grid.blocks():
-            n_s = table.lookup_many(loads)
-            # n_s changes only at the thresholds, so each run of one n_s is
-            # written as its loads joined by the run's row ending
-            starts = [0, *(np.flatnonzero(np.diff(n_s)) + 1).tolist()]
+            # the thresholds are grid points, so a block's loads from one
+            # threshold up to the next are a run of that entry's n_s, written
+            # as its loads joined by the run's row ending
+            cuts = np.searchsorted(loads, thresholds).tolist()
             values = loads.tolist()
-            for start, end, k in zip(starts, [*starts[1:], len(values)], n_s[starts].tolist()):
-                suffix = f",{k}\n"
-                handle.write(suffix.join(map(repr, values[start:end])) + suffix)
+            for start, end, (_, k) in zip(cuts, [*cuts[1:], len(values)], table.entries):
+                if start < end:
+                    suffix = f",{k}\n"
+                    handle.write(suffix.join(map(repr, values[start:end])) + suffix)
     print(f"wrote {out} ({len(table.entries)} thresholds) and {sweep_path}")
     return 0
 

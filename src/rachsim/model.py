@@ -86,7 +86,8 @@ class RachConfig:
     alpha: float = 25.0
 
     def __post_init__(self) -> None:
-        check_range(self, "n_preambles", 1)
+        # so that every pair count n_s * n_preambles is an exact float
+        check_range(self, "n_preambles", 1, 2**53 // FRAME_SUBFRAMES)
         check_range(self, "n_s_min", 1, FRAME_SUBFRAMES)
         check_range(self, "n_s_max", 1, FRAME_SUBFRAMES)
         check_range(self, "alpha", 0.0, MAX_ALPHA)

@@ -132,11 +132,6 @@ class LookupTable:
         idx = bisect_right(self._thresholds, load) - 1
         return self.entries[max(idx, 0)][1]
 
-    def lookup_many(self, loads: np.ndarray) -> np.ndarray:
-        """lookup for every load of an array."""
-        idx = np.searchsorted(self._thresholds, loads, side="right") - 1
-        return np.array([n_s for _, n_s in self.entries])[np.maximum(idx, 0)]
-
 
 def stationary_alpha_limit(n_preambles: int) -> float:
     """Largest alpha for which an interior stationary maximum exists."""
@@ -231,8 +226,8 @@ def _block_argmax(loads: np.ndarray, config: RachConfig) -> np.ndarray:
     smaller count. Near ties go to the scalar argmax (see NEAR_TIE_RTOL).
     """
     counts = np.arange(config.n_s_min, config.n_s_max + 1)[:, None]
-    # a float product is the exact int one (as in model.throughput) up to
-    # 2^53, and cannot wrap around past 2^63 as an int64 one would
+    # RachConfig keeps n_s * n_preambles within 2^53, so this float product
+    # is exactly the int one model.throughput divides by
     capacity = counts * float(config.n_preambles)
     price = config.alpha * counts
     utilities = loads * np.exp(-loads / capacity) - price

@@ -52,7 +52,6 @@ __all__ = [
     "ControllerKind",
     "ControllerSpec",
     "Controller",
-    "FixedController",
     "AdaptiveController",
     "AcbController",
     "make_controller",
@@ -326,12 +325,12 @@ class ControllerSpec:
 
 
 class Controller:
-    """Policy mapping observed history to the next frame's subframe count."""
+    """The fixed policy: the next frame runs at n_s and admits the whole pool."""
 
     fallback = False
 
-    def next_n_s(self) -> int:
-        return self._n_s
+    def __init__(self, n_s: int):
+        self.n_s = n_s
 
     def admit(
         self, pool: np.ndarray, frame: int, rng: np.random.Generator
@@ -342,11 +341,6 @@ class Controller:
     def observe_counts(self, successes: int, idle: int, n_s: int) -> float | None:
         """Take one frame's counts and return the load estimate, if the controller makes one."""
         return None
-
-
-class FixedController(Controller):
-    def __init__(self, n_s: int):
-        self._n_s = n_s
 
 
 class AdaptiveController(Controller):
@@ -367,10 +361,10 @@ class AdaptiveController(Controller):
     """
 
     def __init__(self, config: RachConfig, window: int, table_max_load: float):
+        super().__init__(config.n_s_min)
         self._config = config
         self._history: deque[float] = deque(maxlen=window)
         self._table_max_load = table_max_load
-        self._n_s = config.n_s_min
         self._estimates: dict[tuple, float] = {}
         self._decisions: dict[float, int] = {}
 
@@ -384,7 +378,7 @@ class AdaptiveController(Controller):
                 raw = self._estimates[key] = estimate_load(successes, n_s, n_preambles, branch)
             except InconsistentObservationError:
                 self.fallback = True
-                self._n_s = self._config.n_s_max
+                self.n_s = self._config.n_s_max
                 return None
         self.fallback = False
         history = self._history
@@ -395,7 +389,7 @@ class AdaptiveController(Controller):
             n_s = self._decisions[smoothed] = decide_subframes(
                 smoothed, self._config, self._table_max_load
             ).n_s
-        self._n_s = n_s
+        self.n_s = n_s
         return smoothed
 
 
@@ -403,7 +397,7 @@ class AcbController(Controller):
     """Probabilistic barring in front of the default fixed allocation."""
 
     def __init__(self, config: RachConfig, p_barring: float, barring_window: int):
-        self._n_s = config.n_s_min
+        super().__init__(config.n_s_min)
         self._p = p_barring
         self._window = barring_window
 
@@ -414,9 +408,9 @@ class AcbController(Controller):
 
 def make_controller(spec: ControllerSpec, config: RachConfig) -> Controller:
     if spec.kind is ControllerKind.FIXED_DEFAULT:
-        return FixedController(config.n_s_min)
+        return Controller(config.n_s_min)
     if spec.kind is ControllerKind.FIXED_MAX:
-        return FixedController(config.n_s_max)
+        return Controller(config.n_s_max)
     if spec.kind is ControllerKind.ADAPTIVE:
         return AdaptiveController(config, spec.window, spec.table_max_load)
     if spec.kind is ControllerKind.ACB:
@@ -583,7 +577,7 @@ def run_scenario(scenario: Scenario, seed: int, replication_id: int = 0) -> Time
     records: list[tuple] = []  # per frame, the _RECORDED fields
 
     for frame, arrivals in enumerate(new_devices.tolist()):
-        n_s = controller.next_n_s()
+        n_s = controller.n_s
 
         if pending + arrivals > MAX_POOL:
             raise ValueError(
@@ -648,11 +642,11 @@ AGGREGATE_COLUMNS = FRAME_FIELDS[1:-1]
 
 @dataclass
 class ReplicationSet:
-    """Replication runs plus per-frame means and 95% confidence halfwidths."""
+    """Replication runs plus per-frame means and the utility's 95% confidence halfwidth."""
 
     runs: list[TimeSeries]
     means: dict[str, np.ndarray]
-    ci95: dict[str, np.ndarray]
+    ci95_utility: np.ndarray
 
     @property
     def n_frames(self) -> int:
@@ -664,7 +658,7 @@ class ReplicationSet:
 
 
 def aggregate_runs(runs: list[TimeSeries]) -> ReplicationSet:
-    """Per-frame mean and normal-approximation 95% CI over replications.
+    """Per-frame means, and the utility's normal-approximation 95% CI (zero for one run).
 
     est_load rows without an estimate are skipped; a frame with no valid
     estimate at all aggregates to NaN. Results depend only on the set of
@@ -676,22 +670,21 @@ def aggregate_runs(runs: list[TimeSeries]) -> ReplicationSet:
     if any(len(r) != n_frames for r in runs):
         raise ValueError("all runs must cover the same number of frames")
     runs = sorted(runs, key=lambda r: r.replication_id)
-    means: dict[str, np.ndarray] = {}
-    ci95: dict[str, np.ndarray] = {}
-    for col in AGGREGATE_COLUMNS:
-        data = np.array([run.columns[col] for run in runs], dtype=float)
-        valid = ~np.isnan(data)
-        n = valid.sum(axis=0)
-        filled = np.where(valid, data, 0.0)
-        mean = np.divide(filled.sum(axis=0), n, out=np.full(n_frames, np.nan), where=n > 0)
-        dev2 = np.where(valid, (data - np.where(np.isnan(mean), 0.0, mean)) ** 2, 0.0)
-        var = np.divide(
-            dev2.sum(axis=0), n - 1, out=np.zeros(n_frames), where=n > 1
-        )
-        ci = np.where(n > 1, 1.96 * np.sqrt(var) / np.sqrt(np.maximum(n, 1)), 0.0)
-        means[col] = mean
-        ci95[col] = ci
-    return ReplicationSet(runs=runs, means=means, ci95=ci95)
+    means = {
+        col: np.mean([run.columns[col] for run in runs], axis=0)
+        for col in AGGREGATE_COLUMNS if col != "est_load"
+    }
+    est_load = np.array([run.columns["est_load"] for run in runs])
+    counts = np.count_nonzero(~np.isnan(est_load), axis=0)
+    means["est_load"] = np.divide(
+        np.nansum(est_load, axis=0), counts, out=np.full(n_frames, np.nan), where=counts > 0
+    )
+    utility = np.array([run.columns["utility"] for run in runs])
+    ci95_utility = (
+        1.96 * utility.std(axis=0, ddof=1) / math.sqrt(len(runs)) if len(runs) > 1
+        else np.zeros(n_frames)
+    )
+    return ReplicationSet(runs=runs, means=means, ci95_utility=ci95_utility)
 
 
 def run_replications(

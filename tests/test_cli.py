@@ -275,7 +275,7 @@ def test_compare_csv_matches_csv_writer(tmp_path, capsys, monkeypatch):
         columns = [
             means["arrivals"], means["n_s_used"], means["contenders"], means["true_load"],
             means["est_load"], means["successes"], means["utility"], ut_num,
-            repset.ci95["utility"],
+            repset.ci95_utility,
         ]
         for frame, values in enumerate(zip(*(column.tolist() for column in columns))):
             rows.append((name, frame, *(None if v != v else v for v in values)))
@@ -494,6 +494,8 @@ def test_bad_channel_flag_is_named(tmp_path, capsys):
         for flags, named in (
             (["--ns-min", "9", "--ns-max", "3"], "--ns-min/--ns-max: "),
             (["--preambles", "0"], "--preambles: "),
+            # a count past 2**53 // 10 used to exit 3 with a float conversion error
+            (["--preambles", "1" + "0" * 400], "--preambles: "),
         ):
             assert main(command + ["--alpha", "5", *flags]) == 2
             assert capsys.readouterr().err.startswith(f"error: {named}")

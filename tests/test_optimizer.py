@@ -214,8 +214,6 @@ def assert_table_is_scalar_sweep(config, step, max_load, points):
         if i == 0 or n_s != expected[i - 1]
     ]
     assert table.entries == tuple(changes)
-    swept = np.concatenate([table.lookup_many(b) for b in table.grid.blocks()])
-    assert swept.tolist() == expected
     assert [table.lookup(load) for load in loads] == expected
 
 
@@ -253,12 +251,6 @@ def test_grid_blocks_are_the_grid_bit_for_bit():
     assert np.concatenate(blocks).tolist() == list(grid)
 
 
-def test_lookup_many_is_lookup():
-    table = LookupTable(entries=((0.0, 2), (3.5, 4), (9.0, 8)))
-    loads = np.array([-1.0, 0.0, 1.0, 3.4999, 3.5, 8.0, 9.0, 1e9])
-    assert table.lookup_many(loads).tolist() == [table.lookup(x) for x in loads]
-
-
 def test_table_sweep_file_is_table_lookup(tmp_path, capsys):
     out = tmp_path / "t.csv"
     assert main(["table", "--alpha", "25", "--step", "0.37", "--out", str(out)]) == 0
@@ -268,6 +260,37 @@ def test_table_sweep_file_is_table_lookup(tmp_path, capsys):
     assert [float(load) for load, _ in rows] == list(table.grid)
     assert [int(n_s) for _, n_s in rows] == [table.lookup(float(load)) for load, _ in rows]
     assert [int(n_s) for _, n_s in rows] == scalar_sweep(ALPHA25, table.grid)
+
+
+@pytest.mark.parametrize("config,step,max_load,on_first_point", [
+    # one change at the second point, then blocks without a threshold
+    (RachConfig(alpha=0.0), 1.0, 100.0, False),
+    # thresholds on the first point of a block and three in the next block
+    (ALPHA2, 2.0, 700.0, True),
+    # every count from 1 to 10, a threshold on the first point of block 1
+    (RachConfig(alpha=10.0, n_s_min=1, n_s_max=10), 3.0, 700.0, True),
+])
+def test_sweep_file_across_blocks_is_table_lookup(
+    tmp_path, capsys, monkeypatch, config, step, max_load, on_first_point
+):
+    # blocks of 16 points, so a block holds no, one or several thresholds;
+    # an empty stretch between two thresholds must write no row
+    monkeypatch.setattr(rachsim.optimizer, "SWEEP_BLOCK", 16)
+    table = subframe_lookup_table(config, step, max_load)
+    cuts = [round(t / step) for t, _ in table.entries[1:]]
+    assert any(i % 16 == 0 for i in cuts) == on_first_point
+    assert len({i // 16 for i in cuts}) < -(-table.grid.points // 16)
+    out = tmp_path / "t.csv"
+    assert main([
+        "table", "--alpha", repr(config.alpha), "--ns-min", str(config.n_s_min),
+        "--ns-max", str(config.n_s_max), "--step", repr(step), "--max-load", repr(max_load),
+        "--out", str(out),
+    ]) == 0
+    lines = (tmp_path / "t_sweep.csv").read_text().splitlines()
+    assert lines[0] == "load,n_s"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [float(load) for load, _ in rows] == list(table.grid)
+    assert [int(n_s) for _, n_s in rows] == [table.lookup(load) for load in table.grid]
 
 
 def spy_on_scalar_argmax(monkeypatch):

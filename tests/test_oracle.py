@@ -48,7 +48,7 @@ def reference_run(scenario, seed):
     rows = []
     next_id = 0
     for frame in range(scenario.frames):
-        n_s = controller.next_n_s()
+        n_s = controller.n_s
         arrivals = int(arrival_rng.poisson(scenario.profile.rate_at(frame)))
         pool = waiting.pop(frame, []) + [DeviceState(id=next_id + k) for k in range(arrivals)]
         next_id += arrivals

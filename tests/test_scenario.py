@@ -226,7 +226,12 @@ def test_pair_bound_names_both_keys_and_product():
 @pytest.mark.parametrize(
     "section, key, not_a_number, out_of_range",
     [
-        ("channel", "preambles", "must be an integer, got 'x'", "must be >= 1, got 0"),
+        (
+            "channel",
+            "preambles",
+            "must be an integer, got 'x'",
+            "must be in [1, 900719925474099], got 0",
+        ),
         ("channel", "ns_min", "must be an integer, got 'x'", "must be in [1, 10], got 11"),
         ("channel", "ns_max", "must be an integer, got 'x'", "must be in [1, 10], got 0"),
         ("channel", "alpha", "must be a number, got 'x'", "must be in [0.0, 1e+100], got -1.0"),

@@ -15,7 +15,7 @@ TEXT = "[load]\nsegments = 0:5:1:1\n\n[{}]\n{} = {}\n"
 
 # values out of each key's range, below and above it where it has both ends
 OUT_OF_RANGE = {
-    ("channel", "preambles"): ["0", "-5"],
+    ("channel", "preambles"): ["0", "-5", str(2**53 // 10 + 1), "1" + "0" * 400],
     ("channel", "ns_min"): ["0", "11"],
     ("channel", "ns_max"): ["0", "11"],
     ("channel", "alpha"): ["-1", "1e101", "inf", "nan"],

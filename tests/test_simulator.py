@@ -2,6 +2,7 @@
 
 import math
 import re
+import statistics
 from dataclasses import replace
 from pathlib import Path
 
@@ -386,7 +387,7 @@ def test_adaptive_fallback_pins_maximum():
     est = controller.observe_counts(*INCONSISTENT)
     assert est is None
     assert controller.fallback
-    assert controller.next_n_s() == 8
+    assert controller.n_s == 8
     # a sane observation afterwards recovers
     est = controller.observe_counts(successes=30, idle=477, n_s=8)
     assert est is not None
@@ -442,7 +443,7 @@ def test_adaptive_memo_matches_direct_calls(window, monkeypatch):
     controller = AdaptiveController(cfg, window, 700.0)
     got = []
     for seen, obs in enumerate(observations, 1):
-        got.append((controller.observe_counts(*obs), controller.next_n_s()))
+        got.append((controller.observe_counts(*obs), controller.n_s))
         assert len(controller._estimates) <= seen
         assert len(controller._decisions) <= seen
     assert got == expected
@@ -470,10 +471,10 @@ def test_adaptive_memo_never_keeps_an_inconsistent_observation():
     for _ in range(2):
         assert controller.observe_counts(*INCONSISTENT) is None
         assert controller.fallback
-        assert controller.next_n_s() == cfg.n_s_max
+        assert controller.n_s == cfg.n_s_max
         assert controller.observe_counts(*sane) is not None
         assert not controller.fallback
-        assert controller.next_n_s() == cfg.n_s_min
+        assert controller.n_s == cfg.n_s_min
     assert list(controller._estimates) == [(30, 2, classify_load_branch(93, 128))]
 
 
@@ -633,7 +634,17 @@ def test_run_replications_single_equals_run():
     single = run_scenario(scenario, 9, replication_id=0)
     assert repset.runs[0].rows == single.rows
     assert repset.means["utility"].tolist() == [row.utility for row in single.rows]
-    assert all(v == 0.0 for v in repset.ci95["utility"])
+    assert all(v == 0.0 for v in repset.ci95_utility)
+
+
+def test_ci95_utility_is_the_normal_halfwidth_of_each_frame():
+    repset = run_replications(default_scenario("adaptive"), 5, base_seed=3)
+    n = len(repset.runs)
+    columns = zip(*(run.columns["utility"].tolist() for run in repset.runs))
+    expected = [1.96 * statistics.stdev(column) / math.sqrt(n) for column in columns]
+    got = repset.ci95_utility.tolist()
+    assert len(got) == repset.n_frames and any(ci > 0 for ci in got)
+    assert all(math.isclose(a, b, rel_tol=1e-12) for a, b in zip(got, expected))
 
 
 def test_run_replications_deterministic():
