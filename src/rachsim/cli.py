@@ -19,11 +19,12 @@ byte-identical file. Exit codes: 0 ok, 2 argument or scenario problems,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
 from dataclasses import dataclass
-from itertools import combinations, islice, repeat
+from itertools import combinations, islice, repeat, starmap
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
@@ -103,10 +104,8 @@ def write_run_csv(
     path: Path, repset: ReplicationSet, controller_name: str, config: RachConfig
 ) -> None:
     """Per-replication rows followed by per-frame mean rows."""
-    n_p = config.n_preambles
-    tp_num = _at_true_load(repset, lambda n, n_s: throughput(n, n_s, n_p))
-    # utility_of_load's own last step, eta - alpha * n_s, on the same floats
-    ut_num = tp_num - config.alpha * repset.column("n_s_used")
+    tp_num = _at_true_load(repset, lambda n, n_s: throughput(n, n_s, config.n_preambles))
+    ut_num = _at_true_load(repset, lambda n, n_s: utility_of_load(n, n_s, config))
     with _create(path) as handle:
         _write_rows(handle, [RUN_COLUMNS])
         for run, run_tp, run_ut in zip(repset.runs, tp_num, ut_num):
@@ -127,10 +126,10 @@ def write_run_csv(
 def _cells(values: np.ndarray) -> list[str]:
     """Cell text of each value: str of an int, repr of a float, "" for NaN.
 
-    These are the texts csv wrote for an int, a float and None. Each
-    distinct value is formatted once; the columns repeat values a lot.
-    Floats are told apart by bit pattern, so NaN is one value and -0.0
-    another than 0.0.
+    A float's repr is its shortest round-trip decimal, and an empty cell is
+    a missing value (a frame without a load estimate). Each distinct value
+    is formatted once; the columns repeat values a lot. Floats are told
+    apart by bit pattern, so NaN is one value and -0.0 another than 0.0.
     """
     items = values.tolist()
     keys = values.view(np.int64).tolist() if values.dtype == np.float64 else items
@@ -145,9 +144,8 @@ def _at_true_load(repset: ReplicationSet, model) -> np.ndarray:
     recur, and each result is the scalar model's own float.
     """
     true_load = repset.column("true_load")
-    keys = list(zip(true_load.ravel().tolist(), repset.column("n_s_used").ravel().tolist()))
-    values = {key: model(*key) for key in dict.fromkeys(keys)}
-    return np.array(list(map(values.__getitem__, keys))).reshape(true_load.shape)
+    pairs = zip(true_load.ravel().tolist(), repset.column("n_s_used").ravel().tolist())
+    return np.array(list(starmap(functools.cache(model), pairs))).reshape(true_load.shape)
 
 
 @dataclass

@@ -65,8 +65,8 @@ def estimate_load(eta_obs: float, n_s: int, n_preambles: int, branch: LoadBranch
     InconsistentObservationError. eta_obs = 0 yields 0 on the light branch
     and the load cap 4 * pairs on the heavy branch.
     """
-    if eta_obs < 0:
-        raise ValueError(f"eta_obs must be >= 0, got {eta_obs}")
+    if not 0 <= eta_obs < math.inf:
+        raise ValueError(f"eta_obs must be finite and >= 0, got {eta_obs}")
     if n_s < 1 or n_preambles < 1:
         raise ValueError("n_s and n_preambles must be >= 1")
     pairs = n_s * n_preambles

@@ -105,8 +105,8 @@ def throughput(n_devices: float, n_s: int, n_preambles: int) -> float:
         raise ValueError(f"n_s must be >= 1, got {n_s}")
     if n_preambles < 1:
         raise ValueError(f"n_preambles must be >= 1, got {n_preambles}")
-    if n_devices < 0:
-        raise ValueError(f"n_devices must be >= 0, got {n_devices}")
+    if not 0 <= n_devices < math.inf:
+        raise ValueError(f"n_devices must be finite and >= 0, got {n_devices}")
     return n_devices * math.exp(-n_devices / (n_s * n_preambles))
 
 
@@ -130,10 +130,10 @@ def utility_gradient(n_devices: float, n_s: float, config: RachConfig) -> float:
     bounded by n_preambles * 4 * exp(-2), so for alpha above that the
     returned value is positive for every load.
     """
-    if n_s <= 0:
-        raise ValueError(f"n_s must be > 0, got {n_s}")
-    if n_devices < 0:
-        raise ValueError(f"n_devices must be >= 0, got {n_devices}")
+    if not 0 < n_s < math.inf:
+        raise ValueError(f"n_s must be finite and > 0, got {n_s}")
+    if not 0 <= n_devices < math.inf:
+        raise ValueError(f"n_devices must be finite and >= 0, got {n_devices}")
     n_p = config.n_preambles
     collision_term = (n_devices**2 / (n_p * n_s**2)) * math.exp(
         -n_devices / (n_s * n_p)

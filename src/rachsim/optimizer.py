@@ -129,6 +129,8 @@ class LookupTable:
         object.__setattr__(self, "_thresholds", thresholds)
 
     def lookup(self, load: float) -> int:
+        if math.isnan(load):
+            raise ValueError("load must not be NaN")
         idx = bisect_right(self._thresholds, load) - 1
         return self.entries[max(idx, 0)][1]
 
@@ -155,6 +157,8 @@ def optimal_subframes_integer(load: float, config: RachConfig) -> SubframeDecisi
     Ties break toward the smaller count, freeing subframes for data when
     utility is indifferent.
     """
+    if not 0 <= load < math.inf:
+        raise ValueError(f"load must be finite and >= 0, got {load}")
     return _argmax(load, config, config.subframe_range)
 
 
@@ -165,8 +169,8 @@ def optimal_subframes_closed_form(load: float, config: RachConfig) -> float | No
     falls below -1/e and no interior stationary maximum exists, so callers
     must fall back to comparing the range boundaries.
     """
-    if load <= 0:
-        raise ValueError(f"load must be > 0, got {load}")
+    if not 0 < load < math.inf:
+        raise ValueError(f"load must be finite and > 0, got {load}")
     if config.alpha <= 0:
         raise ValueError(f"alpha must be > 0, got {config.alpha}")
     arg = -math.sqrt(config.alpha / config.n_preambles) / 2.0
@@ -206,8 +210,8 @@ def decide_subframes(
     to n_s_min as throughput collapses; the controller's job out there is
     congestion relief, not marginal utility.
     """
-    if load < 0:
-        raise ValueError(f"load must be >= 0, got {load}")
+    if not 0 <= load < math.inf:
+        raise ValueError(f"load must be finite and >= 0, got {load}")
     if load > table_max_load:
         n_s = config.n_s_max
         return SubframeDecision(

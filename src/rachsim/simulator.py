@@ -29,6 +29,7 @@ records are columns, one array per FrameOutcome field, checked once per run.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass, fields, replace
@@ -121,11 +122,13 @@ class LoadProfile:
                 f"frame {frames[outside].flat[0]} outside profile span "
                 f"[0, {self.end_frame})"
             )
-        rates = np.empty(frames.shape)
-        for seg in self.segments:
-            inside = (seg.start_frame <= frames) & (frames < seg.end_frame)
-            frac = (frames[inside] - seg.start_frame) / (seg.end_frame - seg.start_frame)
-            rates[inside] = seg.rate_start + (seg.rate_end - seg.rate_start) * frac
+        table = np.array(
+            [(s.start_frame, s.end_frame, s.rate_start, s.rate_end) for s in self.segments],
+            dtype=float,
+        )
+        # each frame's segment is the last one that starts at or before it
+        start, end, r0, r1 = table.T[:, np.searchsorted(table[:, 0], frames, side="right") - 1]
+        rates = r0 + (r1 - r0) * ((frames - start) / (end - start))
         return rates if frames.ndim else float(rates)
 
 
@@ -150,8 +153,10 @@ def generate_arrivals(
 # delay out of n values is floor(u * n), u uniform in [0, 1): total-variation
 # bias < n * 2**-53.
 
-# Bound on the devices one frame may hold (pending plus new arrivals); a
-# finite but huge arrival rate fails here instead of exhausting memory.
+# Bound on the devices one frame may hold (pending plus new arrivals). A run
+# whose mean arrival rate exceeds it at some frame is refused before any
+# draw, and a pool that outgrows it fails at its frame, so a finite but huge
+# rate neither exhausts memory nor reaches numpy's Poisson limit.
 MAX_POOL = 10_000_000
 MAX_PAIRS = 1_000_000  # bound on n_s_max x n_preambles; a frame counts picks per pair
 # Bound on the backoff, barring and estimate smoothing windows: due frames
@@ -353,43 +358,39 @@ class AdaptiveController(Controller):
     at n_s_max.
 
     Both steps are pure functions of small keys that recur from frame to
-    frame, so each controller remembers its results: estimates by
+    frame, so each controller caches their results: estimates by
     (successes, n_s, branch), decisions by the smoothed load. The counts
-    themselves are checked by run_scenario's whole-run check. The memos
+    themselves are checked by run_scenario's whole-run check. The caches
     live as long as the controller, one run, so they hold at most one entry
-    per frame; an inconsistent observation is never remembered.
+    per frame; an inconsistent observation raises and is never cached. A
+    miss looks up estimate_load or decide_subframes in this module when it
+    runs, so a wrapper set on either name sees every miss.
     """
 
     def __init__(self, config: RachConfig, window: int, table_max_load: float):
         super().__init__(config.n_s_min)
         self._config = config
         self._history: deque[float] = deque(maxlen=window)
-        self._table_max_load = table_max_load
-        self._estimates: dict[tuple, float] = {}
-        self._decisions: dict[float, int] = {}
+        self._estimate = functools.cache(
+            lambda eta, n_s, branch: estimate_load(eta, n_s, config.n_preambles, branch)
+        )
+        self._decide = functools.cache(
+            lambda smoothed: decide_subframes(smoothed, config, table_max_load).n_s
+        )
 
     def observe_counts(self, successes, idle, n_s):
-        n_preambles = self._config.n_preambles
-        branch = classify_load_branch(idle, n_s * n_preambles)
-        key = (successes, n_s, branch)
-        raw = self._estimates.get(key)
-        if raw is None:
-            try:
-                raw = self._estimates[key] = estimate_load(successes, n_s, n_preambles, branch)
-            except InconsistentObservationError:
-                self.fallback = True
-                self.n_s = self._config.n_s_max
-                return None
+        branch = classify_load_branch(idle, n_s * self._config.n_preambles)
+        try:
+            raw = self._estimate(successes, n_s, branch)
+        except InconsistentObservationError:
+            self.fallback = True
+            self.n_s = self._config.n_s_max
+            return None
         self.fallback = False
         history = self._history
         history.append(raw)
         smoothed = sum(history) / len(history)
-        n_s = self._decisions.get(smoothed)
-        if n_s is None:
-            n_s = self._decisions[smoothed] = decide_subframes(
-                smoothed, self._config, self._table_max_load
-            ).n_s
-        self.n_s = n_s
+        self.n_s = self._decide(smoothed)
         return smoothed
 
 
@@ -570,6 +571,13 @@ def run_scenario(scenario: Scenario, seed: int, replication_id: int = 0) -> Time
     arrival_rng = np.random.default_rng(arrival_seq)
     event_rng = np.random.default_rng(event_seq)
     frames = np.arange(scenario.frames)
+    rates = scenario.profile.rate_at(frames)
+    over = np.flatnonzero(rates > MAX_POOL)
+    if len(over):
+        k = over[0]
+        raise ValueError(
+            f"frame {k}: mean arrival rate {rates[k]} exceeds the pool bound of {MAX_POOL}"
+        )
     new_devices = generate_arrivals(scenario.profile, frames, arrival_rng)
 
     due = attempts = _NO_DEVICES

@@ -25,7 +25,7 @@ from rachsim.cli import (
 )
 from rachsim.model import RachConfig, throughput, utility_of_load
 from rachsim.optimizer import subframe_lookup_table
-from rachsim.simulator import MAX_POOL, ControllerKind, run_replications
+from rachsim.simulator import MAX_POOL, ControllerKind, ReplicationSet, run_replications
 from rachsim.scenario import default_scenario, format_scenario, parse_scenario
 
 TM2 = Path(__file__).resolve().parents[1] / "benchmarks" / "scenarios" / "tm2_beta.scn"
@@ -141,6 +141,11 @@ def test_run_missing_scenario_exit_code(tmp_path, capsys):
     rc = main(["run", "--scenario", str(tmp_path / "nope.scn"),
                "--out", str(tmp_path / "o.csv")])
     assert rc == 2
+    # a directory is no scenario file either
+    capsys.readouterr()
+    rc = main(["run", "--scenario", str(tmp_path), "--out", str(tmp_path / "o.csv")])
+    assert rc == 2
+    assert f"error: cannot read scenario file {tmp_path}: " in capsys.readouterr().err
     # a scenario with a non-finite value is a scenario error as well
     for text in ("[channel]\nalpha = inf\n" + SMALL, "[load]\nsegments = 0:5:nan:1\n"):
         bad = tmp_path / "bad.scn"
@@ -352,6 +357,18 @@ def test_build_report_win_fraction_semantics():
     assert alone.win_fraction == {("adaptive", "adaptive"): 1.0}
 
 
+def test_build_report_against_a_zero_utility_base():
+    # a base whose aggregate utility is exactly 0 gives an infinite improvement
+    repsets = {
+        name: ReplicationSet(runs=[], means={"utility": np.array(u)}, ci95_utility=np.zeros(2))
+        for name, u in (("zero", [1.5, -1.5]), ("up", [2.0, 1.0]), ("down", [-2.0, 0.5]))
+    }
+    improvement = build_report(repsets).improvement_pct
+    assert improvement[("up", "zero")] == math.inf
+    assert improvement[("down", "zero")] == -math.inf
+    assert improvement[("zero", "up")] == -100.0
+
+
 def test_bad_arguments_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--scenario"])
@@ -382,6 +399,19 @@ def test_run_huge_rate_fails_before_allocating(tmp_path, capsys):
     assert rc == 3
     err = capsys.readouterr().err
     assert "frame 1:" in err and f"pool bound of {MAX_POOL}" in err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_run_rate_beyond_the_poisson_range_names_the_frame(tmp_path, capsys):
+    # numpy's Poisson draw refuses this rate with its own unlabelled error
+    scn = tmp_path / "huge.scn"
+    scn.write_text("[load]\nsegments = 0:5:1e308:1e308\n")
+    rc = main(["run", "--scenario", str(scn), "--reps", "1",
+               "--out", str(tmp_path / "o.csv")])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        f"error: frame 0: mean arrival rate 1e+308 exceeds the pool bound of {MAX_POOL}\n"
+    )
     assert not (tmp_path / "o.csv").exists()
 
 

@@ -68,6 +68,12 @@ def test_estimate_zero_successes():
     assert estimate_load(0.0, 2, 64, LoadBranch.HEAVY) == 512.0
 
 
+@pytest.mark.parametrize("n_s, n_preambles", [(0, 64), (2, 0), (-1, 64)])
+def test_estimate_refuses_an_empty_channel(n_s, n_preambles):
+    with pytest.raises(ValueError, match="n_s and n_preambles must be >= 1"):
+        estimate_load(1.0, n_s, n_preambles, LoadBranch.LIGHT)
+
+
 def test_estimate_branch_point():
     eta = 128 / math.e
     assert estimate_load(eta, 2, 64, LoadBranch.LIGHT) == pytest.approx(128.0, rel=1e-12)

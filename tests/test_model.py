@@ -13,7 +13,14 @@ from rachsim.model import (
     utility_gradient,
     utility_of_load,
 )
-from rachsim.optimizer import optimal_subframes_closed_form, stationary_alpha_limit
+from rachsim.estimator import LoadBranch, estimate_load
+from rachsim.optimizer import (
+    LookupTable,
+    decide_subframes,
+    optimal_subframes_closed_form,
+    optimal_subframes_integer,
+    stationary_alpha_limit,
+)
 
 
 def test_throughput_zero_load():
@@ -170,3 +177,35 @@ def test_alpha_bound():
     for alpha in (1e101, 1e308):
         with pytest.raises(ValueError, match=r"^alpha must be in \[0\.0, 1e\+100\], got"):
             RachConfig(alpha=alpha)
+
+
+# Each library entry point that takes a load, as (call, name of the load argument).
+LOAD_ENTRY_POINTS = {
+    "throughput": (lambda x: throughput(x, 2, 64), "n_devices"),
+    "utility_of_load": (lambda x: utility_of_load(x, 2, RachConfig()), "n_devices"),
+    "utility_gradient": (lambda x: utility_gradient(x, 2.0, RachConfig()), "n_devices"),
+    "utility_gradient_n_s": (lambda x: utility_gradient(10.0, x, RachConfig()), "n_s"),
+    "decide_subframes": (lambda x: decide_subframes(x, RachConfig()), "load"),
+    "optimal_subframes_integer": (lambda x: optimal_subframes_integer(x, RachConfig()), "load"),
+    "optimal_subframes_closed_form": (
+        lambda x: optimal_subframes_closed_form(x, RachConfig()), "load"
+    ),
+    "estimate_load": (lambda x: estimate_load(x, 2, 64, LoadBranch.LIGHT), "eta_obs"),
+}
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("name", LOAD_ENTRY_POINTS)
+def test_entry_points_refuse_nan_inf_and_negative_loads(name, x):
+    call, argument = LOAD_ENTRY_POINTS[name]
+    with pytest.raises(ValueError, match=rf"^{argument} must be finite and "):
+        call(x)
+
+
+def test_lookup_refuses_only_nan():
+    table = LookupTable(entries=((0.0, 2), (100.0, 5)))
+    with pytest.raises(ValueError, match="load must not be NaN"):
+        table.lookup(math.nan)
+    # a load outside the thresholds takes the nearest end's entry
+    assert table.lookup(-1.0) == 2
+    assert table.lookup(math.inf) == 5

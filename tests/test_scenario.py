@@ -104,6 +104,9 @@ def test_bad_segments():
         parse_scenario_text("[load]\nsegments = 5:10:1:1\n")
     with pytest.raises(ScenarioError, match="contiguous"):
         parse_scenario_text("[load]\nsegments = 0:5:1:1, 6:10:1:1\n")
+    for value in ("", " , ,"):
+        with pytest.raises(ScenarioError, match=":2: load.segments is empty"):
+            parse_scenario_text(f"[load]\nsegments ={value}\n")
     for rate in ("nan", "inf"):
         with pytest.raises(ScenarioError, match=r":2: load.segments: .*finite"):
             parse_scenario_text(f"[load]\nsegments = 0:5:{rate}:1\n")
@@ -119,6 +122,8 @@ def test_comments_and_blanks_ignored():
     text = "# top comment\n\n[load]\nsegments = 0:5:1:1  # inline\n"
     s = parse_scenario_text(text)
     assert s.frames == 5
+    # an empty entry, as after a trailing comma, is skipped
+    assert parse_scenario_text("[load]\nsegments = 0:5:1:1, 5:6:1:0,\n").frames == 6
 
 
 def test_round_trip_is_idempotent():

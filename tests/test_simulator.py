@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rachsim.simulator
 from rachsim.estimator import InconsistentObservationError, classify_load_branch, estimate_load
@@ -32,6 +34,7 @@ from rachsim.simulator import (
     aggregate_runs,
     contend,
     generate_arrivals,
+    make_controller,
     resolve_backoff,
     run_replications,
     run_scenario,
@@ -60,6 +63,29 @@ def test_profile_interpolation():
     assert TRIANGLE.rate_at(10) == 600.0
     assert TRIANGLE.rate_at(15) == 300.0
     assert TRIANGLE.rate_at(19) == 60.0
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(1, 60), st.floats(0.0, 1e12), st.floats(0.0, 1e12)),
+        min_size=1, max_size=6,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_profile_rates_are_each_segments_ramp(ramps):
+    segments, start = [], 0
+    for length, r0, r1 in ramps:
+        segments.append(ProfileSegment(start, start + length, r0, r1))
+        start += length
+    profile = LoadProfile(tuple(segments))
+    # the ramp of the frame's own segment, one frame at a time in plain floats
+    expected = [
+        seg.rate_start + (seg.rate_end - seg.rate_start)
+        * ((f - seg.start_frame) / (seg.end_frame - seg.start_frame))
+        for seg in segments for f in range(seg.start_frame, seg.end_frame)
+    ]
+    assert profile.rate_at(np.arange(start)).tolist() == expected
+    assert [profile.rate_at(f) for f in range(start)] == expected
 
 
 def test_profile_validation():
@@ -422,50 +448,55 @@ def direct_decisions(observations, config, window):
     return decisions
 
 
+def record_misses(monkeypatch, *names):
+    """Route the named rachsim.simulator functions through a recorder; {name: [args]}."""
+    misses = {name: [] for name in names}
+    for name in names:
+        fn = getattr(rachsim.simulator, name)
+
+        def call(*args, fn=fn, calls=misses[name]):
+            calls.append(args)
+            return fn(*args)
+
+        monkeypatch.setattr(rachsim.simulator, name, call)
+    return misses
+
+
 @pytest.mark.parametrize("window", [1, 3])
 def test_adaptive_memo_matches_direct_calls(window, monkeypatch):
     cfg = RachConfig()
     observations = recorded_observations()
     expected = direct_decisions(observations, cfg, window)
-    calls = {"estimate_load": 0, "decide_subframes": 0}
-
-    def counted(name):
-        fn = getattr(rachsim.simulator, name)
-
-        def call(*args):
-            calls[name] += 1
-            return fn(*args)
-
-        return call
-
-    for name in calls:
-        monkeypatch.setattr(rachsim.simulator, name, counted(name))
-    controller = AdaptiveController(cfg, window, 700.0)
-    got = []
-    for seen, obs in enumerate(observations, 1):
-        got.append((controller.observe_counts(*obs), controller.n_s))
-        assert len(controller._estimates) <= seen
-        assert len(controller._decisions) <= seen
-    assert got == expected
-    # one entry per distinct consistent observation and smoothed load
-    assert set(controller._estimates) == {
-        (successes, n_s, classify_load_branch(idle, n_s * 64))
-        for (successes, idle, n_s), (est, _) in zip(observations, expected)
-        if est is not None
-    }
-    assert set(controller._decisions) == {est for est, _ in expected if est is not None}
-    # misses go through the module-level names, inconsistent ones every time
     inconsistent = sum(est is None for est, _ in expected)
     assert inconsistent >= 2
-    assert calls["estimate_load"] == len(controller._estimates) + inconsistent
-    assert calls["decide_subframes"] == len(controller._decisions)
-    assert calls["estimate_load"] < len(observations) / 2
+    # the misses in order: each consistent observation and each smoothed load
+    # the first time it occurs, and every inconsistent observation again
+    estimates, known = [], set()
+    for (successes, idle, n_s), (est, _) in zip(observations, expected):
+        args = (successes, n_s, 64, classify_load_branch(idle, n_s * 64))
+        if args not in known:
+            estimates.append(args)
+        if est is not None:
+            known.add(args)
+    loads = dict.fromkeys(est for est, _ in expected if est is not None)
+    decisions = [(load, cfg, 700.0) for load in loads]
+    assert len(estimates) < len(observations) / 2
     if window == 1:
-        assert calls["decide_subframes"] < len(observations) / 2
+        assert len(decisions) < len(observations) / 2
+
+    misses = record_misses(monkeypatch, "estimate_load", "decide_subframes")
+    for _ in range(2):  # a new controller starts with empty caches
+        controller = AdaptiveController(cfg, window, 700.0)
+        got = [(controller.observe_counts(*obs), controller.n_s) for obs in observations]
+        assert got == expected
+        assert misses == {"estimate_load": estimates, "decide_subframes": decisions}
+        for calls in misses.values():
+            calls.clear()
 
 
-def test_adaptive_memo_never_keeps_an_inconsistent_observation():
+def test_adaptive_memo_never_keeps_an_inconsistent_observation(monkeypatch):
     cfg = RachConfig()
+    misses = record_misses(monkeypatch, "estimate_load")["estimate_load"]
     controller = AdaptiveController(cfg, 1, 700.0)
     sane = (30, 93, 2)
     for _ in range(2):
@@ -475,7 +506,8 @@ def test_adaptive_memo_never_keeps_an_inconsistent_observation():
         assert controller.observe_counts(*sane) is not None
         assert not controller.fallback
         assert controller.n_s == cfg.n_s_min
-    assert list(controller._estimates) == [(30, 2, classify_load_branch(93, 128))]
+    bad = (70, 2, 64, classify_load_branch(28, 128))
+    assert misses == [bad, (30, 2, 64, classify_load_branch(93, 128)), bad]
 
 
 def test_common_random_numbers_share_arrivals():
@@ -659,6 +691,18 @@ def test_aggregate_est_load_skips_missing():
     scenario = default_scenario("fixed")
     repset = run_replications(scenario, 2, base_seed=1)
     assert all(math.isnan(v) for v in repset.means["est_load"])
+
+
+def test_empty_replications_rejected():
+    with pytest.raises(ValueError, match="need at least one run"):
+        aggregate_runs([])
+    with pytest.raises(ValueError, match="n_reps must be >= 1, got 0"):
+        run_replications(default_scenario("fixed"), 0)
+
+
+def test_unknown_controller_kind_rejected():
+    with pytest.raises(ValueError, match="unknown controller kind 'pid'"):
+        make_controller(ControllerSpec(kind="pid"), RachConfig())
 
 
 def test_aggregate_mixed_lengths_rejected():
