@@ -204,7 +204,7 @@ def write_compare_csv(
 # Commands
 
 
-def _check_frame_rows(scenario: Scenario, reps: int, controllers: int = 1) -> None:
+def _check_frame_rows(scenario: Scenario, reps: int, controllers: int) -> None:
     rows = scenario.frames * reps * controllers
     if rows > MAX_FRAME_ROWS:
         raise ScenarioError(
@@ -228,14 +228,19 @@ def _refuse_same_file(paths: dict[str, Path]) -> None:
             raise ScenarioError(f"{flag} and {other_flag} name the same file, {path}")
 
 
-def cmd_run(args) -> int:
+def _simulate(args, names: list[str]) -> tuple[Scenario, dict[str, ReplicationSet]]:
+    """--reps runs of --scenario per distinct controller name; no name runs its own."""
     _refuse_same_file({"--scenario": Path(args.scenario), "--out": Path(args.out)})
     scenario = parse_scenario(args.scenario)
-    if args.controller:
-        scenario = scenario.with_controller(ControllerKind(args.controller))
-    _check_frame_rows(scenario, args.reps)
-    repset = run_replications(scenario, args.reps, args.seed)
-    name = scenario.controller.kind.value
+    variants = [scenario.with_controller(ControllerKind(n)) for n in names] or [scenario]
+    _check_frame_rows(scenario, args.reps, len(variants))
+    runs = {v.controller.kind.value: run_replications(v, args.reps, args.seed) for v in variants}
+    return scenario, runs
+
+
+def cmd_run(args) -> int:
+    scenario, repsets = _simulate(args, [args.controller] if args.controller else [])
+    [(name, repset)] = repsets.items()
     write_run_csv(Path(args.out), repset, name, scenario.config)
     print(f"wrote {args.out}: {len(repset.runs)} replications x {repset.n_frames} frames ({name})")
     return 0
@@ -323,17 +328,8 @@ def cmd_compare(args) -> int:
         raise ScenarioError("compare needs at least two controllers")
     for name in names:
         if name not in _KIND_NAMES:
-            raise ScenarioError(
-                f"unknown controller {name!r}; choose from {_KIND_NAMES}"
-            )
-    _refuse_same_file({"--scenario": Path(args.scenario), "--out": Path(args.out)})
-    scenario = parse_scenario(args.scenario)
-    distinct = list(dict.fromkeys(names))  # run each distinct controller once
-    _check_frame_rows(scenario, args.reps, len(distinct))
-    repsets: dict[str, ReplicationSet] = {}
-    for name in distinct:
-        variant = scenario.with_controller(ControllerKind(name))
-        repsets[name] = run_replications(variant, args.reps, args.seed)
+            raise ScenarioError(f"unknown controller {name!r}; choose from {_KIND_NAMES}")
+    scenario, repsets = _simulate(args, list(dict.fromkeys(names)))  # each distinct one once
     write_compare_csv(Path(args.out), repsets, scenario.config)
     report = build_report(repsets)
     print("aggregate utility (sum of per-frame means):")
@@ -361,13 +357,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="RACH subframe allocation: simulate, optimize, tabulate, compare.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the arguments of the simulating commands, run and compare
+    sim = argparse.ArgumentParser(add_help=False)
+    sim.add_argument("--scenario", required=True, help="scenario file path")
+    sim.add_argument("--seed", type=_int_at_least(0), default=1)
+    sim.add_argument("--reps", type=_int_at_least(1), default=100)
+    sim.add_argument("--out", required=True, help="output CSV path")
 
-    run_p = sub.add_parser("run", help="simulate one controller, write per-frame CSV")
-    run_p.add_argument("--scenario", required=True, help="scenario file path")
+    run_p = sub.add_parser(
+        "run", parents=[sim], help="simulate one controller, write per-frame CSV"
+    )
     run_p.add_argument("--controller", choices=_KIND_NAMES, help="override scenario controller")
-    run_p.add_argument("--seed", type=_int_at_least(0), default=1)
-    run_p.add_argument("--reps", type=_int_at_least(1), default=100)
-    run_p.add_argument("--out", required=True, help="output CSV path")
     run_p.set_defaults(func=cmd_run)
 
     opt_p = sub.add_parser("optimize", help="best subframe count for one load")
@@ -383,16 +383,12 @@ def _build_parser() -> argparse.ArgumentParser:
     tab_p.add_argument("--sweep-out", help="dense sweep CSV path (default: <out>_sweep)")
     tab_p.set_defaults(func=cmd_table)
 
-    cmp_p = sub.add_parser("compare", help="run controllers on common random numbers")
-    cmp_p.add_argument("--scenario", required=True)
-    cmp_p.add_argument(
-        "--controllers",
-        required=True,
-        help="comma-separated list from " + ", ".join(_KIND_NAMES),
+    cmp_p = sub.add_parser(
+        "compare", parents=[sim], help="run controllers on common random numbers"
     )
-    cmp_p.add_argument("--seed", type=_int_at_least(0), default=1)
-    cmp_p.add_argument("--reps", type=_int_at_least(1), default=100)
-    cmp_p.add_argument("--out", required=True, help="merged per-frame CSV path")
+    cmp_p.add_argument(
+        "--controllers", required=True, help="comma-separated list from " + ", ".join(_KIND_NAMES)
+    )
     cmp_p.set_defaults(func=cmd_compare)
 
     return parser

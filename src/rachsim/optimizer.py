@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -118,20 +118,18 @@ class LookupTable:
 
     entries: tuple[tuple[float, int], ...]
     grid: LoadGrid | None = None
-    _thresholds: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.entries:
             raise ValueError("lookup table needs at least one entry")
-        thresholds = tuple(t for t, _ in self.entries)
-        if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
+        if any(b <= a for (a, _), (b, _) in zip(self.entries, self.entries[1:])):
             raise ValueError("load thresholds must be strictly increasing")
-        object.__setattr__(self, "_thresholds", thresholds)
 
     def lookup(self, load: float) -> int:
         if math.isnan(load):
             raise ValueError("load must not be NaN")
-        idx = bisect_right(self._thresholds, load) - 1
+        # (load, inf) sorts after every entry whose threshold is at most load
+        idx = bisect_right(self.entries, (load, math.inf)) - 1
         return self.entries[max(idx, 0)][1]
 
 

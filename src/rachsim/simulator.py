@@ -135,8 +135,15 @@ class LoadProfile:
 def generate_arrivals(
     profile: LoadProfile, frames: Sequence[int] | np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Poisson draws at the profile's rate of each given frame, in one call."""
-    return rng.poisson(profile.rate_at(frames))
+    """Poisson draws at the profile's rate of each given frame, refused if one tops MAX_POOL."""
+    rates = profile.rate_at(frames)
+    if (over := np.ravel(rates > MAX_POOL)).any():
+        k = over.argmax()
+        raise ValueError(
+            f"frame {np.ravel(frames)[k]}: mean arrival rate {np.ravel(rates)[k]} "
+            f"exceeds the pool bound of {MAX_POOL}"
+        )
+    return rng.poisson(rates)
 
 
 # ---------------------------------------------------------------------------
@@ -571,13 +578,6 @@ def run_scenario(scenario: Scenario, seed: int, replication_id: int = 0) -> Time
     arrival_rng = np.random.default_rng(arrival_seq)
     event_rng = np.random.default_rng(event_seq)
     frames = np.arange(scenario.frames)
-    rates = scenario.profile.rate_at(frames)
-    over = np.flatnonzero(rates > MAX_POOL)
-    if len(over):
-        k = over[0]
-        raise ValueError(
-            f"frame {k}: mean arrival rate {rates[k]} exceeds the pool bound of {MAX_POOL}"
-        )
     new_devices = generate_arrivals(scenario.profile, frames, arrival_rng)
 
     due = attempts = _NO_DEVICES

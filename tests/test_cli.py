@@ -3,6 +3,7 @@
 import csv
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -14,6 +15,7 @@ import pytest
 import rachsim
 import rachsim.cli
 import rachsim.optimizer
+import rachsim.simulator
 from rachsim.cli import (
     MAX_FRAME_ROWS,
     RUN_COLUMNS,
@@ -415,6 +417,21 @@ def test_run_rate_beyond_the_poisson_range_names_the_frame(tmp_path, capsys):
     assert not (tmp_path / "o.csv").exists()
 
 
+def test_run_pool_past_the_bound_fails_at_its_frame(tmp_path, capsys, monkeypatch):
+    # the rate (600) passes the bound, the retriers of frame 0 push frame 1 past it
+    monkeypatch.setattr(rachsim.simulator, "MAX_POOL", 1000)
+    scn = tmp_path / "flood.scn"
+    scn.write_text(
+        "[load]\nsegments = 0:5:600:600\n[controller]\nkind = fixed\n[sim]\nbackoff_window = 1\n"
+    )
+    rc = main(["run", "--scenario", str(scn), "--reps", "1", "--out", str(tmp_path / "o.csv")])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "error: frame 1: 608 pending devices plus 610 arrivals exceed the pool bound of 1000\n"
+    )
+    assert not (tmp_path / "o.csv").exists()
+
+
 @pytest.mark.parametrize(
     "text, reps, rows",
     [
@@ -488,6 +505,24 @@ def test_python_dash_m_rachsim_help():
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: rachsim")
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("run", "--scenario --seed --reps --out --controller"),
+        ("compare", "--scenario --seed --reps --out --controllers"),
+        ("optimize", "--load --alpha --preambles --ns-min --ns-max"),
+        ("table", "--alpha --preambles --ns-min --ns-max --max-load --step --out --sweep-out"),
+    ],
+)
+def test_subcommand_help_lists_every_flag(capsys, command, flags):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: rachsim {command} ")
+    assert set(re.findall(r"(?<![\w-])--\w[\w-]*", out)) == {"--help", *flags.split()}
 
 
 @pytest.mark.parametrize("command", [["optimize", "--load", "10"], ["table", "--out", "t.csv"]])

@@ -91,3 +91,6 @@ def test_domain_errors():
         lambert_w(0.5, WBranch.LOWER)
     with pytest.raises(ValueError):
         lambert_w(float("nan"))
+    # a branch that is not a WBranch member, such as its value, is refused
+    with pytest.raises(TypeError, match="unknown branch"):
+        lambert_w(0.5, WBranch.PRINCIPAL.value)

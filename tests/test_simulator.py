@@ -128,6 +128,49 @@ def test_arrivals_outside_span():
         generate_arrivals(TRIANGLE, [-1], rng)
 
 
+def test_arrivals_refuse_a_rate_past_the_pool_bound():
+    # numpy's own Poisson draw refuses 1e308 with an unlabelled error
+    bound = f"exceeds the pool bound of {rachsim.simulator.MAX_POOL}$"
+    flat = LoadProfile((ProfileSegment(0, 5, 1e308, 1e308),))
+    with pytest.raises(ValueError, match=r"^frame 0: mean arrival rate 1e\+308 " + bound):
+        generate_arrivals(flat, range(5), np.random.default_rng(1))
+    # the error names the frame asked for, not its position among the frames
+    step = LoadProfile((ProfileSegment(0, 2, 1.0, 1.0), ProfileSegment(2, 5, 2e7, 2e7)))
+    with pytest.raises(ValueError, match=r"^frame 3: mean arrival rate 20000000\.0 " + bound):
+        generate_arrivals(step, [1, 3, 4], np.random.default_rng(1))
+    with pytest.raises(ValueError, match=r"^frame 4: mean arrival rate 20000000\.0 " + bound):
+        generate_arrivals(step, 4, np.random.default_rng(1))
+    assert generate_arrivals(step, 1, np.random.default_rng(1)) >= 0  # one frame, one draw
+
+
+def test_a_run_evaluates_the_profile_rates_once(monkeypatch):
+    calls = []
+    rate_at = LoadProfile.rate_at
+
+    def counted(self, frame):
+        calls.append(frame)
+        return rate_at(self, frame)
+
+    monkeypatch.setattr(LoadProfile, "rate_at", counted)
+    run_scenario(default_scenario("adaptive"), seed=1)
+    assert len(calls) == 1
+
+
+def test_a_pool_past_the_bound_fails_at_its_frame(monkeypatch):
+    # 600 arrivals a frame pass a bound of 1000, but the collided ones all
+    # come back the next frame (backoff window 1) and overflow it
+    monkeypatch.setattr(rachsim.simulator, "MAX_POOL", 1000)
+    scenario = Scenario(
+        RachConfig(),
+        LoadProfile((ProfileSegment(0, 5, 600.0, 600.0),)),
+        ControllerSpec(kind=ControllerKind.FIXED_DEFAULT),
+        backoff_window=1,
+    )
+    message = "^frame 1: 608 pending devices plus 610 arrivals exceed the pool bound of 1000$"
+    with pytest.raises(ValueError, match=message):
+        run_scenario(scenario, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # Contention primitives
 
