@@ -23,6 +23,7 @@ import functools
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import combinations, islice, repeat, starmap
 from pathlib import Path
@@ -30,9 +31,9 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .model import RachConfig, SettingError, throughput, utility_of_load
+from .model import RachConfig, SettingError, check_range, throughput, utility_of_load
 from .optimizer import SATURATION_LOAD, optimal_subframes_integer, subframe_lookup_table
-from .scenario import ScenarioError, parse_scenario
+from .scenario import KIND_NAMES, ScenarioError, parse_scenario
 from .simulator import (
     ControllerKind,
     ReplicationSet,
@@ -61,8 +62,6 @@ _COMPARE_TABLE = (
 )
 RUN_COLUMNS = [header for header, _ in _RUN_TABLE]
 COMPARE_COLUMNS = [header for header, _ in _COMPARE_TABLE]
-
-_KIND_NAMES = sorted(k.value for k in ControllerKind)
 
 # Bound on the frame rows (frames x replications x controllers) one command
 # simulates and holds until its CSV is written. A row costs at most about
@@ -252,40 +251,49 @@ def _int_at_least(low: int):
     def parse(text: str) -> int:
         try:
             value = int(text)
+            check_range("value", value, low)
+        except SettingError as exc:  # argparse names the flag
+            raise argparse.ArgumentTypeError(str(exc).removeprefix("value ")) from None
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         return value
 
     return parse
 
 
-# The channel flags by the RachConfig field each sets.
-_CHANNEL_FLAGS = {
+# The flags of optimize and table by the RachConfig field or library argument each sets.
+_FLAGS = {
     "n_preambles": "--preambles", "n_s_min": "--ns-min", "n_s_max": "--ns-max", "alpha": "--alpha",
+    "load": "--load", "step": "--step", "max_load": "--max-load",
 }
 
 
-def _config_from_args(args) -> RachConfig:
-    # every failure here is a bad command-line value, an argument error
+@contextmanager
+def _flag_errors():
+    """Re-raise a SettingError about flag values as an argument error naming the flags."""
     try:
+        yield
+    except SettingError as exc:
+        if not set(exc.fields) <= _FLAGS.keys():
+            raise
+        flags = "/".join(_FLAGS[field] for field in exc.fields)
+        raise ScenarioError(f"{flags}: {exc}") from None
+
+
+def _config_from_args(args) -> RachConfig:
+    with _flag_errors():
         return RachConfig(
             n_preambles=args.preambles,
             n_s_min=args.ns_min,
             n_s_max=args.ns_max,
             alpha=args.alpha,
         )
-    except SettingError as exc:
-        flags = "/".join(_CHANNEL_FLAGS[field] for field in exc.fields)
-        raise ScenarioError(f"{flags}: {exc}") from None
 
 
 def cmd_optimize(args) -> int:
     config = _config_from_args(args)
-    if not 0 <= args.load < math.inf:
-        raise ScenarioError(f"load must be finite and >= 0, got {args.load}")
-    decision = optimal_subframes_integer(args.load, config)
+    with _flag_errors():
+        decision = optimal_subframes_integer(args.load, config)
     print(f"n_s={decision.n_s} utility={decision.achieved_utility!r}")
     return 0
 
@@ -297,10 +305,8 @@ def cmd_table(args) -> int:
         out.stem + "_sweep" + (out.suffix or ".csv")
     )
     _refuse_same_file({"--out": out, "--sweep-out": sweep_path})
-    try:
+    with _flag_errors():
         table = subframe_lookup_table(config, args.step, args.max_load)
-    except ValueError as exc:  # a bad --step or --max-load
-        raise ScenarioError(str(exc)) from None
     with _create(out) as handle:
         _write_rows(handle, [
             ("load_threshold", "n_s"), *((repr(t), str(n)) for t, n in table.entries)
@@ -327,8 +333,8 @@ def cmd_compare(args) -> int:
     if len(names) < 2:
         raise ScenarioError("compare needs at least two controllers")
     for name in names:
-        if name not in _KIND_NAMES:
-            raise ScenarioError(f"unknown controller {name!r}; choose from {_KIND_NAMES}")
+        if name not in KIND_NAMES:
+            raise ScenarioError(f"unknown controller {name!r}; choose from {KIND_NAMES}")
     scenario, repsets = _simulate(args, list(dict.fromkeys(names)))  # each distinct one once
     write_compare_csv(Path(args.out), repsets, scenario.config)
     report = build_report(repsets)
@@ -367,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser(
         "run", parents=[sim], help="simulate one controller, write per-frame CSV"
     )
-    run_p.add_argument("--controller", choices=_KIND_NAMES, help="override scenario controller")
+    run_p.add_argument("--controller", choices=KIND_NAMES, help="override scenario controller")
     run_p.set_defaults(func=cmd_run)
 
     opt_p = sub.add_parser("optimize", help="best subframe count for one load")
@@ -387,7 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "compare", parents=[sim], help="run controllers on common random numbers"
     )
     cmp_p.add_argument(
-        "--controllers", required=True, help="comma-separated list from " + ", ".join(_KIND_NAMES)
+        "--controllers", required=True, help="comma-separated list from " + ", ".join(KIND_NAMES)
     )
     cmp_p.set_defaults(func=cmd_compare)
 

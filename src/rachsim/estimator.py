@@ -15,6 +15,7 @@ import math
 from enum import Enum
 
 from .lambertw import WBranch, lambert_w
+from .model import check_range
 
 __all__ = [
     "LoadBranch",
@@ -65,10 +66,9 @@ def estimate_load(eta_obs: float, n_s: int, n_preambles: int, branch: LoadBranch
     InconsistentObservationError. eta_obs = 0 yields 0 on the light branch
     and the load cap 4 * pairs on the heavy branch.
     """
-    if not 0 <= eta_obs < math.inf:
-        raise ValueError(f"eta_obs must be finite and >= 0, got {eta_obs}")
-    if n_s < 1 or n_preambles < 1:
-        raise ValueError("n_s and n_preambles must be >= 1")
+    check_range("eta_obs", eta_obs, 0)
+    check_range("n_s", n_s, 1)
+    check_range("n_preambles", n_preambles, 1)
     pairs = n_s * n_preambles
     if eta_obs == 0:
         return 0.0 if branch is LoadBranch.LIGHT else LOAD_CAP_FACTOR * pairs

@@ -36,11 +36,11 @@ MAX_ALPHA = 1e100
 
 
 class SettingError(ValueError):
-    """A setting out of its range, raised by the dataclass that owns the field.
+    """A value out of its range: a dataclass's setting or a library function's argument.
 
-    `fields` names the fields the error concerns, the one to blame first.
-    `template` is the message with each field as a `{field}` placeholder,
-    so that a scenario file or a command line can name the field its own way.
+    `fields` names the values at fault, the one to blame first. `template`
+    is the message with each as a `{field}` placeholder, so that a scenario
+    file or a command line can name it its own way, by key or by flag.
     """
 
     def __init__(self, template: str, *fields: str):
@@ -54,19 +54,18 @@ class SettingError(ValueError):
 
 
 def check_range(
-    obj: object, field: str, lo: float, hi: float | None = None, lo_open: bool = False
+    name: str, value: float, lo: float, hi: float | None = None, lo_open: bool = False
 ) -> None:
-    """Raise SettingError unless obj.field is finite and in [lo, hi], or (lo, hi] if lo_open."""
-    x = getattr(obj, field)
+    """Raise SettingError naming `name` unless value is finite and in [lo, hi], or (lo, hi]."""
     # finiteness is a float question: math.isfinite overflows on a huge int
-    if isinstance(x, float) and not math.isfinite(x):
-        raise SettingError(f"{{{field}}} must be finite, got {x}", field)
-    if x < lo or (lo_open and x == lo) or (hi is not None and x > hi):
+    if isinstance(value, float) and not math.isfinite(value):
+        raise SettingError(f"{{{name}}} must be finite, got {value}", name)
+    if value < lo or (lo_open and value == lo) or (hi is not None and value > hi):
         if hi is None:
             bound = f"{'>' if lo_open else '>='} {lo}"
         else:
             bound = f"in {'(' if lo_open else '['}{lo}, {hi}]"
-        raise SettingError(f"{{{field}}} must be {bound}, got {x}", field)
+        raise SettingError(f"{{{name}}} must be {bound}, got {value}", name)
 
 
 @dataclass(frozen=True)
@@ -87,10 +86,10 @@ class RachConfig:
 
     def __post_init__(self) -> None:
         # so that every pair count n_s * n_preambles is an exact float
-        check_range(self, "n_preambles", 1, 2**53 // FRAME_SUBFRAMES)
-        check_range(self, "n_s_min", 1, FRAME_SUBFRAMES)
-        check_range(self, "n_s_max", 1, FRAME_SUBFRAMES)
-        check_range(self, "alpha", 0.0, MAX_ALPHA)
+        check_range("n_preambles", self.n_preambles, 1, 2**53 // FRAME_SUBFRAMES)
+        check_range("n_s_min", self.n_s_min, 1, FRAME_SUBFRAMES)
+        check_range("n_s_max", self.n_s_max, 1, FRAME_SUBFRAMES)
+        check_range("alpha", self.alpha, 0.0, MAX_ALPHA)
         if self.n_s_min > self.n_s_max:
             raise SettingError("{n_s_min} must not exceed {n_s_max}", "n_s_min", "n_s_max")
 
@@ -101,12 +100,9 @@ class RachConfig:
 
 def throughput(n_devices: float, n_s: int, n_preambles: int) -> float:
     """Expected successful accesses per frame: N * exp(-N / (n_s * n_p))."""
-    if n_s < 1:
-        raise ValueError(f"n_s must be >= 1, got {n_s}")
-    if n_preambles < 1:
-        raise ValueError(f"n_preambles must be >= 1, got {n_preambles}")
-    if not 0 <= n_devices < math.inf:
-        raise ValueError(f"n_devices must be finite and >= 0, got {n_devices}")
+    check_range("n_s", n_s, 1)
+    check_range("n_preambles", n_preambles, 1)
+    check_range("n_devices", n_devices, 0)
     return n_devices * math.exp(-n_devices / (n_s * n_preambles))
 
 
@@ -130,10 +126,8 @@ def utility_gradient(n_devices: float, n_s: float, config: RachConfig) -> float:
     bounded by n_preambles * 4 * exp(-2), so for alpha above that the
     returned value is positive for every load.
     """
-    if not 0 < n_s < math.inf:
-        raise ValueError(f"n_s must be finite and > 0, got {n_s}")
-    if not 0 <= n_devices < math.inf:
-        raise ValueError(f"n_devices must be finite and >= 0, got {n_devices}")
+    check_range("n_s", n_s, 0, lo_open=True)
+    check_range("n_devices", n_devices, 0)
     n_p = config.n_preambles
     collision_term = (n_devices**2 / (n_p * n_s**2)) * math.exp(
         -n_devices / (n_s * n_p)

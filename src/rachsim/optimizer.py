@@ -31,7 +31,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .lambertw import BelowBranchPointError, WBranch, lambert_w
-from .model import RachConfig, utility_of_load
+from .model import RachConfig, SettingError, check_range, utility_of_load
 
 __all__ = [
     "SATURATION_LOAD",
@@ -86,15 +86,14 @@ class LoadGrid:
     @classmethod
     def up_to(cls, max_load: float, step: float) -> LoadGrid:
         """The grid from 0 to max_load (within rounding), sized before it is built."""
-        if not 0 < step < math.inf:
-            raise ValueError(f"load grid step must be finite and > 0, got {step}")
-        if not 0 < max_load < math.inf:
-            raise ValueError(f"max_load must be finite and > 0, got {max_load}")
+        check_range("step", step, 0, lo_open=True)
+        check_range("max_load", max_load, 0, lo_open=True)
         steps = max_load / step + 1e-9
         if steps >= MAX_GRID_POINTS:
-            raise ValueError(
-                f"load grid max_load / step = {max_load} / {step} exceeds "
-                f"{MAX_GRID_POINTS} points"
+            raise SettingError(
+                f"load grid {{max_load}} / {{step}} = {max_load} / {step} exceeds "
+                f"{MAX_GRID_POINTS} points",
+                "max_load", "step",
             )
         return cls(step, int(math.floor(steps)) + 1)
 
@@ -155,8 +154,7 @@ def optimal_subframes_integer(load: float, config: RachConfig) -> SubframeDecisi
     Ties break toward the smaller count, freeing subframes for data when
     utility is indifferent.
     """
-    if not 0 <= load < math.inf:
-        raise ValueError(f"load must be finite and >= 0, got {load}")
+    check_range("load", load, 0)
     return _argmax(load, config, config.subframe_range)
 
 
@@ -167,10 +165,8 @@ def optimal_subframes_closed_form(load: float, config: RachConfig) -> float | No
     falls below -1/e and no interior stationary maximum exists, so callers
     must fall back to comparing the range boundaries.
     """
-    if not 0 < load < math.inf:
-        raise ValueError(f"load must be finite and > 0, got {load}")
-    if config.alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {config.alpha}")
+    check_range("load", load, 0, lo_open=True)
+    check_range("alpha", config.alpha, 0, lo_open=True)
     arg = -math.sqrt(config.alpha / config.n_preambles) / 2.0
     try:
         w = lambert_w(arg, WBranch.PRINCIPAL)
@@ -208,8 +204,7 @@ def decide_subframes(
     to n_s_min as throughput collapses; the controller's job out there is
     congestion relief, not marginal utility.
     """
-    if not 0 <= load < math.inf:
-        raise ValueError(f"load must be finite and >= 0, got {load}")
+    check_range("load", load, 0)
     if load > table_max_load:
         n_s = config.n_s_max
         return SubframeDecision(

@@ -45,6 +45,7 @@ from .simulator import (
 )
 
 __all__ = [
+    "KIND_NAMES",
     "ScenarioError",
     "parse_scenario",
     "parse_scenario_text",
@@ -83,6 +84,8 @@ _KEYS = {
 # Parsed and written by hand; each comes first in its section.
 _OTHER_KEYS = (("load", "segments"), ("controller", "kind"))
 _SECTIONS = ("channel", "load", "controller", "sim")
+# controller.kind's values, also the names cli takes
+KIND_NAMES = sorted(kind.value for kind in ControllerKind)
 
 
 def parse_scenario(path: str | Path) -> Scenario:
@@ -137,9 +140,8 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> Scenario:
         try:
             fields[ControllerSpec]["kind"] = ControllerKind(value)
         except ValueError:
-            kinds = sorted(k.value for k in ControllerKind)
             raise ScenarioError(
-                f"{source}:{lineno}: controller.kind must be one of {kinds}, got {value!r}"
+                f"{source}:{lineno}: controller.kind must be one of {KIND_NAMES}, got {value!r}"
             ) from None
 
     try:

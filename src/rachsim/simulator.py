@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimator import InconsistentObservationError, classify_load_branch, estimate_load
+from .estimator import InconsistentObservationError, LoadBranch, classify_load_branch, estimate_load
 from .model import RachConfig, SettingError, check_range, utility
 from .optimizer import SATURATION_LOAD, decide_subframes
 
@@ -249,8 +249,8 @@ def contend(
     rng: np.random.Generator,
 ) -> ContentionResult:
     """Uniform (subframe, preamble) selection; singleton pairs win."""
-    if n_s < 1 or n_preambles < 1:
-        raise ValueError("n_s and n_preambles must be >= 1")
+    check_range("n_s", n_s, 1)
+    check_range("n_preambles", n_preambles, 1)
     devices = list(contenders)
     lost, successes, collisions, idle = _pick_pairs(len(devices), n_s, n_preambles, rng)
     losers = [dev for dev, lose in zip(devices, lost.tolist()) if lose]
@@ -268,10 +268,8 @@ def resolve_backoff(
 
     A device that has already failed retry_limit times is dropped instead.
     """
-    if backoff_window < 1:
-        raise ValueError(f"backoff_window must be >= 1, got {backoff_window}")
-    if retry_limit < 0:
-        raise ValueError(f"retry_limit must be >= 0, got {retry_limit}")
+    check_range("backoff_window", backoff_window, 1)
+    check_range("retry_limit", retry_limit, 0)
     devices = list(collided)
     attempts = np.array([dev.attempts for dev in devices], dtype=np.int64)
     retry, due = _backoff(attempts, frame, backoff_window, retry_limit, rng)
@@ -295,10 +293,8 @@ def acb_gate(
     rng: np.random.Generator,
 ) -> tuple[list[DeviceState], list[DeviceState]]:
     """Admit each contender with probability p_barring; bar the rest."""
-    if not 0.0 < p_barring <= 1.0:
-        raise ValueError(f"p_barring must be in (0, 1], got {p_barring}")
-    if barring_window < 1:
-        raise ValueError(f"barring_window must be >= 1, got {barring_window}")
+    check_range("p_barring", p_barring, 0, 1, lo_open=True)
+    check_range("barring_window", barring_window, 1)
     devices = list(contenders)
     passed, due = _bar(len(devices), p_barring, barring_window, frame, rng)
     admitted = [dev for dev, ok in zip(devices, passed.tolist()) if ok]
@@ -330,10 +326,10 @@ class ControllerSpec:
     acb_window: int = 4
 
     def __post_init__(self) -> None:
-        check_range(self, "window", 1, MAX_WINDOW)
-        check_range(self, "table_max_load", 0.0, lo_open=True)
-        check_range(self, "acb_p", 0.0, 1.0, lo_open=True)
-        check_range(self, "acb_window", 1, MAX_WINDOW)
+        check_range("window", self.window, 1, MAX_WINDOW)
+        check_range("table_max_load", self.table_max_load, 0.0, lo_open=True)
+        check_range("acb_p", self.acb_p, 0.0, 1.0, lo_open=True)
+        check_range("acb_window", self.acb_window, 1, MAX_WINDOW)
 
 
 class Controller:
@@ -366,7 +362,8 @@ class AdaptiveController(Controller):
 
     Both steps are pure functions of small keys that recur from frame to
     frame, so each controller caches their results: estimates by
-    (successes, n_s, branch), decisions by the smoothed load. The counts
+    (successes, n_s, whether the branch is heavy), decisions by the smoothed
+    load; a bool key hashes faster than a LoadBranch member. The counts
     themselves are checked by run_scenario's whole-run check. The caches
     live as long as the controller, one run, so they hold at most one entry
     per frame; an inconsistent observation raises and is never cached. A
@@ -379,7 +376,9 @@ class AdaptiveController(Controller):
         self._config = config
         self._history: deque[float] = deque(maxlen=window)
         self._estimate = functools.cache(
-            lambda eta, n_s, branch: estimate_load(eta, n_s, config.n_preambles, branch)
+            lambda eta, n_s, heavy: estimate_load(
+                eta, n_s, config.n_preambles, LoadBranch.HEAVY if heavy else LoadBranch.LIGHT
+            )
         )
         self._decide = functools.cache(
             lambda smoothed: decide_subframes(smoothed, config, table_max_load).n_s
@@ -388,7 +387,7 @@ class AdaptiveController(Controller):
     def observe_counts(self, successes, idle, n_s):
         branch = classify_load_branch(idle, n_s * self._config.n_preambles)
         try:
-            raw = self._estimate(successes, n_s, branch)
+            raw = self._estimate(successes, n_s, branch is LoadBranch.HEAVY)
         except InconsistentObservationError:
             self.fallback = True
             self.n_s = self._config.n_s_max
@@ -444,9 +443,9 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.frames is None:
             object.__setattr__(self, "frames", self.profile.end_frame)
-        check_range(self, "frames", 1, self.profile.end_frame)
-        check_range(self, "backoff_window", 1, MAX_WINDOW)
-        check_range(self, "retry_limit", 0)
+        check_range("frames", self.frames, 1, self.profile.end_frame)
+        check_range("backoff_window", self.backoff_window, 1, MAX_WINDOW)
+        check_range("retry_limit", self.retry_limit, 0)
         # the config's fields, bounded here because a frame counts picks per pair
         ns_max, preambles = self.config.n_s_max, self.config.n_preambles
         if ns_max * preambles > MAX_PAIRS:
@@ -699,8 +698,7 @@ def run_replications(
     scenario: Scenario, n_reps: int, base_seed: int = 1
 ) -> ReplicationSet:
     """Run seeds base_seed..base_seed + n_reps - 1 and aggregate."""
-    if n_reps < 1:
-        raise ValueError(f"n_reps must be >= 1, got {n_reps}")
+    check_range("n_reps", n_reps, 1)
     runs = [
         run_scenario(scenario, base_seed + i, replication_id=i) for i in range(n_reps)
     ]

@@ -25,7 +25,7 @@ from rachsim.cli import (
     build_report,
     main,
 )
-from rachsim.model import RachConfig, throughput, utility_of_load
+from rachsim.model import RachConfig, check_range, throughput, utility_of_load
 from rachsim.optimizer import subframe_lookup_table
 from rachsim.simulator import MAX_POOL, ControllerKind, ReplicationSet, run_replications
 from rachsim.scenario import default_scenario, format_scenario, parse_scenario
@@ -577,6 +577,56 @@ def test_channel_error_names_only_the_flags_it_concerns(capsys):
     ):
         assert main(["optimize", "--load", "10", "--alpha", "5", *flags]) == 2
         assert capsys.readouterr().err == f"error: {error}\n"
+
+
+# The value flags of optimize and table; the channel counts are int flags.
+VALUE_FLAGS = {
+    "optimize": ("--load", "--alpha", "--preambles", "--ns-min", "--ns-max"),
+    "table": ("--step", "--max-load", "--alpha", "--preambles", "--ns-min", "--ns-max"),
+}
+INT_FLAGS = ("--preambles", "--ns-min", "--ns-max")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize(
+    "command, flag", [(command, flag) for command, flags in VALUE_FLAGS.items() for flag in flags]
+)
+def test_every_refused_flag_value_names_its_flag(command, flag, value, tmp_path, capsys):
+    argv = {
+        "optimize": ["optimize", "--load", "10", "--alpha", "5"],
+        "table": ["table", "--alpha", "5", "--out", str(tmp_path / "t.csv")],
+    }[command] + [flag, value]
+    if flag in INT_FLAGS and value != "-1":
+        # not an int at all: argparse refuses it, naming the flag its own way
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"error: argument {flag}: invalid int value: '{value}'\n" in capsys.readouterr().err
+    else:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_grid_bound_names_both_flags(tmp_path, capsys):
+    argv = ["table", "--alpha", "25", "--max-load", "1e12", "--out", str(tmp_path / "t.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: --max-load/--step: load grid max_load / step = 1000000000000.0 / 1.0 "
+        "exceeds 10000000 points\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_range_error_without_a_flag_is_a_fault(monkeypatch, capsys):
+    # a library argument no flag sets can only be out of range by a program fault
+    def faulty(load, config):
+        check_range("n_s", 0, 1)
+
+    monkeypatch.setattr(rachsim.cli, "optimal_subframes_integer", faulty)
+    assert main(["optimize", "--load", "10", "--alpha", "5"]) == 3
+    assert capsys.readouterr().err == "error: n_s must be >= 1, got 0\n"
 
 
 def test_largest_alpha_keeps_every_number_finite(tmp_path, capsys):

@@ -70,7 +70,8 @@ def test_estimate_zero_successes():
 
 @pytest.mark.parametrize("n_s, n_preambles", [(0, 64), (2, 0), (-1, 64)])
 def test_estimate_refuses_an_empty_channel(n_s, n_preambles):
-    with pytest.raises(ValueError, match="n_s and n_preambles must be >= 1"):
+    name, value = ("n_s", n_s) if n_s < 1 else ("n_preambles", n_preambles)
+    with pytest.raises(ValueError, match=rf"^{name} must be >= 1, got {value}$"):
         estimate_load(1.0, n_s, n_preambles, LoadBranch.LIGHT)
 
 

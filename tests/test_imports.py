@@ -4,10 +4,12 @@ Stand-ins for a linter's unused-import and unused-name rules, with the
 standard library's `ast` only: a name counts as used when the module reads
 it anywhere or lists it in `__all__`. A private module-level name (`_x`, not
 a dunder) must be read in its own module, so that no helper outlives its
-last caller.
+last caller. And no module but `model` words a range requirement in an error
+it raises: a value's range is checked by `model.check_range`, not by hand.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -55,6 +57,24 @@ def unread_private_names(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in defined.items() if name not in read]
 
 
+# The wording of check_range's messages.
+RANGE_REQUIREMENT = re.compile(r"must be (finite|>=|>|in [\[(])")
+
+
+def hand_written_range_checks(source: str) -> list[str]:
+    """The raise statements whose message text states a range requirement."""
+    raises = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Raise)]
+    return [
+        f"line {node.lineno}"
+        for node in sorted(raises, key=lambda node: node.lineno)
+        if node.exc is not None and any(
+            isinstance(part, ast.Constant) and isinstance(part.value, str)
+            and RANGE_REQUIREMENT.search(part.value)
+            for part in ast.walk(node.exc)
+        )
+    ]
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
 def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -63,6 +83,13 @@ def test_no_unused_import(path):
 @pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
 def test_no_unread_private_name(path):
     assert unread_private_names(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "model.py"], ids=lambda path: path.name
+)
+def test_no_hand_written_range_check(path):
+    assert hand_written_range_checks(path.read_text(encoding="utf-8")) == []
 
 
 def test_the_check_sees_leftovers():
@@ -99,3 +126,21 @@ def test_the_check_sees_unread_private_names():
     assert unread_private_names(source) == [
         "line 3: _CACHE", "line 4: _b", "line 5: _estimates", "line 7: _Kernel",
     ]
+
+
+def test_the_check_sees_hand_written_range_checks():
+    source = (
+        "def f(x, n, p, name):\n"
+        "    if not 0 <= x < math.inf:\n"
+        "        raise ValueError(f'x must be finite and >= 0, got {x}')\n"
+        "    if n < 1:\n"
+        "        raise ValueError('n must be ' '>= 1')\n"
+        "    if not 0 < p <= 1:\n"
+        "        raise SettingError(f'{{p}} must be in (0, 1], got {p}', 'p')\n"
+        "    if n > 9:\n"
+        "        raise ValueError(f'{name} must be > 9')\n"
+        "    if p != p:\n"
+        "        raise ValueError('p must not be NaN')\n"
+        "    raise ScenarioError(f'{name} must be an integer, got {x!r}')\n"
+    )
+    assert hand_written_range_checks(source) == ["line 3", "line 5", "line 7", "line 9"]

@@ -1,6 +1,7 @@
 """Throughput curve, utility, and the marginal-balance gradient."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from rachsim.model import (
     MAX_ALPHA,
     RachConfig,
+    SettingError,
     throughput,
     utility,
     utility_gradient,
@@ -15,12 +17,15 @@ from rachsim.model import (
 )
 from rachsim.estimator import LoadBranch, estimate_load
 from rachsim.optimizer import (
+    LoadGrid,
     LookupTable,
     decide_subframes,
     optimal_subframes_closed_form,
     optimal_subframes_integer,
     stationary_alpha_limit,
 )
+from rachsim.scenario import default_scenario
+from rachsim.simulator import acb_gate, contend, resolve_backoff, run_replications
 
 
 def test_throughput_zero_load():
@@ -179,27 +184,51 @@ def test_alpha_bound():
             RachConfig(alpha=alpha)
 
 
-# Each library entry point that takes a load, as (call, name of the load argument).
-LOAD_ENTRY_POINTS = {
-    "throughput": (lambda x: throughput(x, 2, 64), "n_devices"),
-    "utility_of_load": (lambda x: utility_of_load(x, 2, RachConfig()), "n_devices"),
-    "utility_gradient": (lambda x: utility_gradient(x, 2.0, RachConfig()), "n_devices"),
-    "utility_gradient_n_s": (lambda x: utility_gradient(10.0, x, RachConfig()), "n_s"),
-    "decide_subframes": (lambda x: decide_subframes(x, RachConfig()), "load"),
-    "optimal_subframes_integer": (lambda x: optimal_subframes_integer(x, RachConfig()), "load"),
-    "optimal_subframes_closed_form": (
-        lambda x: optimal_subframes_closed_form(x, RachConfig()), "load"
+# Each library entry point's range-checked argument, as (call, argument name,
+# the range its message states for a finite value out of it).
+RNG = np.random.default_rng(0)
+VALUE_ENTRY_POINTS = {
+    "throughput": (lambda x: throughput(x, 2, 64), "n_devices", ">= 0"),
+    "utility_of_load": (lambda x: utility_of_load(x, 2, RachConfig()), "n_devices", ">= 0"),
+    "utility_gradient": (lambda x: utility_gradient(x, 2.0, RachConfig()), "n_devices", ">= 0"),
+    "utility_gradient_n_s": (lambda x: utility_gradient(10.0, x, RachConfig()), "n_s", "> 0"),
+    "decide_subframes": (lambda x: decide_subframes(x, RachConfig()), "load", ">= 0"),
+    "optimal_subframes_integer": (
+        lambda x: optimal_subframes_integer(x, RachConfig()), "load", ">= 0"
     ),
-    "estimate_load": (lambda x: estimate_load(x, 2, 64, LoadBranch.LIGHT), "eta_obs"),
+    "optimal_subframes_closed_form": (
+        lambda x: optimal_subframes_closed_form(x, RachConfig()), "load", "> 0"
+    ),
+    # RachConfig refuses these prices itself, so a stand-in carries them
+    "optimal_subframes_closed_form_alpha": (
+        lambda x: optimal_subframes_closed_form(10.0, SimpleNamespace(alpha=x, n_preambles=64)),
+        "alpha", "> 0",
+    ),
+    "estimate_load": (lambda x: estimate_load(x, 2, 64, LoadBranch.LIGHT), "eta_obs", ">= 0"),
+    "contend": (lambda x: contend([], x, 64, RNG), "n_s", ">= 1"),
+    "resolve_backoff": (lambda x: resolve_backoff([], 0, x, 10, RNG), "backoff_window", ">= 1"),
+    "resolve_backoff_retry_limit": (
+        lambda x: resolve_backoff([], 0, 4, x, RNG), "retry_limit", ">= 0"
+    ),
+    "acb_gate": (lambda x: acb_gate([], x, 4, 0, RNG), "p_barring", "in (0, 1]"),
+    "acb_gate_window": (lambda x: acb_gate([], 0.5, x, 0, RNG), "barring_window", ">= 1"),
+    "load_grid_step": (lambda x: LoadGrid.up_to(700.0, x), "step", "> 0"),
+    "load_grid_max_load": (lambda x: LoadGrid.up_to(x, 1.0), "max_load", "> 0"),
+    "run_replications": (
+        lambda x: run_replications(default_scenario("fixed"), x), "n_reps", ">= 1"
+    ),
 }
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -1.0])
-@pytest.mark.parametrize("name", LOAD_ENTRY_POINTS)
+@pytest.mark.parametrize("name", VALUE_ENTRY_POINTS)
 def test_entry_points_refuse_nan_inf_and_negative_loads(name, x):
-    call, argument = LOAD_ENTRY_POINTS[name]
-    with pytest.raises(ValueError, match=rf"^{argument} must be finite and "):
+    call, argument, bound = VALUE_ENTRY_POINTS[name]
+    with pytest.raises(SettingError) as exc:
         call(x)
+    requirement = bound if math.isfinite(x) else "finite"
+    assert str(exc.value) == f"{argument} must be {requirement}, got {x}"
+    assert exc.value.fields == (argument,)
 
 
 def test_lookup_refuses_only_nan():
