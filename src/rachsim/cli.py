@@ -331,10 +331,12 @@ def cmd_table(args) -> int:
 def cmd_compare(args) -> int:
     names = [c.strip() for c in args.controllers.split(",") if c.strip()]
     if len(names) < 2:
-        raise ScenarioError("compare needs at least two controllers")
+        raise ScenarioError("--controllers: compare needs at least two controllers")
     for name in names:
         if name not in KIND_NAMES:
-            raise ScenarioError(f"unknown controller {name!r}; choose from {KIND_NAMES}")
+            raise ScenarioError(
+                f"--controllers: unknown controller {name!r}; choose from {KIND_NAMES}"
+            )
     scenario, repsets = _simulate(args, list(dict.fromkeys(names)))  # each distinct one once
     write_compare_csv(Path(args.out), repsets, scenario.config)
     report = build_report(repsets)

@@ -44,6 +44,11 @@ class LoadBranch(Enum):
 
     LIGHT = "light"
     HEAVY = "heavy"
+    __hash__ = object.__hash__  # members are singletons: hash by identity, in C
+
+
+# a LoadBranch.X read goes through EnumType.__getattr__ (about 200 ns on 3.11)
+_LIGHT, _HEAVY = LoadBranch.LIGHT, LoadBranch.HEAVY
 
 
 class InconsistentObservationError(ValueError):
@@ -53,8 +58,8 @@ class InconsistentObservationError(ValueError):
 def classify_load_branch(idle: int, pairs: int) -> LoadBranch:
     """Light if idle pairs are at or above pairs / e, heavy otherwise."""
     if idle >= pairs / math.e:
-        return LoadBranch.LIGHT
-    return LoadBranch.HEAVY
+        return _LIGHT
+    return _HEAVY
 
 
 def estimate_load(eta_obs: float, n_s: int, n_preambles: int, branch: LoadBranch) -> float:
@@ -71,7 +76,7 @@ def estimate_load(eta_obs: float, n_s: int, n_preambles: int, branch: LoadBranch
     check_range("n_preambles", n_preambles, 1)
     pairs = n_s * n_preambles
     if eta_obs == 0:
-        return 0.0 if branch is LoadBranch.LIGHT else LOAD_CAP_FACTOR * pairs
+        return 0.0 if branch is _LIGHT else LOAD_CAP_FACTOR * pairs
     u = eta_obs / pairs
     if u > _E_INV:
         if u <= _E_INV * SUCCESS_CLAMP_FACTOR:
@@ -80,5 +85,5 @@ def estimate_load(eta_obs: float, n_s: int, n_preambles: int, branch: LoadBranch
             f"success rate {u:.4f} exceeds the contention peak 1/e by more "
             f"than the clamp tolerance"
         )
-    w_branch = WBranch.PRINCIPAL if branch is LoadBranch.LIGHT else WBranch.LOWER
+    w_branch = WBranch.PRINCIPAL if branch is _LIGHT else WBranch.LOWER
     return -pairs * lambert_w(-u, w_branch)

@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimator import InconsistentObservationError, LoadBranch, classify_load_branch, estimate_load
+from .estimator import InconsistentObservationError, classify_load_branch, estimate_load
 from .model import RachConfig, SettingError, check_range, utility
 from .optimizer import SATURATION_LOAD, decide_subframes
 
@@ -61,7 +61,6 @@ __all__ = [
     "FrameOutcome",
     "TimeSeries",
     "ReplicationSet",
-    "AGGREGATE_COLUMNS",
     "generate_arrivals",
     "contend",
     "resolve_backoff",
@@ -268,7 +267,7 @@ def resolve_backoff(
 
     A device that has already failed retry_limit times is dropped instead.
     """
-    check_range("backoff_window", backoff_window, 1)
+    check_range("backoff_window", backoff_window, 1, MAX_WINDOW)
     check_range("retry_limit", retry_limit, 0)
     devices = list(collided)
     attempts = np.array([dev.attempts for dev in devices], dtype=np.int64)
@@ -294,7 +293,7 @@ def acb_gate(
 ) -> tuple[list[DeviceState], list[DeviceState]]:
     """Admit each contender with probability p_barring; bar the rest."""
     check_range("p_barring", p_barring, 0, 1, lo_open=True)
-    check_range("barring_window", barring_window, 1)
+    check_range("barring_window", barring_window, 1, MAX_WINDOW)
     devices = list(contenders)
     passed, due = _bar(len(devices), p_barring, barring_window, frame, rng)
     admitted = [dev for dev, ok in zip(devices, passed.tolist()) if ok]
@@ -362,8 +361,7 @@ class AdaptiveController(Controller):
 
     Both steps are pure functions of small keys that recur from frame to
     frame, so each controller caches their results: estimates by
-    (successes, n_s, whether the branch is heavy), decisions by the smoothed
-    load; a bool key hashes faster than a LoadBranch member. The counts
+    (successes, n_s, load branch), decisions by the smoothed load. The counts
     themselves are checked by run_scenario's whole-run check. The caches
     live as long as the controller, one run, so they hold at most one entry
     per frame; an inconsistent observation raises and is never cached. A
@@ -376,9 +374,7 @@ class AdaptiveController(Controller):
         self._config = config
         self._history: deque[float] = deque(maxlen=window)
         self._estimate = functools.cache(
-            lambda eta, n_s, heavy: estimate_load(
-                eta, n_s, config.n_preambles, LoadBranch.HEAVY if heavy else LoadBranch.LIGHT
-            )
+            lambda eta, n_s, branch: estimate_load(eta, n_s, config.n_preambles, branch)
         )
         self._decide = functools.cache(
             lambda smoothed: decide_subframes(smoothed, config, table_max_load).n_s
@@ -387,7 +383,7 @@ class AdaptiveController(Controller):
     def observe_counts(self, successes, idle, n_s):
         branch = classify_load_branch(idle, n_s * self._config.n_preambles)
         try:
-            raw = self._estimate(successes, n_s, branch is LoadBranch.HEAVY)
+            raw = self._estimate(successes, n_s, branch)
         except InconsistentObservationError:
             self.fallback = True
             self.n_s = self._config.n_s_max
@@ -486,19 +482,15 @@ class FrameOutcome:
 
 
 FRAME_FIELDS = tuple(f.name for f in fields(FrameOutcome))
-_FLOAT_FIELDS = ("est_load", "utility")
-_COUNT_FIELDS = (
-    "arrivals", "contenders", "successes", "collisions", "collided_devices", "idle", "true_load",
-)
-# what run_scenario records each frame, in this order
-_RECORDED = ("n_s_used", *_COUNT_FIELDS[1:], "est_load", "estimator_fallback")
+# the fields annotated float (the annotations are strings here)
+_FLOAT_FIELDS = tuple(f.name for f in fields(FrameOutcome) if f.type.startswith("float"))
 
 
-def _as_columns(names: Sequence[str], values) -> dict[str, np.ndarray]:
-    """One array per field name from its values; None becomes NaN in a float field."""
+def _as_columns(values) -> dict[str, np.ndarray]:
+    """One array per FrameOutcome field from its values in field order; None becomes NaN."""
     return {
         name: np.array(column, dtype=float if name in _FLOAT_FIELDS else None)
-        for name, column in zip(names, values)
+        for name, column in zip(FRAME_FIELDS, values)
     }
 
 
@@ -506,9 +498,9 @@ class TimeSeries:
     """Frame-ordered records of one replication, one array per FrameOutcome field.
 
     `columns` maps each field name to its array over the frames; est_load
-    is NaN where a row has None. run_scenario fills the columns directly,
-    TimeSeries(rows=...) builds them from FrameOutcome rows, and `rows`
-    turns them back into rows.
+    is NaN where a row has None. run_scenario builds the columns from one
+    tuple of the fields per frame, TimeSeries(rows=...) builds them from
+    FrameOutcome rows, and `rows` turns them back into rows.
     """
 
     def __init__(
@@ -516,9 +508,7 @@ class TimeSeries:
         *, columns: dict[str, np.ndarray] | None = None,
     ):
         if columns is None:
-            columns = _as_columns(
-                FRAME_FIELDS, ([getattr(row, name) for row in rows] for name in FRAME_FIELDS)
-            )
+            columns = _as_columns([getattr(row, name) for row in rows] for name in FRAME_FIELDS)
         self.columns = columns
         self.replication_id = replication_id
         self.seed = seed
@@ -545,7 +535,8 @@ class TimeSeries:
             (c["collided_devices"] < 2 * c["collisions"], "collided_devices < 2 * collisions"),
             ((c["collisions"] == 0) & (c["collided_devices"] != 0),
              "collided devices without collisions"),
-            (np.min([c[name] for name in _COUNT_FIELDS], axis=0) < 0, "negative count"),
+            (np.min([v for v in c.values() if v.dtype.kind == "i"], axis=0) < 0,
+             "negative count"),
             (c["utility"] != utility(c["successes"], config.alpha, c["n_s_used"]),
              "utility mismatch"),
         )
@@ -576,12 +567,11 @@ def run_scenario(scenario: Scenario, seed: int, replication_id: int = 0) -> Time
     arrival_seq, event_seq = np.random.SeedSequence(seed).spawn(2)
     arrival_rng = np.random.default_rng(arrival_seq)
     event_rng = np.random.default_rng(event_seq)
-    frames = np.arange(scenario.frames)
-    new_devices = generate_arrivals(scenario.profile, frames, arrival_rng)
+    new_devices = generate_arrivals(scenario.profile, np.arange(scenario.frames), arrival_rng)
 
     due = attempts = _NO_DEVICES
     arrived = succeeded = dropped = pending = 0
-    records: list[tuple] = []  # per frame, the _RECORDED fields
+    rows: list[tuple] = []  # per frame, the FrameOutcome fields in order
 
     for frame, arrivals in enumerate(new_devices.tolist()):
         n_s = controller.n_s
@@ -624,27 +614,18 @@ def run_scenario(scenario: Scenario, seed: int, replication_id: int = 0) -> Time
             due, attempts = due[first:], attempts[first:]
 
         est = controller.observe_counts(successes, idle, n_s)
-        records.append((
-            n_s, len(admitted), successes, collisions, len(losers), idle, len(pool),
-            est, controller.fallback,
+        rows.append((
+            frame, n_s, arrivals, len(admitted), successes, collisions, len(losers), idle,
+            len(pool), est, utility(successes, cfg.alpha, n_s), controller.fallback,
         ))
 
-    columns = _as_columns(_RECORDED, zip(*records))
-    columns.update(
-        frame=frames,
-        arrivals=new_devices,
-        utility=utility(columns["successes"], cfg.alpha, columns["n_s_used"]),
-    )
-    series = TimeSeries(replication_id=replication_id, seed=seed, columns=columns)
+    series = TimeSeries(replication_id=replication_id, seed=seed, columns=_as_columns(zip(*rows)))
     series.validate(cfg)
     return series
 
 
 # ---------------------------------------------------------------------------
 # Replications and aggregation
-
-# every FrameOutcome field but the frame index and the fallback flag
-AGGREGATE_COLUMNS = FRAME_FIELDS[1:-1]
 
 
 @dataclass
@@ -667,9 +648,11 @@ class ReplicationSet:
 def aggregate_runs(runs: list[TimeSeries]) -> ReplicationSet:
     """Per-frame means, and the utility's normal-approximation 95% CI (zero for one run).
 
-    est_load rows without an estimate are skipped; a frame with no valid
-    estimate at all aggregates to NaN. Results depend only on the set of
-    runs (keyed by replication order), not on completion order.
+    Every field but frame is averaged, so estimator_fallback's mean is the
+    share of runs that fell back at the frame. est_load rows without an
+    estimate are skipped; a frame with no valid estimate at all aggregates
+    to NaN. Results depend only on the set of runs (keyed by replication
+    order), not on completion order.
     """
     if not runs:
         raise ValueError("need at least one run")
@@ -679,7 +662,7 @@ def aggregate_runs(runs: list[TimeSeries]) -> ReplicationSet:
     runs = sorted(runs, key=lambda r: r.replication_id)
     means = {
         col: np.mean([run.columns[col] for run in runs], axis=0)
-        for col in AGGREGATE_COLUMNS if col != "est_load"
+        for col in FRAME_FIELDS if col not in ("frame", "est_load")
     }
     est_load = np.array([run.columns["est_load"] for run in runs])
     counts = np.count_nonzero(~np.isnan(est_load), axis=0)

@@ -335,12 +335,21 @@ def test_compare_shares_arrival_sequences(small_scn, tmp_path, capsys):
 
 
 def test_compare_needs_two_controllers(small_scn, tmp_path, capsys):
+    out = tmp_path / "x.csv"
     rc = main(["compare", "--scenario", str(small_scn), "--controllers",
-               "adaptive", "--out", str(tmp_path / "x.csv")])
+               "adaptive", "--out", str(out)])
     assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: --controllers: compare needs at least two controllers\n"
+    )
     rc = main(["compare", "--scenario", str(small_scn), "--controllers",
-               "adaptive,bogus", "--out", str(tmp_path / "x.csv")])
+               "adaptive,bogus", "--out", str(out)])
     assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: --controllers: unknown controller 'bogus'; "
+        "choose from ['acb', 'adaptive', 'fixed', 'max']\n"
+    )
+    assert not out.exists()
 
 
 def test_build_report_win_fraction_semantics():

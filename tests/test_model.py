@@ -206,12 +206,16 @@ VALUE_ENTRY_POINTS = {
     ),
     "estimate_load": (lambda x: estimate_load(x, 2, 64, LoadBranch.LIGHT), "eta_obs", ">= 0"),
     "contend": (lambda x: contend([], x, 64, RNG), "n_s", ">= 1"),
-    "resolve_backoff": (lambda x: resolve_backoff([], 0, x, 10, RNG), "backoff_window", ">= 1"),
+    "resolve_backoff": (
+        lambda x: resolve_backoff([], 0, x, 10, RNG), "backoff_window", "in [1, 2147483647]"
+    ),
     "resolve_backoff_retry_limit": (
         lambda x: resolve_backoff([], 0, 4, x, RNG), "retry_limit", ">= 0"
     ),
     "acb_gate": (lambda x: acb_gate([], x, 4, 0, RNG), "p_barring", "in (0, 1]"),
-    "acb_gate_window": (lambda x: acb_gate([], 0.5, x, 0, RNG), "barring_window", ">= 1"),
+    "acb_gate_window": (
+        lambda x: acb_gate([], 0.5, x, 0, RNG), "barring_window", "in [1, 2147483647]"
+    ),
     "load_grid_step": (lambda x: LoadGrid.up_to(700.0, x), "step", "> 0"),
     "load_grid_max_load": (lambda x: LoadGrid.up_to(x, 1.0), "max_load", "> 0"),
     "run_replications": (

@@ -3,6 +3,8 @@
 import math
 import re
 import statistics
+import typing
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,10 +15,11 @@ from hypothesis import strategies as st
 
 import rachsim.simulator
 from rachsim.estimator import InconsistentObservationError, classify_load_branch, estimate_load
-from rachsim.model import RachConfig
+from rachsim.model import RachConfig, SettingError
 from rachsim.optimizer import decide_subframes
 from rachsim.scenario import default_scenario, parse_scenario
 from rachsim.simulator import (
+    FRAME_FIELDS,
     MAX_PAIRS,
     MAX_WINDOW,
     _defer,
@@ -26,6 +29,7 @@ from rachsim.simulator import (
     ControllerSpec,
     DeviceState,
     DeviceStatus,
+    FrameOutcome,
     LoadProfile,
     ProfileSegment,
     Scenario,
@@ -235,10 +239,32 @@ def test_backoff_schedules_and_counts_attempts():
 
 def test_backoff_validation():
     rng = np.random.default_rng(16)
-    with pytest.raises(ValueError, match="backoff_window must be >= 1"):
+    with pytest.raises(SettingError) as exc:
         resolve_backoff(make_devices(1), frame=0, backoff_window=0, retry_limit=10, rng=rng)
+    assert str(exc.value) == "backoff_window must be in [1, 2147483647], got 0"
     with pytest.raises(ValueError, match="retry_limit must be >= 0"):
         resolve_backoff(make_devices(1), frame=0, backoff_window=4, retry_limit=-1, rng=rng)
+
+
+ADAPTER_WINDOWS = {
+    "backoff_window": lambda devs, window, rng: resolve_backoff(devs, 0, window, 10, rng),
+    "barring_window": lambda devs, window, rng: acb_gate(devs, 0.5, window, 0, rng),
+}
+
+
+@pytest.mark.parametrize("window", [2**31, 2**70])
+@pytest.mark.parametrize("name", ADAPTER_WINDOWS)
+def test_adapter_windows_are_bounded(name, window):
+    # a window past MAX_WINDOW would put due frames past int64; it is
+    # refused before any draw, without a numpy warning
+    devs = make_devices(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SettingError) as exc:
+            ADAPTER_WINDOWS[name](devs, window, np.random.default_rng(16))
+    assert str(exc.value) == f"{name} must be in [1, {MAX_WINDOW}], got {window}"
+    assert exc.value.fields == (name,)
+    assert devs == make_devices(3)
 
 
 def test_backoff_window_one_means_next_frame():
@@ -734,6 +760,38 @@ def test_aggregate_est_load_skips_missing():
     scenario = default_scenario("fixed")
     repset = run_replications(scenario, 2, base_seed=1)
     assert all(math.isnan(v) for v in repset.means["est_load"])
+
+
+# the dtype kind of the column of each FrameOutcome annotation
+ANNOTATION_KINDS = {int: "i", float: "f", bool: "b"}
+
+
+@pytest.mark.parametrize("kind", ["adaptive", "fixed", "max", "acb"])
+def test_run_columns_are_the_frame_outcome_fields(kind):
+    hints = typing.get_type_hints(FrameOutcome)
+    series = run_scenario(default_scenario(kind), seed=4)
+    assert list(series.columns) == list(FRAME_FIELDS) == list(hints)
+    for name, column in series.columns.items():
+        hint = hints[name]  # float | None records as float
+        annotated = next(t for t in (hint, *typing.get_args(hint)) if t in ANNOTATION_KINDS)
+        assert column.dtype.kind == ANNOTATION_KINDS[annotated], name
+
+
+def test_means_cover_every_field_but_frame():
+    repset = run_replications(default_scenario("adaptive"), 3, base_seed=1)
+    assert sorted(repset.means) == sorted(set(FRAME_FIELDS) - {"frame"})
+
+
+def test_mean_fallback_is_the_share_of_runs_that_fell_back():
+    # on one subframe of two preambles a single success is past the clamped
+    # peak, so the adaptive controller falls back in some runs' frames
+    config = RachConfig(n_preambles=2, n_s_min=1, n_s_max=2)
+    profile = LoadProfile((ProfileSegment(0, 30, 1.0, 1.0),))
+    repset = run_replications(Scenario(config=config, profile=profile), 4, base_seed=1)
+    fell_back = [run.columns["estimator_fallback"].tolist() for run in repset.runs]
+    share = [sum(frame) / len(fell_back) for frame in zip(*fell_back)]
+    assert any(0 < s < 1 for s in share)
+    assert repset.means["estimator_fallback"].tolist() == share
 
 
 def test_empty_replications_rejected():
