@@ -168,6 +168,7 @@ MAX_PAIRS = 1_000_000  # bound on n_s_max x n_preambles; a frame counts picks pe
 # Bound on the backoff, barring and estimate smoothing windows: due frames
 # fit int64, and a smoothing window fits a deque's maximum length.
 MAX_WINDOW = 2**31 - 1
+_MAX_FRAME = 2**63 - 1 - MAX_WINDOW  # the last frame whose deferrals fit int64
 
 _NO_DEVICES = np.zeros(0, dtype=np.int64)
 _NO_DEVICES.flags.writeable = False
@@ -226,9 +227,9 @@ def _backoff(
     retry_limit: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Collided devices' (retry mask, due frames of the retriers)."""
-    retry = attempts < retry_limit
-    return retry, _defer(int(np.count_nonzero(retry)), frame, backoff_window, rng)
+    """Collided devices' (attempts of the retriers, due frames of the retriers)."""
+    retriers = attempts[attempts < retry_limit]
+    return retriers, _defer(len(retriers), frame, backoff_window, rng)
 
 
 def _bar(
@@ -267,13 +268,14 @@ def resolve_backoff(
 
     A device that has already failed retry_limit times is dropped instead.
     """
+    check_range("frame", frame, 0, _MAX_FRAME)
     check_range("backoff_window", backoff_window, 1, MAX_WINDOW)
     check_range("retry_limit", retry_limit, 0)
     devices = list(collided)
     attempts = np.array([dev.attempts for dev in devices], dtype=np.int64)
-    retry, due = _backoff(attempts, frame, backoff_window, retry_limit, rng)
+    _, due = _backoff(attempts, frame, backoff_window, retry_limit, rng)
     retriers = []
-    for dev, again in zip(devices, retry.tolist()):
+    for dev, again in zip(devices, (attempts < retry_limit).tolist()):
         if again:
             retriers.append(dev)
         else:
@@ -294,6 +296,7 @@ def acb_gate(
     """Admit each contender with probability p_barring; bar the rest."""
     check_range("p_barring", p_barring, 0, 1, lo_open=True)
     check_range("barring_window", barring_window, 1, MAX_WINDOW)
+    check_range("frame", frame, 0, _MAX_FRAME)
     devices = list(contenders)
     passed, due = _bar(len(devices), p_barring, barring_window, frame, rng)
     admitted = [dev for dev, ok in zip(devices, passed.tolist()) if ok]
@@ -360,25 +363,22 @@ class AdaptiveController(Controller):
     at n_s_max.
 
     Both steps are pure functions of small keys that recur from frame to
-    frame, so each controller caches their results: estimates by
-    (successes, n_s, load branch), decisions by the smoothed load. The counts
-    themselves are checked by run_scenario's whole-run check. The caches
-    live as long as the controller, one run, so they hold at most one entry
-    per frame; an inconsistent observation raises and is never cached. A
-    miss looks up estimate_load or decide_subframes in this module when it
-    runs, so a wrapper set on either name sees every miss.
+    frame, so their results are cached: estimates by (successes, n_s, load
+    branch), decisions by the smoothed load. The counts themselves are
+    checked by run_scenario's whole-run check. The caches live as long as
+    the controller, one run, unless it is given a pair: run_replications
+    shares one pair across the replications of one call, never across calls.
+    They hold at most one entry per frame run through them; an inconsistent
+    observation raises and is never cached. A miss looks up estimate_load or
+    decide_subframes in this module when it runs, so a wrapper set on either
+    name sees every miss.
     """
 
-    def __init__(self, config: RachConfig, window: int, table_max_load: float):
+    def __init__(self, config: RachConfig, window: int, table_max_load: float, memo=None):
         super().__init__(config.n_s_min)
         self._config = config
         self._history: deque[float] = deque(maxlen=window)
-        self._estimate = functools.cache(
-            lambda eta, n_s, branch: estimate_load(eta, n_s, config.n_preambles, branch)
-        )
-        self._decide = functools.cache(
-            lambda smoothed: decide_subframes(smoothed, config, table_max_load).n_s
-        )
+        self._estimate, self._decide = memo or _adaptive_memo(config, table_max_load)
 
     def observe_counts(self, successes, idle, n_s):
         branch = classify_load_branch(idle, n_s * self._config.n_preambles)
@@ -396,6 +396,13 @@ class AdaptiveController(Controller):
         return smoothed
 
 
+def _adaptive_memo(config: RachConfig, table_max_load: float) -> tuple:
+    """AdaptiveController's (estimate, decide) cache pair for one config."""
+    return functools.cache(
+        lambda eta, n_s, branch: estimate_load(eta, n_s, config.n_preambles, branch)
+    ), functools.cache(lambda smoothed: decide_subframes(smoothed, config, table_max_load).n_s)
+
+
 class AcbController(Controller):
     """Probabilistic barring in front of the default fixed allocation."""
 
@@ -409,13 +416,13 @@ class AcbController(Controller):
         return pool[passed], pool[~passed], due
 
 
-def make_controller(spec: ControllerSpec, config: RachConfig) -> Controller:
+def make_controller(spec: ControllerSpec, config: RachConfig, memo=None) -> Controller:
     if spec.kind is ControllerKind.FIXED_DEFAULT:
         return Controller(config.n_s_min)
     if spec.kind is ControllerKind.FIXED_MAX:
         return Controller(config.n_s_max)
     if spec.kind is ControllerKind.ADAPTIVE:
-        return AdaptiveController(config, spec.window, spec.table_max_load)
+        return AdaptiveController(config, spec.window, spec.table_max_load, memo)
     if spec.kind is ControllerKind.ACB:
         return AcbController(config, spec.acb_p, spec.acb_window)
     raise ValueError(f"unknown controller kind {spec.kind!r}")
@@ -551,7 +558,7 @@ class TimeSeries:
 # Run loop
 
 
-def run_scenario(scenario: Scenario, seed: int, replication_id: int = 0) -> TimeSeries:
+def run_scenario(scenario: Scenario, seed: int, replication_id: int = 0, memo=None) -> TimeSeries:
     """Simulate one replication; deterministic for a fixed (scenario, seed).
 
     Pending devices are two append-only arrays in the order they were
@@ -560,14 +567,17 @@ def run_scenario(scenario: Scenario, seed: int, replication_id: int = 0) -> Time
     new arrivals; it appends its deferrals, barred before retriers. Spent
     entries (frame passed) never match again: a frame drops those in front
     of the first pending one as views, and once spent entries outnumber the
-    pending ones it keeps only the pending ones, in order.
+    pending ones it keeps only the pending ones, in order. An empty frame
+    (nothing pending, no arrivals) draws nothing and touches no array.
     """
     cfg = scenario.config
-    controller = make_controller(scenario.controller, cfg)
+    controller = make_controller(scenario.controller, cfg, memo)
     arrival_seq, event_seq = np.random.SeedSequence(seed).spawn(2)
     arrival_rng = np.random.default_rng(arrival_seq)
     event_rng = np.random.default_rng(event_seq)
     new_devices = generate_arrivals(scenario.profile, np.arange(scenario.frames), arrival_rng)
+    fresh = np.zeros(min(int(new_devices.max()), MAX_POOL), dtype=np.int64)
+    fresh.flags.writeable = False
 
     due = attempts = _NO_DEVICES
     arrived = succeeded = dropped = pending = 0
@@ -581,37 +591,39 @@ def run_scenario(scenario: Scenario, seed: int, replication_id: int = 0) -> Time
                 f"frame {frame}: {pending} pending devices plus {arrivals} arrivals "
                 f"exceed the pool bound of {MAX_POOL}"
             )
-        pool = np.concatenate((attempts[due == frame], np.zeros(arrivals, dtype=np.int64)))
-
-        admitted, barred, barred_due = controller.admit(pool, frame, event_rng)
-        lost, successes, collisions, idle = _pick_pairs(
-            len(admitted), n_s, cfg.n_preambles, event_rng
-        )
-        losers = admitted[lost]
-        retry, retry_due = _backoff(
-            losers, frame, scenario.backoff_window, scenario.retry_limit, event_rng
-        )
-        retriers = losers[retry]
-        due = np.concatenate((due, barred_due, retry_due))
-        attempts = np.concatenate((attempts, barred, retriers + 1))
-
-        arrived += arrivals
-        succeeded += successes
-        dropped += len(losers) - len(retriers)
-        live = due > frame
-        pending = int(np.count_nonzero(live))
-        if arrived != succeeded + dropped + pending:
-            raise ValueError(
-                f"frame {frame}: device conservation broken: {arrived} arrived, "
-                f"{succeeded} succeeded, {dropped} dropped, {pending} pending"
+        if not (pending or arrivals):  # an empty frame: its counts, no draw
+            _, successes, collisions, idle = _pick_pairs(0, n_s, cfg.n_preambles, event_rng)
+            pool = admitted = losers = _NO_DEVICES
+        else:
+            pool = np.concatenate((attempts[due == frame], fresh[:arrivals]))
+            admitted, barred, barred_due = controller.admit(pool, frame, event_rng)
+            lost, successes, collisions, idle = _pick_pairs(
+                len(admitted), n_s, cfg.n_preambles, event_rng
             )
-        # spent entries never match again: keep only the pending ones once
-        # they are outnumbered, else drop the spent ones in front, as views
-        if len(due) > 2 * pending:
-            due, attempts = due[live], attempts[live]
-        elif pending:
-            first = int(live.argmax())
-            due, attempts = due[first:], attempts[first:]
+            losers = admitted[lost]
+            retriers, retry_due = _backoff(
+                losers, frame, scenario.backoff_window, scenario.retry_limit, event_rng
+            )
+            due = np.concatenate((due, barred_due, retry_due))
+            attempts = np.concatenate((attempts, barred, retriers + 1))
+
+            arrived += arrivals
+            succeeded += successes
+            dropped += len(losers) - len(retriers)
+            live = due > frame
+            pending = int(np.count_nonzero(live))
+            if arrived != succeeded + dropped + pending:
+                raise ValueError(
+                    f"frame {frame}: device conservation broken: {arrived} arrived, "
+                    f"{succeeded} succeeded, {dropped} dropped, {pending} pending"
+                )
+            # spent entries never match again: keep only the pending ones once
+            # they are outnumbered, else drop the spent ones in front, as views
+            if len(due) > 2 * pending:
+                due, attempts = due[live], attempts[live]
+            elif pending:
+                first = int(live.argmax())
+                due, attempts = due[first:], attempts[first:]
 
         est = controller.observe_counts(successes, idle, n_s)
         rows.append((
@@ -682,7 +694,8 @@ def run_replications(
 ) -> ReplicationSet:
     """Run seeds base_seed..base_seed + n_reps - 1 and aggregate."""
     check_range("n_reps", n_reps, 1)
+    memo = _adaptive_memo(scenario.config, scenario.controller.table_max_load)
     runs = [
-        run_scenario(scenario, base_seed + i, replication_id=i) for i in range(n_reps)
+        run_scenario(scenario, base_seed + i, replication_id=i, memo=memo) for i in range(n_reps)
     ]
     return aggregate_runs(runs)

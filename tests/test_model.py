@@ -25,7 +25,7 @@ from rachsim.optimizer import (
     stationary_alpha_limit,
 )
 from rachsim.scenario import default_scenario
-from rachsim.simulator import acb_gate, contend, resolve_backoff, run_replications
+from rachsim.simulator import MAX_WINDOW, acb_gate, contend, resolve_backoff, run_replications
 
 
 def test_throughput_zero_load():
@@ -212,9 +212,15 @@ VALUE_ENTRY_POINTS = {
     "resolve_backoff_retry_limit": (
         lambda x: resolve_backoff([], 0, 4, x, RNG), "retry_limit", ">= 0"
     ),
+    "resolve_backoff_frame": (
+        lambda x: resolve_backoff([], x, 4, 10, RNG), "frame", f"in [0, {2**63 - 1 - MAX_WINDOW}]"
+    ),
     "acb_gate": (lambda x: acb_gate([], x, 4, 0, RNG), "p_barring", "in (0, 1]"),
     "acb_gate_window": (
         lambda x: acb_gate([], 0.5, x, 0, RNG), "barring_window", "in [1, 2147483647]"
+    ),
+    "acb_gate_frame": (
+        lambda x: acb_gate([], 0.5, 4, x, RNG), "frame", f"in [0, {2**63 - 1 - MAX_WINDOW}]"
     ),
     "load_grid_step": (lambda x: LoadGrid.up_to(700.0, x), "step", "> 0"),
     "load_grid_max_load": (lambda x: LoadGrid.up_to(x, 1.0), "max_load", "> 0"),

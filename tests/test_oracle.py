@@ -169,6 +169,35 @@ def test_run_scenario_matches_reference_when_spent_entries_pile_up():
         assert run_scenario(scenario, seed).rows == reference_run(scenario, seed), seed
 
 
+# arrivals stop mid-run until nothing is pending, then resume: the idle
+# frames between take run_scenario's empty-frame path
+IDLE_GAP = replace(
+    STOCK,
+    profile=LoadProfile((
+        ProfileSegment(0, 6, 60.0, 60.0),
+        ProfileSegment(6, 50, 0.0, 0.0),
+        ProfileSegment(50, 60, 60.0, 60.0),
+    )),
+    frames=None,
+    retry_limit=2,
+)
+
+
+@pytest.mark.parametrize("kind", [k.value for k in ControllerKind])
+def test_run_scenario_matches_reference_across_an_idle_gap(kind):
+    scenario = IDLE_GAP.with_controller(ControllerKind(kind))
+    # a device pending at frame f was deferred at most `deferral` frames back
+    deferral = max(scenario.backoff_window, scenario.controller.acb_window)
+    for seed in range(1, 6):
+        rows = run_scenario(scenario, seed).rows
+        assert rows == reference_run(scenario, seed), seed
+        empty = [row.true_load == 0 for row in rows]
+        # some frame in the gap follows `deferral` empty frames, so nothing
+        # is pending there, and the load resumes after it
+        assert any(all(empty[f - deferral:f + 1]) for f in range(deferral, 50)), seed
+        assert not any(empty[50:]), seed
+
+
 # rates from idle through light load to deep overload of the 128 default pairs
 RATES = st.one_of(st.just(0.0), st.floats(0.0, 400.0))
 

@@ -267,6 +267,37 @@ def test_adapter_windows_are_bounded(name, window):
     assert devs == make_devices(3)
 
 
+ADAPTER_FRAMES = {
+    "resolve_backoff": lambda devs, frame, rng: resolve_backoff(devs, frame, MAX_WINDOW, 10, rng),
+    "acb_gate": lambda devs, frame, rng: acb_gate(devs, 0.5, MAX_WINDOW, frame, rng),
+}
+LAST_FRAME = 2**63 - 1 - MAX_WINDOW  # its deferrals still fit int64
+
+
+@pytest.mark.parametrize("frame", [2**63 - 3, 2**64])
+@pytest.mark.parametrize("name", ADAPTER_FRAMES)
+def test_adapter_frames_are_bounded(name, frame):
+    # a frame whose deferrals would pass int64 wraps them round or overflows;
+    # it is refused before any draw, without a numpy warning
+    devs = make_devices(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SettingError) as exc:
+            ADAPTER_FRAMES[name](devs, frame, np.random.default_rng(16))
+    assert str(exc.value) == f"frame must be in [0, {LAST_FRAME}], got {frame}"
+    assert exc.value.fields == ("frame",)
+    assert devs == make_devices(3)
+
+
+@pytest.mark.parametrize("name", ADAPTER_FRAMES)
+def test_adapter_defers_from_the_last_frame_within_int64(name):
+    devs = make_devices(200)
+    ADAPTER_FRAMES[name](devs, LAST_FRAME, np.random.default_rng(16))
+    deferred = [d.backoff_until for d in devs if d.backoff_until]
+    assert deferred
+    assert all(LAST_FRAME < until <= 2**63 - 1 for until in deferred)
+
+
 def test_backoff_window_one_means_next_frame():
     rng = np.random.default_rng(11)
     devs = make_devices(20)
@@ -563,6 +594,41 @@ def test_adaptive_memo_matches_direct_calls(window, monkeypatch):
             calls.clear()
 
 
+def test_run_replications_shares_one_memo_per_call(monkeypatch):
+    scenario = parse_scenario(TM2)
+    misses = record_misses(monkeypatch, "estimate_load", "decide_subframes")
+    alone = [run_scenario(scenario, seed) for seed in range(1, 6)]
+    separate = {name: list(calls) for name, calls in misses.items()}
+    first = None
+    for _ in range(2):  # a second call starts with empty caches
+        for calls in misses.values():
+            calls.clear()
+        repset = run_replications(scenario, 5, 1)
+        # each distinct estimate and decision once across the replications;
+        # an inconsistent observation is never cached, so it may recur
+        consistent = [
+            args for args in misses["estimate_load"]
+            if not math.isnan(estimate_or_nan(*args))
+        ]
+        assert len(set(consistent)) == len(consistent)
+        assert len(set(misses["decide_subframes"])) == len(misses["decide_subframes"])
+        for name, calls in misses.items():
+            assert set(calls) == set(separate[name])
+            assert len(calls) < len(separate[name]) / 2
+        if first is not None:
+            assert misses == first
+        first = {name: list(calls) for name, calls in misses.items()}
+        for run, run_alone in zip(repset.runs, alone, strict=True):
+            assert run.rows == run_alone.rows
+
+
+def estimate_or_nan(*args):
+    try:
+        return estimate_load(*args)
+    except InconsistentObservationError:
+        return math.nan
+
+
 def test_adaptive_memo_never_keeps_an_inconsistent_observation(monkeypatch):
     cfg = RachConfig()
     misses = record_misses(monkeypatch, "estimate_load")["estimate_load"]
@@ -682,8 +748,9 @@ def test_conservation_check_catches_a_lost_device(monkeypatch):
     backoff = rachsim.simulator._backoff
 
     def lose_one_retrier(*args):
-        retry, due = backoff(*args)
-        return retry, due[1:]
+        # the retrier stays counted as one, but its due frame is lost
+        retriers, due = backoff(*args)
+        return retriers, due[1:]
 
     monkeypatch.setattr(rachsim.simulator, "_backoff", lose_one_retrier)
     with pytest.raises(ValueError, match="device conservation broken"):
