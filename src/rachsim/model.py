@@ -10,6 +10,7 @@ Utility prices the subframes spent on random access: U = eta - alpha * n_s.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -18,6 +19,7 @@ __all__ = [
     "MAX_ALPHA",
     "SettingError",
     "check_range",
+    "check_integer",
     "RachConfig",
     "throughput",
     "utility",
@@ -68,6 +70,13 @@ def check_range(
         raise SettingError(f"{{{name}}} must be {bound}, got {value}", name)
 
 
+def check_integer(name: str, value: int, lo: int, hi: int | None = None) -> None:
+    """check_range, then refuse a non-integer (a numpy integer is one, 2.0 is not)."""
+    check_range(name, value, lo, hi)
+    if not isinstance(value, numbers.Integral):
+        raise SettingError(f"{{{name}}} must be an integer, got {value!r}", name)
+
+
 @dataclass(frozen=True)
 class RachConfig:
     """Static per-cell random-access parameters.
@@ -86,9 +95,9 @@ class RachConfig:
 
     def __post_init__(self) -> None:
         # so that every pair count n_s * n_preambles is an exact float
-        check_range("n_preambles", self.n_preambles, 1, 2**53 // FRAME_SUBFRAMES)
-        check_range("n_s_min", self.n_s_min, 1, FRAME_SUBFRAMES)
-        check_range("n_s_max", self.n_s_max, 1, FRAME_SUBFRAMES)
+        check_integer("n_preambles", self.n_preambles, 1, 2**53 // FRAME_SUBFRAMES)
+        check_integer("n_s_min", self.n_s_min, 1, FRAME_SUBFRAMES)
+        check_integer("n_s_max", self.n_s_max, 1, FRAME_SUBFRAMES)
         check_range("alpha", self.alpha, 0.0, MAX_ALPHA)
         if self.n_s_min > self.n_s_max:
             raise SettingError("{n_s_min} must not exceed {n_s_max}", "n_s_min", "n_s_max")

@@ -1,7 +1,7 @@
 """Utility-maximizing choice of the RACH subframe count.
 
 The authoritative optimizer is an exhaustive integer argmax over the
-admissible subframe range (at most 9 evaluations). A Lambert-W closed form
+admissible subframe range (at most 10 counts). A Lambert-W closed form
 for the interior stationary maximum is kept alongside it and cross-checked:
 with x = load / (n_s * n_p), stationarity of the utility reads
 x^2 * exp(-x) = alpha / n_p. As n_s grows from 0, utility first falls to a
@@ -15,10 +15,11 @@ Because the interior stationary point need not beat the range boundaries,
 any decision derived from the closed form compares the rounded neighbors
 of the real-valued optimum against both boundary counts.
 
-The offline table sweeps the same argmax over a load grid as numpy
-arrays, block by block; points where the best two utilities nearly tie
-are decided by the scalar argmax, so the table is the one the scalar
-sweep would build.
+One argmax decides every choice, of one load, of the closed form's
+candidates and of each table point: a numpy kernel over arrays of loads
+and counts. Counts within a small slack of the best utility tie and the
+smaller wins, so no choice turns on the ULP by which numpy's exp differs
+between the SIMD code paths it dispatches to.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -60,10 +61,10 @@ MAX_GRID_POINTS = 10_000_000
 # admissible count and point: at most 10 x 2^14 floats whatever the grid.
 SWEEP_BLOCK = 1 << 14
 
-# The vectorised sweep's np.exp may differ from math.exp by an ULP or so,
-# which moves a utility by about 1e-16 of the load plus the subframe price.
-# Where the best two utilities of a point lie within this fraction of that
-# scale, the scalar argmax decides, so every choice is the scalar one.
+# numpy's exp may differ from math.exp, and between the SIMD code paths it
+# dispatches to, by an ULP or so: about 1e-16 of load + alpha * n_s_max in a
+# utility. Counts within this fraction of 1 + load + alpha * n_s_max of the
+# best utility tie, and the smallest tied count wins.
 NEAR_TIE_RTOL = 1e-9
 
 
@@ -137,25 +138,35 @@ def stationary_alpha_limit(n_preambles: int) -> float:
     return n_preambles * 4.0 * math.exp(-2.0)
 
 
-def _argmax(load: float, config: RachConfig, candidates: Iterable[int]) -> SubframeDecision:
-    """Utility argmax over ascending candidate counts; ties keep the smaller."""
-    best_n = config.n_s_min
-    best_u = -math.inf
-    for n_s in candidates:
-        u = utility_of_load(load, n_s, config)
-        if u > best_u:
-            best_n, best_u = n_s, u
-    return SubframeDecision(n_s=best_n, achieved_utility=best_u)
+def _argmax(loads: float | np.ndarray, config: RachConfig, counts: np.ndarray) -> np.ndarray:
+    """Per load, the smallest of the ascending counts tied with the best (see NEAR_TIE_RTOL).
+
+    The utilities take utility_of_load's IEEE operations, with np.exp.
+    """
+    # RachConfig keeps n_s * n_preambles within 2^53, so this float product
+    # is exactly the int one model.throughput divides by
+    column = counts[:, None].astype(np.float64)
+    capacity = column * float(config.n_preambles)
+    utilities = loads * np.exp(-loads / capacity) - config.alpha * column
+    slack = NEAR_TIE_RTOL * (1.0 + loads + config.alpha * config.n_s_max)
+    tied = utilities >= utilities.max(axis=0) - slack
+    return counts[tied.argmax(axis=0)]
+
+
+def _decision(load: float, config: RachConfig, counts: np.ndarray) -> SubframeDecision:
+    """The kernel's choice for one load, with its utility by utility_of_load."""
+    n_s = int(_argmax(load, config, counts)[0])
+    return SubframeDecision(n_s=n_s, achieved_utility=utility_of_load(load, n_s, config))
 
 
 def optimal_subframes_integer(load: float, config: RachConfig) -> SubframeDecision:
     """Exhaustive argmax of utility over the admissible subframe counts.
 
-    Ties break toward the smaller count, freeing subframes for data when
-    utility is indifferent.
+    Ties, to within NEAR_TIE_RTOL, break toward the smaller count, freeing
+    subframes for data when utility is indifferent.
     """
     check_range("load", load, 0)
-    return _argmax(load, config, config.subframe_range)
+    return _decision(load, config, np.arange(config.n_s_min, config.n_s_max + 1))
 
 
 def optimal_subframes_closed_form(load: float, config: RachConfig) -> float | None:
@@ -189,7 +200,7 @@ def closed_form_decision(load: float, config: RachConfig) -> SubframeDecision:
     if real_opt is not None:
         for n in (math.floor(real_opt), math.ceil(real_opt)):
             candidates.add(min(max(n, config.n_s_min), config.n_s_max))
-    return _argmax(load, config, sorted(candidates))
+    return _decision(load, config, np.array(sorted(candidates)))
 
 
 def decide_subframes(
@@ -207,34 +218,8 @@ def decide_subframes(
     check_range("load", load, 0)
     if load > table_max_load:
         n_s = config.n_s_max
-        return SubframeDecision(
-            n_s=n_s,
-            achieved_utility=utility_of_load(load, n_s, config),
-            clamped=True,
-        )
+        return SubframeDecision(n_s, utility_of_load(load, n_s, config), clamped=True)
     return optimal_subframes_integer(load, config)
-
-
-def _block_argmax(loads: np.ndarray, config: RachConfig) -> np.ndarray:
-    """optimal_subframes_integer(load, config).n_s for each load of an array.
-
-    One utility row per admissible count, by the same IEEE operations as
-    utility_of_load; argmax takes the first maximum, so ties keep the
-    smaller count. Near ties go to the scalar argmax (see NEAR_TIE_RTOL).
-    """
-    counts = np.arange(config.n_s_min, config.n_s_max + 1)[:, None]
-    # RachConfig keeps n_s * n_preambles within 2^53, so this float product
-    # is exactly the int one model.throughput divides by
-    capacity = counts * float(config.n_preambles)
-    price = config.alpha * counts
-    utilities = loads * np.exp(-loads / capacity) - price
-    chosen = counts[utilities.argmax(axis=0), 0]
-    if len(counts) > 1:
-        second, best = np.partition(utilities, -2, axis=0)[-2:]
-        scale = np.maximum(1.0, loads + price[-1, 0])
-        for i in np.flatnonzero(best - second <= NEAR_TIE_RTOL * scale):
-            chosen[i] = optimal_subframes_integer(float(loads[i]), config).n_s
-    return chosen
 
 
 def subframe_lookup_table(
@@ -245,9 +230,10 @@ def subframe_lookup_table(
     """Sweep loads on a grid and record every argmax change as a threshold."""
     grid = LoadGrid.up_to(max_load, load_grid_step)
     entries: list[tuple[float, int]] = []
+    counts = np.arange(config.n_s_min, config.n_s_max + 1)
     last_n = -1
     for loads in grid.blocks():
-        n_s = _block_argmax(loads, config)
+        n_s = _argmax(loads, config, counts)
         changed = n_s != np.concatenate(([last_n], n_s[:-1]))
         entries.extend(zip(loads[changed].tolist(), n_s[changed].tolist()))
         last_n = n_s[-1]

@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .estimator import InconsistentObservationError, classify_load_branch, estimate_load
-from .model import RachConfig, SettingError, check_range, utility
+from .model import RachConfig, SettingError, check_integer, check_range, utility
 from .optimizer import SATURATION_LOAD, decide_subframes
 
 __all__ = [
@@ -85,6 +85,8 @@ class ProfileSegment:
     rate_end: float
 
     def __post_init__(self) -> None:
+        check_integer("start_frame", self.start_frame, 0)
+        check_integer("end_frame", self.end_frame, 1)
         if self.end_frame <= self.start_frame:
             raise ValueError(f"segment {self} has end <= start")
         if not (0 <= self.rate_start < math.inf and 0 <= self.rate_end < math.inf):
@@ -249,8 +251,8 @@ def contend(
     rng: np.random.Generator,
 ) -> ContentionResult:
     """Uniform (subframe, preamble) selection; singleton pairs win."""
-    check_range("n_s", n_s, 1)
-    check_range("n_preambles", n_preambles, 1)
+    check_integer("n_s", n_s, 1)
+    check_integer("n_preambles", n_preambles, 1)
     devices = list(contenders)
     lost, successes, collisions, idle = _pick_pairs(len(devices), n_s, n_preambles, rng)
     losers = [dev for dev, lose in zip(devices, lost.tolist()) if lose]
@@ -268,9 +270,9 @@ def resolve_backoff(
 
     A device that has already failed retry_limit times is dropped instead.
     """
-    check_range("frame", frame, 0, _MAX_FRAME)
-    check_range("backoff_window", backoff_window, 1, MAX_WINDOW)
-    check_range("retry_limit", retry_limit, 0)
+    check_integer("frame", frame, 0, _MAX_FRAME)
+    check_integer("backoff_window", backoff_window, 1, MAX_WINDOW)
+    check_integer("retry_limit", retry_limit, 0)
     devices = list(collided)
     attempts = np.array([dev.attempts for dev in devices], dtype=np.int64)
     _, due = _backoff(attempts, frame, backoff_window, retry_limit, rng)
@@ -295,8 +297,8 @@ def acb_gate(
 ) -> tuple[list[DeviceState], list[DeviceState]]:
     """Admit each contender with probability p_barring; bar the rest."""
     check_range("p_barring", p_barring, 0, 1, lo_open=True)
-    check_range("barring_window", barring_window, 1, MAX_WINDOW)
-    check_range("frame", frame, 0, _MAX_FRAME)
+    check_integer("barring_window", barring_window, 1, MAX_WINDOW)
+    check_integer("frame", frame, 0, _MAX_FRAME)
     devices = list(contenders)
     passed, due = _bar(len(devices), p_barring, barring_window, frame, rng)
     admitted = [dev for dev, ok in zip(devices, passed.tolist()) if ok]
@@ -328,10 +330,10 @@ class ControllerSpec:
     acb_window: int = 4
 
     def __post_init__(self) -> None:
-        check_range("window", self.window, 1, MAX_WINDOW)
+        check_integer("window", self.window, 1, MAX_WINDOW)
         check_range("table_max_load", self.table_max_load, 0.0, lo_open=True)
         check_range("acb_p", self.acb_p, 0.0, 1.0, lo_open=True)
-        check_range("acb_window", self.acb_window, 1, MAX_WINDOW)
+        check_integer("acb_window", self.acb_window, 1, MAX_WINDOW)
 
 
 class Controller:
@@ -446,9 +448,9 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.frames is None:
             object.__setattr__(self, "frames", self.profile.end_frame)
-        check_range("frames", self.frames, 1, self.profile.end_frame)
-        check_range("backoff_window", self.backoff_window, 1, MAX_WINDOW)
-        check_range("retry_limit", self.retry_limit, 0)
+        check_integer("frames", self.frames, 1, self.profile.end_frame)
+        check_integer("backoff_window", self.backoff_window, 1, MAX_WINDOW)
+        check_integer("retry_limit", self.retry_limit, 0)
         # the config's fields, bounded here because a frame counts picks per pair
         ns_max, preambles = self.config.n_s_max, self.config.n_preambles
         if ns_max * preambles > MAX_PAIRS:
@@ -693,7 +695,7 @@ def run_replications(
     scenario: Scenario, n_reps: int, base_seed: int = 1
 ) -> ReplicationSet:
     """Run seeds base_seed..base_seed + n_reps - 1 and aggregate."""
-    check_range("n_reps", n_reps, 1)
+    check_integer("n_reps", n_reps, 1)
     memo = _adaptive_memo(scenario.config, scenario.controller.table_max_load)
     runs = [
         run_scenario(scenario, base_seed + i, replication_id=i, memo=memo) for i in range(n_reps)

@@ -5,7 +5,8 @@ standard library's `ast` only: a name counts as used when the module reads
 it anywhere or lists it in `__all__`. A private module-level name (`_x`, not
 a dunder) must be read in its own module, so that no helper outlives its
 last caller. And no module but `model` words a range requirement in an error
-it raises: a value's range is checked by `model.check_range`, not by hand.
+it raises: a value's range is checked by `model.check_range` (or, for an
+integer, `model.check_integer`), not by hand.
 """
 
 import ast
@@ -57,8 +58,8 @@ def unread_private_names(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in defined.items() if name not in read]
 
 
-# The wording of check_range's messages.
-RANGE_REQUIREMENT = re.compile(r"must be (finite|>=|>|in [\[(])")
+# The wording of check_range's and check_integer's messages.
+RANGE_REQUIREMENT = re.compile(r"must be (finite|>=|>|in [\[(]|an integer)")
 
 
 def hand_written_range_checks(source: str) -> list[str]:
@@ -143,4 +144,6 @@ def test_the_check_sees_hand_written_range_checks():
         "        raise ValueError('p must not be NaN')\n"
         "    raise ScenarioError(f'{name} must be an integer, got {x!r}')\n"
     )
-    assert hand_written_range_checks(source) == ["line 3", "line 5", "line 7", "line 9"]
+    assert hand_written_range_checks(source) == [
+        "line 3", "line 5", "line 7", "line 9", "line 12",
+    ]

@@ -25,7 +25,14 @@ from rachsim.optimizer import (
     stationary_alpha_limit,
 )
 from rachsim.scenario import default_scenario
-from rachsim.simulator import MAX_WINDOW, acb_gate, contend, resolve_backoff, run_replications
+from rachsim.simulator import (
+    MAX_WINDOW,
+    DeviceState,
+    acb_gate,
+    contend,
+    resolve_backoff,
+    run_replications,
+)
 
 
 def test_throughput_zero_load():
@@ -206,6 +213,7 @@ VALUE_ENTRY_POINTS = {
     ),
     "estimate_load": (lambda x: estimate_load(x, 2, 64, LoadBranch.LIGHT), "eta_obs", ">= 0"),
     "contend": (lambda x: contend([], x, 64, RNG), "n_s", ">= 1"),
+    "contend_n_preambles": (lambda x: contend([], 2, x, RNG), "n_preambles", ">= 1"),
     "resolve_backoff": (
         lambda x: resolve_backoff([], 0, x, 10, RNG), "backoff_window", "in [1, 2147483647]"
     ),
@@ -239,6 +247,33 @@ def test_entry_points_refuse_nan_inf_and_negative_loads(name, x):
     requirement = bound if math.isfinite(x) else "finite"
     assert str(exc.value) == f"{argument} must be {requirement}, got {x}"
     assert exc.value.fields == (argument,)
+
+
+# The entry points above whose argument is an integer.
+INTEGER_ENTRY_POINTS = [
+    "contend", "contend_n_preambles", "resolve_backoff", "resolve_backoff_retry_limit",
+    "resolve_backoff_frame", "acb_gate_window", "acb_gate_frame", "run_replications",
+]
+
+
+@pytest.mark.parametrize("name", INTEGER_ENTRY_POINTS)
+def test_integer_entry_points_refuse_non_integers(name):
+    call, argument, _ = VALUE_ENTRY_POINTS[name]
+    with pytest.raises(SettingError) as exc:
+        call(2.5)
+    assert str(exc.value) == f"{argument} must be an integer, got 2.5"
+    assert exc.value.fields == (argument,)
+    with pytest.raises(SettingError, match="must be an integer, got 2.0"):
+        call(2.0)
+
+
+def test_integer_entry_points_take_numpy_integers():
+    devices = [DeviceState(id=i) for i in range(3)]
+    assert contend(devices, np.int64(2), np.int32(64), RNG).idle >= 125
+    resolve_backoff(devices, np.int64(3), np.int64(4), np.int16(10), RNG)
+    assert all(4 <= dev.backoff_until <= 7 for dev in devices)
+    acb_gate(devices, 0.5, np.uint8(4), np.int64(3), RNG)
+    assert len(run_replications(default_scenario("fixed"), np.int64(1)).runs) == 1
 
 
 def test_lookup_refuses_only_nan():

@@ -2,17 +2,23 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 import rachsim.optimizer
 from rachsim.cli import main
 from rachsim.model import RachConfig, utility_of_load
 from rachsim.optimizer import (
     MAX_GRID_POINTS,
+    NEAR_TIE_RTOL,
     SWEEP_BLOCK,
     LoadGrid,
     LookupTable,
@@ -28,6 +34,21 @@ from conftest import bisect_root
 
 ALPHA2 = RachConfig(alpha=2.0)
 ALPHA25 = RachConfig(alpha=25.0)
+
+
+def tie_slack(load, config):
+    """How close to the best utility a count must come to tie with it."""
+    return NEAR_TIE_RTOL * (1.0 + load + config.alpha * config.n_s_max)
+
+
+def reference_argmax(load, config):
+    """The tie rule by math.exp, count by count: the smallest count tied with the best."""
+    utilities = [
+        (load * math.exp(-load / (n_s * config.n_preambles)) - config.alpha * n_s, n_s)
+        for n_s in config.subframe_range
+    ]
+    best = max(u for u, _ in utilities)
+    return next(n_s for u, n_s in utilities if u >= best - tie_slack(load, config))
 
 
 def test_low_alpha_anchor_points():
@@ -59,13 +80,18 @@ def test_decision_reports_achieved_utility():
 
 
 def test_argmax_dominates_every_other_count():
+    # the tie rule: the choice comes within the slack of every count, and
+    # each smaller count falls short of the best by more than the slack
     rng = np.random.default_rng(5)
     for _ in range(300):
         load = float(rng.uniform(0, 2000))
         cfg = RachConfig(alpha=float(rng.uniform(0, 60)))
         d = optimal_subframes_integer(load, cfg)
-        for n_s in cfg.subframe_range:
-            assert d.achieved_utility >= utility_of_load(load, n_s, cfg)
+        utilities = {n_s: utility_of_load(load, n_s, cfg) for n_s in cfg.subframe_range}
+        best = max(utilities.values())
+        assert d.achieved_utility == utilities[d.n_s]
+        assert d.achieved_utility >= best - tie_slack(load, cfg)
+        assert all(utilities[n_s] < best - tie_slack(load, cfg) for n_s in range(2, d.n_s))
 
 
 def test_closed_form_anchor_interval():
@@ -195,12 +221,12 @@ def test_load_grid_point_bound():
 
 
 # ---------------------------------------------------------------------------
-# The vectorised table sweep against the scalar argmax, point by point
+# The vectorised table sweep against a math.exp argmax, point by point
 
 
 def scalar_sweep(config, grid):
-    """The per-point loop the vectorised sweep replaced."""
-    return [optimal_subframes_integer(load, config).n_s for load in grid]
+    """The tie rule by math.exp at every point of the grid."""
+    return [reference_argmax(load, config) for load in grid]
 
 
 def assert_table_is_scalar_sweep(config, step, max_load, points):
@@ -293,54 +319,88 @@ def test_sweep_file_across_blocks_is_table_lookup(
     assert [int(n_s) for _, n_s in rows] == [table.lookup(load) for load in table.grid]
 
 
-def spy_on_scalar_argmax(monkeypatch):
-    """Record the loads the vectorised sweep hands to the scalar argmax."""
-    seen = []
-
-    def spy(load, config):
-        seen.append(load)
-        return optimal_subframes_integer(load, config)
-
-    monkeypatch.setattr(rachsim.optimizer, "optimal_subframes_integer", spy)
-    return seen
+def test_zero_load_tie_goes_to_n_s_min():
+    # every count scores exactly 0 there
+    config = RachConfig(alpha=0.0)
+    assert subframe_lookup_table(config, 1.0, 700.0).entries == ((0.0, 2), (1.0, 8))
+    assert optimal_subframes_integer(0.0, config).n_s == 2
+    assert optimal_subframes_integer(0.0, RachConfig(alpha=0.0, n_s_min=5, n_s_max=9)).n_s == 5
 
 
-def test_near_tie_fallback_decides_the_zero_load_tie(monkeypatch):
-    seen = spy_on_scalar_argmax(monkeypatch)
-    table = subframe_lookup_table(RachConfig(alpha=0.0), 1.0, 700.0)
-    assert seen == [0.0]  # every count scores exactly 0 there
-    assert table.entries == ((0.0, 2), (1.0, 8))
-
-
-def test_near_tie_fallback_at_a_utility_crossing(monkeypatch):
+def test_utility_crossing_goes_to_the_smaller_count():
     # the load where 2 and 3 subframes score the same, to float resolution
     crossing = bisect_root(
         lambda n: utility_of_load(n, 3, ALPHA25) - utility_of_load(n, 2, ALPHA25),
         50.0, 250.0, tol=0.0,
     )
-    seen = spy_on_scalar_argmax(monkeypatch)
-    table = subframe_lookup_table(ALPHA25, crossing, crossing)
-    assert seen == [crossing]
-    assert table.lookup(crossing) == optimal_subframes_integer(crossing, ALPHA25).n_s
+    gap = utility_of_load(crossing, 3, ALPHA25) - utility_of_load(crossing, 2, ALPHA25)
+    assert abs(gap) <= tie_slack(crossing, ALPHA25)
+    assert subframe_lookup_table(ALPHA25, crossing, crossing).lookup(crossing) == 2
+    assert optimal_subframes_integer(crossing, ALPHA25).n_s == 2
+    # a millionth further on, 3 wins by far more than the slack
+    assert optimal_subframes_integer(crossing * (1 + 1e-6), ALPHA25).n_s == 3
 
 
-@pytest.mark.parametrize(
-    "alpha, load",
-    [(2.0, 55.80951205494506), (2.0, 80.84905140949351), (10.0, 211.76576921966128),
-     (5.5, 122.45161462547944), (5.5, 167.2404486480442)],
-)
+# Loads where np.exp and math.exp order the best two counts differently on
+# some machines (seen with numpy 2.4 on x86-64 with AVX-512), and the count
+# the tie rule chooses there.
+REORDER_LOADS = {
+    (2.0, 55.80951205494506): 4, (2.0, 80.84905140949351): 6,
+    (10.0, 211.76576921966128): 6, (5.5, 122.45161462547944): 5,
+    (5.5, 167.2404486480442): 7,
+}
+
+
+@pytest.mark.parametrize("alpha, load", list(REORDER_LOADS))
 def test_near_ties_where_numpy_exp_reorders_the_counts(alpha, load):
-    # at these loads np.exp and math.exp order the best two counts
-    # differently (seen with numpy 2.4 on x86-64); the scalar order wins
     config = RachConfig(alpha=alpha)
-    table = subframe_lookup_table(config, load, load)
-    assert table.lookup(load) == optimal_subframes_integer(load, config).n_s
+    n_s = REORDER_LOADS[alpha, load]
+    assert optimal_subframes_integer(load, config).n_s == n_s
+    assert subframe_lookup_table(config, load, load).lookup(load) == n_s
+    assert reference_argmax(load, config) == n_s
 
 
-def test_no_fallback_without_near_ties(monkeypatch):
-    seen = spy_on_scalar_argmax(monkeypatch)
-    subframe_lookup_table(ALPHA25, 0.01, 700.0)
-    assert seen == []
+def test_alpha25_fine_grid_has_no_near_ties():
+    # so on the benchmark's table, whose checker takes the strict math.exp
+    # argmax, the tie rule never decides a point
+    loads = np.concatenate(list(LoadGrid.up_to(700.0, 0.01).blocks()))
+    counts = np.arange(ALPHA25.n_s_min, ALPHA25.n_s_max + 1, dtype=float)[:, None]
+    capacity = counts * ALPHA25.n_preambles
+    utilities = np.sort(loads * np.exp(-loads / capacity) - ALPHA25.alpha * counts, axis=0)
+    assert (utilities[-1] - utilities[-2] > tie_slack(loads, ALPHA25)).all()
+
+
+def test_decisions_do_not_depend_on_numpy_exp_dispatch(capsys):
+    # a child with every SIMD feature numpy dispatches to switched off
+    # answers the reorder loads and a table as this process does
+    dispatched = [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]
+    script = (
+        "from numpy._core._multiarray_umath import __cpu_features__\n"
+        "from rachsim.cli import main\n"
+        "from rachsim.model import RachConfig\n"
+        "from rachsim.optimizer import subframe_lookup_table\n"
+        f"print([name for name in {dispatched!r} if __cpu_features__[name]])\n"
+        f"for alpha, load in {list(REORDER_LOADS)!r}:\n"
+        "    main(['optimize', '--alpha', repr(alpha), '--load', repr(load)])\n"
+        "print(subframe_lookup_table(RachConfig(alpha=2.0), 0.01, 700.0).entries)\n"
+    )
+    src = str(Path(rachsim.optimizer.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(
+        os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(dispatched),
+        PYTHONPATH=src + (os.pathsep + path if path else ""),
+    )
+    child = subprocess.run([sys.executable, "-W", "error", "-c", script],
+                           env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    for alpha, load in REORDER_LOADS:
+        assert main(["optimize", "--alpha", repr(alpha), "--load", repr(load)]) == 0
+    table = subframe_lookup_table(RachConfig(alpha=2.0), 0.01, 700.0).entries
+    expected = f"[]\n{capsys.readouterr().out}{table}\n"
+    assert child.stdout == expected
+    assert [line.split()[0] for line in child.stdout.splitlines()[1:6]] == [
+        f"n_s={n_s}" for n_s in REORDER_LOADS.values()
+    ]
 
 
 @settings(max_examples=40, deadline=None)

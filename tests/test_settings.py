@@ -4,6 +4,7 @@ A scenario file, a command-line flag and a library call therefore reject the
 same value with the same requirement, naming the setting their own way.
 """
 
+import numpy as np
 import pytest
 
 from rachsim.model import RachConfig, SettingError
@@ -49,6 +50,33 @@ def test_file_and_dataclass_give_one_requirement(name):
         with pytest.raises(ScenarioError) as parsed:
             parse_scenario_text(TEXT.format(section, key, value), source="f.scn")
         assert str(parsed.value) == f"f.scn:5: {section}.{key} {requirement}"
+
+
+@pytest.mark.parametrize(
+    "name", [name for name, spec in _KEYS.items() if spec.type is int], ids=".".join
+)
+def test_integer_fields_refuse_non_integers(name):
+    spec = _KEYS[name]
+    with pytest.raises(SettingError) as direct:
+        build(spec.target, spec.field, 2.5)
+    assert str(direct.value) == f"{spec.field} must be an integer, got 2.5"
+    assert direct.value.fields == (spec.field,)
+    # a numpy integer is an integer
+    built = build(spec.target, spec.field, np.int64(3))
+    assert getattr(built, spec.field) == 3
+    # the parser refuses the text before a dataclass sees it
+    with pytest.raises(ScenarioError) as parsed:
+        parse_scenario_text(TEXT.format(*name, "2.5"), source="f.scn")
+    assert str(parsed.value) == f"f.scn:5: {'.'.join(name)} must be an integer, got '2.5'"
+
+
+def test_segment_frames_refuse_non_integers():
+    for frames, field, value in (((0, 10.5), "end_frame", 10.5), ((0.0, 10), "start_frame", 0.0)):
+        with pytest.raises(SettingError) as direct:
+            ProfileSegment(*frames, 5.0, 5.0)
+        assert str(direct.value) == f"{field} must be an integer, got {value}"
+        assert direct.value.fields == (field,)
+    assert ProfileSegment(np.int64(0), np.int32(5), 1.0, 1.0).end_frame == 5
 
 
 def test_two_field_bounds_blame_the_first_field_the_file_sets():
