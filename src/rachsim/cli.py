@@ -24,14 +24,14 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations, islice, repeat, starmap
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .model import RachConfig, SettingError, check_range, throughput, utility_of_load
+from .model import RachConfig, SettingError, check_integer, throughput, utility_of_load
 from .optimizer import SATURATION_LOAD, optimal_subframes_integer, subframe_lookup_table
 from .scenario import KIND_NAMES, ScenarioError, parse_scenario
 from .simulator import (
@@ -203,6 +203,30 @@ def write_compare_csv(
 # Commands
 
 
+# Every value flag by its argparse dest, the RachConfig field or library argument it sets.
+_FLAGS = {
+    "n_preambles": "--preambles", "n_s_min": "--ns-min", "n_s_max": "--ns-max",
+    "alpha": "--alpha", "load": "--load", "step": "--step", "max_load": "--max-load",
+    "seed": "--seed", "n_reps": "--reps",
+}
+
+
+@contextmanager
+def _flag_errors():
+    """Re-raise a SettingError about flag values as an argument error naming the flags.
+
+    It wraps only the code that takes the values. A simulation's own
+    SettingError is a program fault even when its field has a flag.
+    """
+    try:
+        yield
+    except SettingError as exc:
+        if not set(exc.fields) <= _FLAGS.keys():
+            raise
+        flags = "/".join(_FLAGS[field] for field in exc.fields)
+        raise ScenarioError(f"{flags}: {exc}") from None
+
+
 def _check_frame_rows(scenario: Scenario, reps: int, controllers: int) -> None:
     rows = scenario.frames * reps * controllers
     if rows > MAX_FRAME_ROWS:
@@ -228,12 +252,15 @@ def _refuse_same_file(paths: dict[str, Path]) -> None:
 
 
 def _simulate(args, names: list[str]) -> tuple[Scenario, dict[str, ReplicationSet]]:
-    """--reps runs of --scenario per distinct controller name; no name runs its own."""
+    """args.n_reps runs of the scenario per distinct controller name; no name runs its own."""
+    with _flag_errors():
+        check_integer("seed", args.seed, 0)
+        check_integer("n_reps", args.n_reps, 1)
     _refuse_same_file({"--scenario": Path(args.scenario), "--out": Path(args.out)})
     scenario = parse_scenario(args.scenario)
     variants = [scenario.with_controller(ControllerKind(n)) for n in names] or [scenario]
-    _check_frame_rows(scenario, args.reps, len(variants))
-    runs = {v.controller.kind.value: run_replications(v, args.reps, args.seed) for v in variants}
+    _check_frame_rows(scenario, args.n_reps, len(variants))
+    runs = {v.controller.kind.value: run_replications(v, args.n_reps, args.seed) for v in variants}
     return scenario, runs
 
 
@@ -245,49 +272,9 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _int_at_least(low: int):
-    """argparse type of an int that must be >= low."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-            check_range("value", value, low)
-        except SettingError as exc:  # argparse names the flag
-            raise argparse.ArgumentTypeError(str(exc).removeprefix("value ")) from None
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        return value
-
-    return parse
-
-
-# The flags of optimize and table by the RachConfig field or library argument each sets.
-_FLAGS = {
-    "n_preambles": "--preambles", "n_s_min": "--ns-min", "n_s_max": "--ns-max", "alpha": "--alpha",
-    "load": "--load", "step": "--step", "max_load": "--max-load",
-}
-
-
-@contextmanager
-def _flag_errors():
-    """Re-raise a SettingError about flag values as an argument error naming the flags."""
-    try:
-        yield
-    except SettingError as exc:
-        if not set(exc.fields) <= _FLAGS.keys():
-            raise
-        flags = "/".join(_FLAGS[field] for field in exc.fields)
-        raise ScenarioError(f"{flags}: {exc}") from None
-
-
 def _config_from_args(args) -> RachConfig:
     with _flag_errors():
-        return RachConfig(
-            n_preambles=args.preambles,
-            n_s_min=args.ns_min,
-            n_s_max=args.ns_max,
-            alpha=args.alpha,
-        )
+        return RachConfig(**{field.name: getattr(args, field.name) for field in fields(RachConfig)})
 
 
 def cmd_optimize(args) -> int:
@@ -350,13 +337,17 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _add_flag(parser: argparse.ArgumentParser, field: str, type_: type, **kwargs) -> None:
+    """The value flag of field; argparse only converts its text, the code that takes it checks."""
+    parser.add_argument(_FLAGS[field], dest=field, type=type_, **kwargs)
+
+
 def _add_channel_flags(parser: argparse.ArgumentParser) -> None:
-    """--alpha and the channel sizes; their defaults are RachConfig's."""
+    """The price alpha and the channel sizes; their defaults are RachConfig's."""
     defaults = RachConfig()
-    parser.add_argument("--alpha", type=float, required=True)
-    parser.add_argument("--preambles", type=int, default=defaults.n_preambles)
-    parser.add_argument("--ns-min", type=int, default=defaults.n_s_min)
-    parser.add_argument("--ns-max", type=int, default=defaults.n_s_max)
+    _add_flag(parser, "alpha", float, required=True)
+    for field in ("n_preambles", "n_s_min", "n_s_max"):
+        _add_flag(parser, field, int, default=getattr(defaults, field))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -368,8 +359,8 @@ def _build_parser() -> argparse.ArgumentParser:
     # the arguments of the simulating commands, run and compare
     sim = argparse.ArgumentParser(add_help=False)
     sim.add_argument("--scenario", required=True, help="scenario file path")
-    sim.add_argument("--seed", type=_int_at_least(0), default=1)
-    sim.add_argument("--reps", type=_int_at_least(1), default=100)
+    _add_flag(sim, "seed", int, default=1)
+    _add_flag(sim, "n_reps", int, default=100)
     sim.add_argument("--out", required=True, help="output CSV path")
 
     run_p = sub.add_parser(
@@ -379,14 +370,14 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.set_defaults(func=cmd_run)
 
     opt_p = sub.add_parser("optimize", help="best subframe count for one load")
-    opt_p.add_argument("--load", type=float, required=True)
+    _add_flag(opt_p, "load", float, required=True)
     _add_channel_flags(opt_p)
     opt_p.set_defaults(func=cmd_optimize)
 
     tab_p = sub.add_parser("table", help="emit the offline load -> n_s lookup table")
     _add_channel_flags(tab_p)
-    tab_p.add_argument("--max-load", type=float, default=SATURATION_LOAD)
-    tab_p.add_argument("--step", type=float, default=1.0)
+    _add_flag(tab_p, "max_load", float, default=SATURATION_LOAD)
+    _add_flag(tab_p, "step", float, default=1.0)
     tab_p.add_argument("--out", required=True, help="thresholds CSV path")
     tab_p.add_argument("--sweep-out", help="dense sweep CSV path (default: <out>_sweep)")
     tab_p.set_defaults(func=cmd_table)

@@ -168,29 +168,28 @@ def _number(value: str, type_: type, where: str) -> int | float:
 
 
 def _parse_segments(value: str, lineno: int, source: str) -> LoadProfile:
-    fields = []
+    segments = []
     for chunk in value.split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
+        where = f"{source}:{lineno}: load.segments entry {chunk!r}"
         parts = chunk.split(":")
         if len(parts) != 4:
-            raise ScenarioError(
-                f"{source}:{lineno}: load.segments entry {chunk!r} must be "
-                f"start:end:rate_start:rate_end"
-            )
+            raise ScenarioError(f"{where} must be start:end:rate_start:rate_end")
         try:
             start, end = int(parts[0]), int(parts[1])
             r0, r1 = float(parts[2]), float(parts[3])
         except ValueError:
-            raise ScenarioError(
-                f"{source}:{lineno}: load.segments entry {chunk!r} has a non-numeric field"
-            ) from None
-        fields.append((start, end, r0, r1))
-    if not fields:
+            raise ScenarioError(f"{where} has a non-numeric field") from None
+        try:
+            segments.append(ProfileSegment(start, end, r0, r1))
+        except SettingError as exc:
+            raise ScenarioError(f"{where}: {exc}") from None
+    if not segments:
         raise ScenarioError(f"{source}:{lineno}: load.segments is empty")
     try:
-        return LoadProfile(tuple(ProfileSegment(*f) for f in fields))
+        return LoadProfile(tuple(segments))
     except ValueError as exc:
         raise ScenarioError(f"{source}:{lineno}: load.segments: {exc}") from None
 

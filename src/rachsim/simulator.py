@@ -88,9 +88,9 @@ class ProfileSegment:
         check_integer("start_frame", self.start_frame, 0)
         check_integer("end_frame", self.end_frame, 1)
         if self.end_frame <= self.start_frame:
-            raise ValueError(f"segment {self} has end <= start")
-        if not (0 <= self.rate_start < math.inf and 0 <= self.rate_end < math.inf):
-            raise ValueError(f"segment {self} needs finite rates >= 0")
+            raise SettingError("{end_frame} must exceed {start_frame}", "end_frame", "start_frame")
+        check_range("rate_start", self.rate_start, 0)
+        check_range("rate_end", self.rate_end, 0)
 
 
 @dataclass(frozen=True)
@@ -330,6 +330,10 @@ class ControllerSpec:
     acb_window: int = 4
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, ControllerKind):
+            kinds = ", ".join(kind.name for kind in ControllerKind)
+            got = repr(self.kind).replace("{", "{{").replace("}", "}}")
+            raise SettingError(f"{{kind}} must be a ControllerKind ({kinds}), got {got}", "kind")
         check_integer("window", self.window, 1, MAX_WINDOW)
         check_range("table_max_load", self.table_max_load, 0.0, lo_open=True)
         check_range("acb_p", self.acb_p, 0.0, 1.0, lo_open=True)
@@ -425,9 +429,7 @@ def make_controller(spec: ControllerSpec, config: RachConfig, memo=None) -> Cont
         return Controller(config.n_s_max)
     if spec.kind is ControllerKind.ADAPTIVE:
         return AdaptiveController(config, spec.window, spec.table_max_load, memo)
-    if spec.kind is ControllerKind.ACB:
-        return AcbController(config, spec.acb_p, spec.acb_window)
-    raise ValueError(f"unknown controller kind {spec.kind!r}")
+    return AcbController(config, spec.acb_p, spec.acb_window)
 
 
 # ---------------------------------------------------------------------------
@@ -572,6 +574,7 @@ def run_scenario(scenario: Scenario, seed: int, replication_id: int = 0, memo=No
     pending ones it keeps only the pending ones, in order. An empty frame
     (nothing pending, no arrivals) draws nothing and touches no array.
     """
+    check_integer("seed", seed, 0)
     cfg = scenario.config
     controller = make_controller(scenario.controller, cfg, memo)
     arrival_seq, event_seq = np.random.SeedSequence(seed).spawn(2)
@@ -696,6 +699,7 @@ def run_replications(
 ) -> ReplicationSet:
     """Run seeds base_seed..base_seed + n_reps - 1 and aggregate."""
     check_integer("n_reps", n_reps, 1)
+    check_integer("base_seed", base_seed, 0)
     memo = _adaptive_memo(scenario.config, scenario.controller.table_max_load)
     runs = [
         run_scenario(scenario, base_seed + i, replication_id=i, memo=memo) for i in range(n_reps)

@@ -25,7 +25,7 @@ from rachsim.cli import (
     build_report,
     main,
 )
-from rachsim.model import RachConfig, check_range, throughput, utility_of_load
+from rachsim.model import RachConfig, SettingError, check_range, throughput, utility_of_load
 from rachsim.optimizer import subframe_lookup_table
 from rachsim.simulator import MAX_POOL, ControllerKind, ReplicationSet, run_replications
 from rachsim.scenario import default_scenario, format_scenario, parse_scenario
@@ -148,13 +148,25 @@ def test_run_missing_scenario_exit_code(tmp_path, capsys):
     rc = main(["run", "--scenario", str(tmp_path), "--out", str(tmp_path / "o.csv")])
     assert rc == 2
     assert f"error: cannot read scenario file {tmp_path}: " in capsys.readouterr().err
-    # a scenario with a non-finite value is a scenario error as well
-    for text in ("[channel]\nalpha = inf\n" + SMALL, "[load]\nsegments = 0:5:nan:1\n"):
+    # a scenario with a value out of range is a scenario error as well, naming the value
+    entry = "load.segments entry"
+    for text, error in (
+        ("[channel]\nalpha = inf\n" + SMALL, "channel.alpha must be finite, got inf"),
+        ("[load]\nsegments = 0:5:nan:1\n",
+         f"{entry} '0:5:nan:1': rate_start must be finite, got nan"),
+        ("[load]\nsegments = 0:5:-1:1\n",
+         f"{entry} '0:5:-1:1': rate_start must be >= 0, got -1.0"),
+        ("[load]\nsegments = 0:5:1:inf\n",
+         f"{entry} '0:5:1:inf': rate_end must be finite, got inf"),
+        ("[load]\nsegments = 0:5:1:1, 5:5:1:1\n",
+         f"{entry} '5:5:1:1': end_frame must exceed start_frame"),
+    ):
         bad = tmp_path / "bad.scn"
         bad.write_text(text)
         rc = main(["run", "--scenario", str(bad), "--reps", "1",
                    "--out", str(tmp_path / "o.csv")])
         assert rc == 2
+        assert capsys.readouterr().err == f"error: {bad}:2: {error}\n"
     assert not (tmp_path / "o.csv").exists()
 
 
@@ -380,7 +392,7 @@ def test_build_report_against_a_zero_utility_base():
     assert improvement[("zero", "up")] == -100.0
 
 
-def test_bad_arguments_exit_two(capsys):
+def test_bad_arguments_exit_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--scenario"])
     assert exc.value.code == 2
@@ -388,16 +400,21 @@ def test_bad_arguments_exit_two(capsys):
         main(["bogus-command"])
     assert exc.value.code == 2
     for command in (["run"], ["compare", "--controllers", "adaptive,fixed"]):
-        for reps in ("0", "-1", "two"):
-            with pytest.raises(SystemExit) as exc:
-                main(command + ["--scenario", "x.scn", "--reps", reps, "--out", "x.csv"])
-            assert exc.value.code == 2
-        # a negative seed is an argument error, not numpy's unlabelled one
-        capsys.readouterr()
-        with pytest.raises(SystemExit) as exc:
-            main(command + ["--scenario", "x.scn", "--seed", "-1", "--out", "x.csv"])
+        # the scenario file does not exist: a refused value is named before it is read
+        argv = command + ["--scenario", str(tmp_path / "x.scn"), "--out", str(tmp_path / "x.csv")]
+        with pytest.raises(SystemExit) as exc:  # not an int: argparse refuses the text
+            main(argv + ["--reps", "two"])
         assert exc.value.code == 2
-        assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+        capsys.readouterr()
+        # a negative seed is an argument error, not numpy's unlabelled one
+        for flags, error in (
+            (["--reps", "0"], "--reps: n_reps must be >= 1, got 0"),
+            (["--reps", "-1"], "--reps: n_reps must be >= 1, got -1"),
+            (["--seed", "-1"], "--seed: seed must be >= 0, got -1"),
+        ):
+            assert main(argv + flags) == 2
+            assert capsys.readouterr().err == f"error: {error}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_huge_rate_fails_before_allocating(tmp_path, capsys):
@@ -538,7 +555,7 @@ def test_subcommand_help_lists_every_flag(capsys, command, flags):
 def test_channel_flag_defaults_are_the_config_defaults(command):
     args = _build_parser().parse_args(command + ["--alpha", "25"])
     config = RachConfig(alpha=25.0)
-    assert (args.preambles, args.ns_min, args.ns_max) == (
+    assert (args.n_preambles, args.n_s_min, args.n_s_max) == (
         config.n_preambles, config.n_s_min, config.n_s_max
     )
     assert _config_from_args(args) == config
@@ -588,12 +605,15 @@ def test_channel_error_names_only_the_flags_it_concerns(capsys):
         assert capsys.readouterr().err == f"error: {error}\n"
 
 
-# The value flags of optimize and table; the channel counts are int flags.
+# The value flags of each command; the channel counts, the seed and the
+# replication count are int flags.
 VALUE_FLAGS = {
     "optimize": ("--load", "--alpha", "--preambles", "--ns-min", "--ns-max"),
     "table": ("--step", "--max-load", "--alpha", "--preambles", "--ns-min", "--ns-max"),
+    "run": ("--seed", "--reps"),
+    "compare": ("--seed", "--reps"),
 }
-INT_FLAGS = ("--preambles", "--ns-min", "--ns-max")
+INT_FLAGS = ("--preambles", "--ns-min", "--ns-max", "--seed", "--reps")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
@@ -604,6 +624,9 @@ def test_every_refused_flag_value_names_its_flag(command, flag, value, tmp_path,
     argv = {
         "optimize": ["optimize", "--load", "10", "--alpha", "5"],
         "table": ["table", "--alpha", "5", "--out", str(tmp_path / "t.csv")],
+        "run": ["run", "--scenario", str(tmp_path / "s.scn"), "--out", str(tmp_path / "o.csv")],
+        "compare": ["compare", "--controllers", "adaptive,fixed", "--scenario",
+                    str(tmp_path / "s.scn"), "--out", str(tmp_path / "o.csv")],
     }[command] + [flag, value]
     if flag in INT_FLAGS and value != "-1":
         # not an int at all: argparse refuses it, naming the flag its own way
@@ -636,6 +659,18 @@ def test_a_range_error_without_a_flag_is_a_fault(monkeypatch, capsys):
     monkeypatch.setattr(rachsim.cli, "optimal_subframes_integer", faulty)
     assert main(["optimize", "--load", "10", "--alpha", "5"]) == 3
     assert capsys.readouterr().err == "error: n_s must be >= 1, got 0\n"
+
+
+def test_a_range_error_inside_a_run_is_a_fault(monkeypatch, small_scn, tmp_path, capsys):
+    # a flag sets load for optimize, but a simulation's own range error is a fault
+    def faulty(load, config, table_max_load):
+        raise SettingError("{load} is out of range inside a run", "load")
+
+    monkeypatch.setattr(rachsim.simulator, "decide_subframes", faulty)
+    argv = ["run", "--scenario", str(small_scn), "--reps", "1", "--out", str(tmp_path / "o.csv")]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "error: load is out of range inside a run\n"
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_largest_alpha_keeps_every_number_finite(tmp_path, capsys):

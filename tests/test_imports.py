@@ -58,8 +58,8 @@ def unread_private_names(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in defined.items() if name not in read]
 
 
-# The wording of check_range's and check_integer's messages.
-RANGE_REQUIREMENT = re.compile(r"must be (finite|>=|>|in [\[(]|an integer)")
+# The wording of check_range's and check_integer's messages, and its "needs" variant.
+RANGE_REQUIREMENT = re.compile(r"(must be|needs) (finite|>=|>|in [\[(]|an integer)")
 
 
 def hand_written_range_checks(source: str) -> list[str]:
@@ -142,8 +142,14 @@ def test_the_check_sees_hand_written_range_checks():
         "        raise ValueError(f'{name} must be > 9')\n"
         "    if p != p:\n"
         "        raise ValueError('p must not be NaN')\n"
+        "    if not 0 <= x < math.inf:\n"
+        "        raise ValueError(f'segment {name} needs finite rates >= 0')\n"
+        "    if x > 1:\n"
+        "        raise ValueError('lambert_w: lower branch requires -1/e <= x < 0')\n"
+        "    if not name:\n"
+        "        raise ValueError('profile needs at least one segment')\n"
         "    raise ScenarioError(f'{name} must be an integer, got {x!r}')\n"
     )
     assert hand_written_range_checks(source) == [
-        "line 3", "line 5", "line 7", "line 9", "line 12",
+        "line 3", "line 5", "line 7", "line 9", "line 13", "line 18",
     ]

@@ -28,10 +28,12 @@ from rachsim.scenario import default_scenario
 from rachsim.simulator import (
     MAX_WINDOW,
     DeviceState,
+    ProfileSegment,
     acb_gate,
     contend,
     resolve_backoff,
     run_replications,
+    run_scenario,
 )
 
 
@@ -235,6 +237,12 @@ VALUE_ENTRY_POINTS = {
     "run_replications": (
         lambda x: run_replications(default_scenario("fixed"), x), "n_reps", ">= 1"
     ),
+    "run_replications_base_seed": (
+        lambda x: run_replications(default_scenario("fixed"), 1, x), "base_seed", ">= 0"
+    ),
+    "run_scenario": (lambda x: run_scenario(default_scenario("fixed"), x), "seed", ">= 0"),
+    "profile_segment_rate_start": (lambda x: ProfileSegment(0, 5, x, 1.0), "rate_start", ">= 0"),
+    "profile_segment_rate_end": (lambda x: ProfileSegment(0, 5, 1.0, x), "rate_end", ">= 0"),
 }
 
 
@@ -253,6 +261,7 @@ def test_entry_points_refuse_nan_inf_and_negative_loads(name, x):
 INTEGER_ENTRY_POINTS = [
     "contend", "contend_n_preambles", "resolve_backoff", "resolve_backoff_retry_limit",
     "resolve_backoff_frame", "acb_gate_window", "acb_gate_frame", "run_replications",
+    "run_replications_base_seed", "run_scenario",
 ]
 
 
@@ -273,7 +282,7 @@ def test_integer_entry_points_take_numpy_integers():
     resolve_backoff(devices, np.int64(3), np.int64(4), np.int16(10), RNG)
     assert all(4 <= dev.backoff_until <= 7 for dev in devices)
     acb_gate(devices, 0.5, np.uint8(4), np.int64(3), RNG)
-    assert len(run_replications(default_scenario("fixed"), np.int64(1)).runs) == 1
+    assert len(run_replications(default_scenario("fixed"), np.int64(1), np.int64(3)).runs) == 1
 
 
 def test_lookup_refuses_only_nan():

@@ -107,9 +107,17 @@ def test_bad_segments():
     for value in ("", " , ,"):
         with pytest.raises(ScenarioError, match=":2: load.segments is empty"):
             parse_scenario_text(f"[load]\nsegments ={value}\n")
-    for rate in ("nan", "inf"):
-        with pytest.raises(ScenarioError, match=r":2: load.segments: .*finite"):
-            parse_scenario_text(f"[load]\nsegments = 0:5:{rate}:1\n")
+    # a segment's own range error names the entry and the value
+    for chunk, error in (
+        ("0:5:nan:1", "rate_start must be finite, got nan"),
+        ("0:5:1:-inf", "rate_end must be finite, got -inf"),
+        ("0:5:-1:1", "rate_start must be >= 0, got -1.0"),
+        ("0:-5:1:1", "end_frame must be >= 1, got -5"),
+        ("3:3:1:1", "end_frame must exceed start_frame"),
+    ):
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario_text(f"[load]\nsegments = {chunk}\n", source="f.scn")
+        assert str(exc.value) == f"f.scn:2: load.segments entry {chunk!r}: {error}"
 
 
 def test_bad_kind():

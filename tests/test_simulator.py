@@ -38,7 +38,6 @@ from rachsim.simulator import (
     aggregate_runs,
     contend,
     generate_arrivals,
-    make_controller,
     resolve_backoff,
     run_replications,
     run_scenario,
@@ -95,8 +94,9 @@ def test_profile_rates_are_each_segments_ramp(ramps):
 def test_profile_validation():
     with pytest.raises(ValueError):
         LoadProfile(())
-    with pytest.raises(ValueError):
-        LoadProfile((ProfileSegment(0, 0, 1.0, 1.0),))
+    with pytest.raises(SettingError, match="^end_frame must exceed start_frame$") as exc:
+        ProfileSegment(3, 3, 1.0, 1.0)
+    assert exc.value.fields == ("end_frame", "start_frame")
     with pytest.raises(ValueError):
         LoadProfile((ProfileSegment(0, 5, 1.0, -1.0),))
     for rate in (math.nan, math.inf):
@@ -869,8 +869,14 @@ def test_empty_replications_rejected():
 
 
 def test_unknown_controller_kind_rejected():
-    with pytest.raises(ValueError, match="unknown controller kind 'pid'"):
-        make_controller(ControllerSpec(kind="pid"), RachConfig())
+    # a kind's name is not a kind; braces in the value are text, not placeholders
+    for kind in ("pid", "adaptive", {"kind": 1}):
+        with pytest.raises(SettingError) as exc:
+            ControllerSpec(kind=kind)
+        assert str(exc.value) == (
+            f"kind must be a ControllerKind (FIXED_DEFAULT, FIXED_MAX, ADAPTIVE, ACB), got {kind!r}"
+        )
+        assert exc.value.fields == ("kind",)
 
 
 def test_aggregate_mixed_lengths_rejected():
