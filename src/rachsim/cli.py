@@ -33,13 +33,8 @@ import numpy as np
 
 from .model import RachConfig, SettingError, check_integer, throughput, utility_of_load
 from .optimizer import SATURATION_LOAD, optimal_subframes_integer, subframe_lookup_table
-from .scenario import KIND_NAMES, ScenarioError, parse_scenario
-from .simulator import (
-    ControllerKind,
-    ReplicationSet,
-    Scenario,
-    run_replications,
-)
+from .scenario import ScenarioError, parse_scenario
+from .simulator import KIND_NAMES, ReplicationSet, Scenario, run_replications
 
 __all__ = ["main", "ComparisonReport", "build_report"]
 
@@ -212,19 +207,21 @@ _FLAGS = {
 
 
 @contextmanager
-def _flag_errors():
+def _flag_errors(**flags: str):
     """Re-raise a SettingError about flag values as an argument error naming the flags.
 
     It wraps only the code that takes the values. A simulation's own
     SettingError is a program fault even when its field has a flag.
+    flags adds the flag of a field that _FLAGS does not name.
     """
+    names = {**_FLAGS, **flags}
     try:
         yield
     except SettingError as exc:
-        if not set(exc.fields) <= _FLAGS.keys():
+        if not set(exc.fields) <= names.keys():
             raise
-        flags = "/".join(_FLAGS[field] for field in exc.fields)
-        raise ScenarioError(f"{flags}: {exc}") from None
+        flag = "/".join(names[field] for field in exc.fields)
+        raise ScenarioError(f"{flag}: {exc}") from None
 
 
 def _check_frame_rows(scenario: Scenario, reps: int, controllers: int) -> None:
@@ -251,21 +248,23 @@ def _refuse_same_file(paths: dict[str, Path]) -> None:
             raise ScenarioError(f"{flag} and {other_flag} name the same file, {path}")
 
 
-def _simulate(args, names: list[str]) -> tuple[Scenario, dict[str, ReplicationSet]]:
-    """args.n_reps runs of the scenario per distinct controller name; no name runs its own."""
+def _simulate(args, names: list[str], flag: str) -> tuple[Scenario, dict[str, ReplicationSet]]:
+    """args.n_reps runs of the scenario per distinct name in flag's value; no name runs its own."""
     with _flag_errors():
         check_integer("seed", args.seed, 0)
         check_integer("n_reps", args.n_reps, 1)
     _refuse_same_file({"--scenario": Path(args.scenario), "--out": Path(args.out)})
     scenario = parse_scenario(args.scenario)
-    variants = [scenario.with_controller(ControllerKind(n)) for n in names] or [scenario]
+    with _flag_errors(kind=flag):
+        variants = [scenario.with_controller(n) for n in dict.fromkeys(names)] or [scenario]
     _check_frame_rows(scenario, args.n_reps, len(variants))
     runs = {v.controller.kind.value: run_replications(v, args.n_reps, args.seed) for v in variants}
     return scenario, runs
 
 
 def cmd_run(args) -> int:
-    scenario, repsets = _simulate(args, [args.controller] if args.controller else [])
+    names = [] if args.controller is None else [args.controller]
+    scenario, repsets = _simulate(args, names, "--controller")
     [(name, repset)] = repsets.items()
     write_run_csv(Path(args.out), repset, name, scenario.config)
     print(f"wrote {args.out}: {len(repset.runs)} replications x {repset.n_frames} frames ({name})")
@@ -319,12 +318,7 @@ def cmd_compare(args) -> int:
     names = [c.strip() for c in args.controllers.split(",") if c.strip()]
     if len(names) < 2:
         raise ScenarioError("--controllers: compare needs at least two controllers")
-    for name in names:
-        if name not in KIND_NAMES:
-            raise ScenarioError(
-                f"--controllers: unknown controller {name!r}; choose from {KIND_NAMES}"
-            )
-    scenario, repsets = _simulate(args, list(dict.fromkeys(names)))  # each distinct one once
+    scenario, repsets = _simulate(args, names, "--controllers")
     write_compare_csv(Path(args.out), repsets, scenario.config)
     report = build_report(repsets)
     print("aggregate utility (sum of per-frame means):")
@@ -366,7 +360,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser(
         "run", parents=[sim], help="simulate one controller, write per-frame CSV"
     )
-    run_p.add_argument("--controller", choices=KIND_NAMES, help="override scenario controller")
+    run_p.add_argument(
+        "--controller", help="override scenario controller: one of " + ", ".join(KIND_NAMES)
+    )
     run_p.set_defaults(func=cmd_run)
 
     opt_p = sub.add_parser("optimize", help="best subframe count for one load")

@@ -15,7 +15,7 @@ import math
 from enum import Enum
 
 from .lambertw import WBranch, lambert_w
-from .model import check_range
+from .model import check_integer, check_range
 
 __all__ = [
     "LoadBranch",
@@ -72,8 +72,8 @@ def estimate_load(eta_obs: float, n_s: int, n_preambles: int, branch: LoadBranch
     and the load cap 4 * pairs on the heavy branch.
     """
     check_range("eta_obs", eta_obs, 0)
-    check_range("n_s", n_s, 1)
-    check_range("n_preambles", n_preambles, 1)
+    check_integer("n_s", n_s, 1)
+    check_integer("n_preambles", n_preambles, 1)
     pairs = n_s * n_preambles
     if eta_obs == 0:
         return 0.0 if branch is _LIGHT else LOAD_CAP_FACTOR * pairs

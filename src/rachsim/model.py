@@ -109,8 +109,8 @@ class RachConfig:
 
 def throughput(n_devices: float, n_s: int, n_preambles: int) -> float:
     """Expected successful accesses per frame: N * exp(-N / (n_s * n_p))."""
-    check_range("n_s", n_s, 1)
-    check_range("n_preambles", n_preambles, 1)
+    check_integer("n_s", n_s, 1)
+    check_integer("n_preambles", n_preambles, 1)
     check_range("n_devices", n_devices, 0)
     return n_devices * math.exp(-n_devices / (n_s * n_preambles))
 

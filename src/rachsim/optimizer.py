@@ -166,7 +166,7 @@ def optimal_subframes_integer(load: float, config: RachConfig) -> SubframeDecisi
     subframes for data when utility is indifferent.
     """
     check_range("load", load, 0)
-    return _decision(load, config, np.arange(config.n_s_min, config.n_s_max + 1))
+    return _decision(load, config, np.array(config.subframe_range))
 
 
 def optimal_subframes_closed_form(load: float, config: RachConfig) -> float | None:
@@ -216,6 +216,7 @@ def decide_subframes(
     congestion relief, not marginal utility.
     """
     check_range("load", load, 0)
+    check_range("table_max_load", table_max_load, 0, lo_open=True)
     if load > table_max_load:
         n_s = config.n_s_max
         return SubframeDecision(n_s, utility_of_load(load, n_s, config), clamped=True)
@@ -230,7 +231,7 @@ def subframe_lookup_table(
     """Sweep loads on a grid and record every argmax change as a threshold."""
     grid = LoadGrid.up_to(max_load, load_grid_step)
     entries: list[tuple[float, int]] = []
-    counts = np.arange(config.n_s_min, config.n_s_max + 1)
+    counts = np.array(config.subframe_range)
     last_n = -1
     for loads in grid.blocks():
         n_s = _argmax(loads, config, counts)

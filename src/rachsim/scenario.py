@@ -45,7 +45,6 @@ from .simulator import (
 )
 
 __all__ = [
-    "KIND_NAMES",
     "ScenarioError",
     "parse_scenario",
     "parse_scenario_text",
@@ -84,8 +83,6 @@ _KEYS = {
 # Parsed and written by hand; each comes first in its section.
 _OTHER_KEYS = (("load", "segments"), ("controller", "kind"))
 _SECTIONS = ("channel", "load", "controller", "sim")
-# controller.kind's values, also the names cli takes
-KIND_NAMES = sorted(kind.value for kind in ControllerKind)
 
 
 def parse_scenario(path: str | Path) -> Scenario:
@@ -136,13 +133,7 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> Scenario:
             where = f"{source}:{lineno}: {section}.{key}"
             fields[spec.target][spec.field] = _number(value, spec.type, where)
     if ("controller", "kind") in raw:
-        value, lineno = raw["controller", "kind"]
-        try:
-            fields[ControllerSpec]["kind"] = ControllerKind(value)
-        except ValueError:
-            raise ScenarioError(
-                f"{source}:{lineno}: controller.kind must be one of {KIND_NAMES}, got {value!r}"
-            ) from None
+        fields[ControllerSpec]["kind"] = raw["controller", "kind"][0]
 
     try:
         return Scenario(
@@ -153,6 +144,7 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> Scenario:
         )
     except SettingError as exc:
         keys = {spec.field: name for name, spec in _KEYS.items()}
+        keys["kind"] = ("controller", "kind")
         # the defaults are in range, so the file sets at least one named field
         lineno = next(raw[keys[field]][1] for field in exc.fields if keys[field] in raw)
         names = {field: ".".join(name) for field, name in keys.items()}
@@ -220,4 +212,4 @@ def default_scenario(kind: ControllerKind | str = ControllerKind.ADAPTIVE) -> Sc
     overload past the lookup-table range).
     """
     profile = LoadProfile((ProfileSegment(0, 10, 0.0, 600.0), ProfileSegment(10, 20, 600.0, 0.0)))
-    return Scenario(RachConfig(), profile, ControllerSpec(kind=ControllerKind(kind)))
+    return Scenario(RachConfig(), profile, ControllerSpec(kind=kind))

@@ -51,6 +51,7 @@ __all__ = [
     "DeviceStatus",
     "DeviceState",
     "ControllerKind",
+    "KIND_NAMES",
     "ControllerSpec",
     "Controller",
     "AdaptiveController",
@@ -318,10 +319,19 @@ class ControllerKind(Enum):
     ADAPTIVE = "adaptive"
     ACB = "acb"  # access class barring on top of the default allocation
 
+    @classmethod
+    def _missing_(cls, value):
+        """Refuse a value that is not a kind's name; braces in it are text, not placeholders."""
+        got = repr(value).replace("{", "{{").replace("}", "}}")
+        raise SettingError(f"{{kind}} must be one of {KIND_NAMES}, got {got}", "kind")
+
+
+KIND_NAMES = sorted(kind.value for kind in ControllerKind)  # the names a kind is given by
+
 
 @dataclass(frozen=True)
 class ControllerSpec:
-    """Controller kind plus the knobs the kinds understand."""
+    """Controller kind, a ControllerKind or its name, plus the knobs the kinds understand."""
 
     kind: ControllerKind = ControllerKind.ADAPTIVE
     window: int = 1
@@ -330,10 +340,7 @@ class ControllerSpec:
     acb_window: int = 4
 
     def __post_init__(self) -> None:
-        if not isinstance(self.kind, ControllerKind):
-            kinds = ", ".join(kind.name for kind in ControllerKind)
-            got = repr(self.kind).replace("{", "{{").replace("}", "}}")
-            raise SettingError(f"{{kind}} must be a ControllerKind ({kinds}), got {got}", "kind")
+        object.__setattr__(self, "kind", ControllerKind(self.kind))
         check_integer("window", self.window, 1, MAX_WINDOW)
         check_range("table_max_load", self.table_max_load, 0.0, lo_open=True)
         check_range("acb_p", self.acb_p, 0.0, 1.0, lo_open=True)
@@ -462,7 +469,7 @@ class Scenario:
                 "n_preambles", "n_s_max",
             )
 
-    def with_controller(self, kind: ControllerKind) -> "Scenario":
+    def with_controller(self, kind: ControllerKind | str) -> "Scenario":
         return replace(self, controller=replace(self.controller, kind=kind))
 
 

@@ -27,7 +27,13 @@ from rachsim.cli import (
 )
 from rachsim.model import RachConfig, SettingError, check_range, throughput, utility_of_load
 from rachsim.optimizer import subframe_lookup_table
-from rachsim.simulator import MAX_POOL, ControllerKind, ReplicationSet, run_replications
+from rachsim.simulator import (
+    MAX_POOL,
+    ControllerKind,
+    ControllerSpec,
+    ReplicationSet,
+    run_replications,
+)
 from rachsim.scenario import default_scenario, format_scenario, parse_scenario
 
 TM2 = Path(__file__).resolve().parents[1] / "benchmarks" / "scenarios" / "tm2_beta.scn"
@@ -346,6 +352,9 @@ def test_compare_shares_arrival_sequences(small_scn, tmp_path, capsys):
     assert all(seq == seqs[0] for seq in seqs)
 
 
+UNKNOWN_KIND = "kind must be one of ['acb', 'adaptive', 'fixed', 'max'], got 'bogus'"
+
+
 def test_compare_needs_two_controllers(small_scn, tmp_path, capsys):
     out = tmp_path / "x.csv"
     rc = main(["compare", "--scenario", str(small_scn), "--controllers",
@@ -357,10 +366,31 @@ def test_compare_needs_two_controllers(small_scn, tmp_path, capsys):
     rc = main(["compare", "--scenario", str(small_scn), "--controllers",
                "adaptive,bogus", "--out", str(out)])
     assert rc == 2
-    assert capsys.readouterr().err == (
-        "error: --controllers: unknown controller 'bogus'; "
-        "choose from ['acb', 'adaptive', 'fixed', 'max']\n"
-    )
+    assert capsys.readouterr().err == f"error: --controllers: {UNKNOWN_KIND}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("entry", ["run", "compare", "scenario", "library"])
+def test_an_unknown_controller_name_is_refused_one_way(entry, tmp_path, capsys):
+    # ControllerKind refuses the name; each entry point only names where it came from
+    if entry == "library":
+        for make in (lambda: ControllerSpec(kind="bogus"), lambda: default_scenario("bogus")):
+            with pytest.raises(SettingError) as exc:
+                make()
+            assert str(exc.value) == UNKNOWN_KIND and exc.value.fields == ("kind",)
+        return
+    scn = tmp_path / "f.scn"
+    scn.write_text(SMALL + ("[controller]\nkind = bogus\n" if entry == "scenario" else ""))
+    flags, error = {
+        "run": (["run", "--controller", "bogus"], f"--controller: {UNKNOWN_KIND}"),
+        "compare": (
+            ["compare", "--controllers", "adaptive,bogus"], f"--controllers: {UNKNOWN_KIND}"
+        ),
+        "scenario": (["run"], f"{scn}:4: controller.{UNKNOWN_KIND}"),
+    }[entry]
+    out = tmp_path / "o.csv"
+    assert main(flags + ["--scenario", str(scn), "--out", str(out)]) == 2  # not argparse's exit
+    assert capsys.readouterr().err == f"error: {error}\n"
     assert not out.exists()
 
 

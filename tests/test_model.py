@@ -198,10 +198,15 @@ def test_alpha_bound():
 RNG = np.random.default_rng(0)
 VALUE_ENTRY_POINTS = {
     "throughput": (lambda x: throughput(x, 2, 64), "n_devices", ">= 0"),
+    "throughput_n_s": (lambda x: throughput(10, x, 64), "n_s", ">= 1"),
+    "throughput_n_preambles": (lambda x: throughput(10, 2, x), "n_preambles", ">= 1"),
     "utility_of_load": (lambda x: utility_of_load(x, 2, RachConfig()), "n_devices", ">= 0"),
     "utility_gradient": (lambda x: utility_gradient(x, 2.0, RachConfig()), "n_devices", ">= 0"),
     "utility_gradient_n_s": (lambda x: utility_gradient(10.0, x, RachConfig()), "n_s", "> 0"),
     "decide_subframes": (lambda x: decide_subframes(x, RachConfig()), "load", ">= 0"),
+    "decide_subframes_table_max_load": (
+        lambda x: decide_subframes(800.0, RachConfig(), x), "table_max_load", "> 0"
+    ),
     "optimal_subframes_integer": (
         lambda x: optimal_subframes_integer(x, RachConfig()), "load", ">= 0"
     ),
@@ -214,6 +219,10 @@ VALUE_ENTRY_POINTS = {
         "alpha", "> 0",
     ),
     "estimate_load": (lambda x: estimate_load(x, 2, 64, LoadBranch.LIGHT), "eta_obs", ">= 0"),
+    "estimate_load_n_s": (lambda x: estimate_load(5, x, 64, LoadBranch.LIGHT), "n_s", ">= 1"),
+    "estimate_load_n_preambles": (
+        lambda x: estimate_load(5, 2, x, LoadBranch.LIGHT), "n_preambles", ">= 1"
+    ),
     "contend": (lambda x: contend([], x, 64, RNG), "n_s", ">= 1"),
     "contend_n_preambles": (lambda x: contend([], 2, x, RNG), "n_preambles", ">= 1"),
     "resolve_backoff": (
@@ -259,6 +268,7 @@ def test_entry_points_refuse_nan_inf_and_negative_loads(name, x):
 
 # The entry points above whose argument is an integer.
 INTEGER_ENTRY_POINTS = [
+    "throughput_n_s", "throughput_n_preambles", "estimate_load_n_s", "estimate_load_n_preambles",
     "contend", "contend_n_preambles", "resolve_backoff", "resolve_backoff_retry_limit",
     "resolve_backoff_frame", "acb_gate_window", "acb_gate_frame", "run_replications",
     "run_replications_base_seed", "run_scenario",

@@ -869,12 +869,13 @@ def test_empty_replications_rejected():
 
 
 def test_unknown_controller_kind_rejected():
-    # a kind's name is not a kind; braces in the value are text, not placeholders
-    for kind in ("pid", "adaptive", {"kind": 1}):
+    # a kind's name stands for the kind; braces in the value are text, not placeholders
+    assert ControllerSpec(kind="adaptive").kind is ControllerKind.ADAPTIVE
+    for kind in ("pid", {"kind": 1}):
         with pytest.raises(SettingError) as exc:
             ControllerSpec(kind=kind)
         assert str(exc.value) == (
-            f"kind must be a ControllerKind (FIXED_DEFAULT, FIXED_MAX, ADAPTIVE, ACB), got {kind!r}"
+            f"kind must be one of ['acb', 'adaptive', 'fixed', 'max'], got {kind!r}"
         )
         assert exc.value.fields == ("kind",)
 
@@ -887,6 +888,17 @@ def test_aggregate_mixed_lengths_rejected():
     )
     with pytest.raises(ValueError):
         aggregate_runs([run_scenario(s20, 1), run_scenario(short, 2, replication_id=1)])
+
+
+def test_aggregate_does_not_depend_on_run_order():
+    scenario = default_scenario("adaptive")
+    runs = [run_scenario(scenario, 10 + i, replication_id=i) for i in range(5)]
+    in_order, reversed_ = aggregate_runs(runs), aggregate_runs(runs[::-1])
+    assert [run.replication_id for run in reversed_.runs] == list(range(5))
+    assert in_order.means.keys() == reversed_.means.keys()
+    for name, mean in in_order.means.items():
+        assert np.array_equal(mean, reversed_.means[name], equal_nan=True), name
+    assert np.array_equal(in_order.ci95_utility, reversed_.ci95_utility, equal_nan=True)
 
 
 def test_scenario_validation():
