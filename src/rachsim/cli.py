@@ -31,7 +31,7 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .model import RachConfig, SettingError, check_integer, throughput, utility_of_load
+from .model import RachConfig, SettingError, check_integer, throughput, utility, utility_of_load
 from .optimizer import SATURATION_LOAD, optimal_subframes_integer, subframe_lookup_table
 from .scenario import ScenarioError, parse_scenario
 from .simulator import KIND_NAMES, ReplicationSet, Scenario, run_replications
@@ -99,7 +99,7 @@ def write_run_csv(
 ) -> None:
     """Per-replication rows followed by per-frame mean rows."""
     tp_num = _at_true_load(repset, lambda n, n_s: throughput(n, n_s, config.n_preambles))
-    ut_num = _at_true_load(repset, lambda n, n_s: utility_of_load(n, n_s, config))
+    ut_num = utility(tp_num, config.alpha, repset.column("n_s_used"))
     with _create(path) as handle:
         _write_rows(handle, [RUN_COLUMNS])
         for run, run_tp, run_ut in zip(repset.runs, tp_num, ut_num):
@@ -233,13 +233,20 @@ def _check_frame_rows(scenario: Scenario, reps: int, controllers: int) -> None:
         )
 
 
-def _refuse_same_file(paths: dict[str, Path]) -> None:
-    """Refuse a command whose path flags name one file twice, before any is opened.
+def _refuse_bad_paths(inputs: dict[str, Path], outputs: dict[str, Path]) -> None:
+    """Refuse unusable path flags, before any file is opened.
 
-    Existing files match by inode, so a symlink or a hard link counts as the
-    file; a path that does not exist yet matches by its resolved name.
+    Each output must name a file, not a directory, in an existing directory.
+    No two flags may name one file: existing files match by inode, so a
+    symlink or a hard link counts as the file; a path that does not exist
+    yet matches by its resolved name.
     """
-    for (flag, path), (other_flag, other) in combinations(paths.items(), 2):
+    for flag, path in outputs.items():
+        if path.is_dir():
+            raise ScenarioError(f"{flag}: {path} is a directory")
+        if not path.parent.is_dir():
+            raise ScenarioError(f"{flag}: no directory {path.parent}")
+    for (flag, path), (other_flag, other) in combinations({**inputs, **outputs}.items(), 2):
         try:
             same = path.samefile(other)
         except OSError:
@@ -253,7 +260,7 @@ def _simulate(args, names: list[str], flag: str) -> tuple[Scenario, dict[str, Re
     with _flag_errors():
         check_integer("seed", args.seed, 0)
         check_integer("n_reps", args.n_reps, 1)
-    _refuse_same_file({"--scenario": Path(args.scenario), "--out": Path(args.out)})
+    _refuse_bad_paths({"--scenario": Path(args.scenario)}, {"--out": Path(args.out)})
     scenario = parse_scenario(args.scenario)
     with _flag_errors(kind=flag):
         variants = [scenario.with_controller(n) for n in dict.fromkeys(names)] or [scenario]
@@ -290,7 +297,7 @@ def cmd_table(args) -> int:
     sweep_path = Path(args.sweep_out) if args.sweep_out else out.with_name(
         out.stem + "_sweep" + (out.suffix or ".csv")
     )
-    _refuse_same_file({"--out": out, "--sweep-out": sweep_path})
+    _refuse_bad_paths({}, {"--out": out, "--sweep-out": sweep_path})
     with _flag_errors():
         table = subframe_lookup_table(config, args.step, args.max_load)
     with _create(out) as handle:

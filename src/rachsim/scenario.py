@@ -12,7 +12,7 @@ Four sections, all keys optional except the load profile:
     [load]
     segments = 0:10:0.0:600.0, 10:20:600.0:0.0   # required
     # each segment is start_frame:end_frame:rate_start:rate_end,
-    # contiguous, starting at frame 0
+    # contiguous, starting at frame 0; rates in [0, 1e7] devices/frame
 
     [controller]
     kind = adaptive       # fixed | max | adaptive | acb
@@ -178,8 +178,6 @@ def _parse_segments(value: str, lineno: int, source: str) -> LoadProfile:
             segments.append(ProfileSegment(start, end, r0, r1))
         except SettingError as exc:
             raise ScenarioError(f"{where}: {exc}") from None
-    if not segments:
-        raise ScenarioError(f"{source}:{lineno}: load.segments is empty")
     try:
         return LoadProfile(tuple(segments))
     except ValueError as exc:

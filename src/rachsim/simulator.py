@@ -75,6 +75,12 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Load profile
 
+# Bound on the devices one frame may hold (pending plus new arrivals). A
+# segment whose mean arrival rate exceeds it is refused when built, and a
+# pool that outgrows it fails at its frame, so a finite but huge rate neither
+# exhausts memory nor reaches numpy's Poisson limit.
+MAX_POOL = 10_000_000
+
 
 @dataclass(frozen=True)
 class ProfileSegment:
@@ -90,8 +96,8 @@ class ProfileSegment:
         check_integer("end_frame", self.end_frame, 1)
         if self.end_frame <= self.start_frame:
             raise SettingError("{end_frame} must exceed {start_frame}", "end_frame", "start_frame")
-        check_range("rate_start", self.rate_start, 0)
-        check_range("rate_end", self.rate_end, 0)
+        check_range("rate_start", self.rate_start, 0, MAX_POOL)
+        check_range("rate_end", self.rate_end, 0, MAX_POOL)
 
 
 @dataclass(frozen=True)
@@ -137,15 +143,8 @@ class LoadProfile:
 def generate_arrivals(
     profile: LoadProfile, frames: Sequence[int] | np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Poisson draws at the profile's rate of each given frame, refused if one tops MAX_POOL."""
-    rates = profile.rate_at(frames)
-    if (over := np.ravel(rates > MAX_POOL)).any():
-        k = over.argmax()
-        raise ValueError(
-            f"frame {np.ravel(frames)[k]}: mean arrival rate {np.ravel(rates)[k]} "
-            f"exceeds the pool bound of {MAX_POOL}"
-        )
-    return rng.poisson(rates)
+    """Poisson draws at the profile's rate of each given frame."""
+    return rng.poisson(profile.rate_at(frames))
 
 
 # ---------------------------------------------------------------------------
@@ -162,11 +161,6 @@ def generate_arrivals(
 # delay out of n values is floor(u * n), u uniform in [0, 1): total-variation
 # bias < n * 2**-53.
 
-# Bound on the devices one frame may hold (pending plus new arrivals). A run
-# whose mean arrival rate exceeds it at some frame is refused before any
-# draw, and a pool that outgrows it fails at its frame, so a finite but huge
-# rate neither exhausts memory nor reaches numpy's Poisson limit.
-MAX_POOL = 10_000_000
 MAX_PAIRS = 1_000_000  # bound on n_s_max x n_preambles; a frame counts picks per pair
 # Bound on the backoff, barring and estimate smoothing windows: due frames
 # fit int64, and a smoothing window fits a deque's maximum length.

@@ -56,6 +56,10 @@ def zero_scn(tmp_path):
     return path
 
 
+def _no_replications(*args):
+    raise AssertionError("a refused command simulated")
+
+
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as handle:
         return list(csv.DictReader(handle))
@@ -154,18 +158,33 @@ def test_run_missing_scenario_exit_code(tmp_path, capsys):
     rc = main(["run", "--scenario", str(tmp_path), "--out", str(tmp_path / "o.csv")])
     assert rc == 2
     assert f"error: cannot read scenario file {tmp_path}: " in capsys.readouterr().err
-    # a scenario with a value out of range is a scenario error as well, naming the value
+    # a scenario with a value out of range is a scenario error as well, naming the
+    # value; every load.segments refusal names the line, and the entry if it has one
     entry = "load.segments entry"
+    bound = f"must be in [0, {MAX_POOL}]"
+    just_past = math.nextafter(1e7, math.inf)
     for text, error in (
         ("[channel]\nalpha = inf\n" + SMALL, "channel.alpha must be finite, got inf"),
         ("[load]\nsegments = 0:5:nan:1\n",
          f"{entry} '0:5:nan:1': rate_start must be finite, got nan"),
         ("[load]\nsegments = 0:5:-1:1\n",
-         f"{entry} '0:5:-1:1': rate_start must be >= 0, got -1.0"),
+         f"{entry} '0:5:-1:1': rate_start {bound}, got -1.0"),
         ("[load]\nsegments = 0:5:1:inf\n",
          f"{entry} '0:5:1:inf': rate_end must be finite, got inf"),
         ("[load]\nsegments = 0:5:1:1, 5:5:1:1\n",
          f"{entry} '5:5:1:1': end_frame must exceed start_frame"),
+        ("[load]\nsegments = 0:5:1e8:1e8\n",
+         f"{entry} '0:5:1e8:1e8': rate_start {bound}, got 100000000.0"),
+        ("[load]\nsegments = 0:3:0:1e12\n",
+         f"{entry} '0:3:0:1e12': rate_end {bound}, got 1000000000000.0"),
+        (f"[load]\nsegments = 0:5:{just_past!r}:0\n",
+         f"{entry} '0:5:{just_past!r}:0': rate_start {bound}, got {just_past!r}"),
+        ("[load]\nsegments = ,\n", "load.segments: profile needs at least one segment"),
+        ("[load]\nsegments = 5:10:1:1\n", "load.segments: segments must start at frame 0, not 5"),
+        ("[load]\nsegments = 0:5:1:1, 6:10:1:1\n",
+         "load.segments: segments must be contiguous: 5 then 6"),
+        ("[load]\nsegments = 0:5:1\n", f"{entry} '0:5:1' must be start:end:rate_start:rate_end"),
+        ("[load]\nsegments = 0:5:one:1\n", f"{entry} '0:5:one:1' has a non-numeric field"),
     ):
         bad = tmp_path / "bad.scn"
         bad.write_text(text)
@@ -214,6 +233,39 @@ def test_out_naming_the_scenario_file_exits_two(small_scn, tmp_path, capsys, com
                      "--out", str(out)]) == 2
         assert "--scenario and --out name the same file" in capsys.readouterr().err
     assert small_scn.read_text() == SMALL
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_an_unusable_out_exits_two_before_simulating(
+    small_scn, tmp_path, capsys, monkeypatch, command
+):
+    # each used to simulate first, then fail to open the file with exit 3
+    monkeypatch.setattr(rachsim.cli, "run_replications", _no_replications)
+    flags = ["--controller", "fixed"] if command == "run" else ["--controllers", "fixed,max"]
+    for out, error in (
+        (tmp_path / "missing" / "o.csv", f"no directory {tmp_path / 'missing'}"),
+        (tmp_path, f"{tmp_path} is a directory"),
+        (small_scn / "o.csv", f"no directory {small_scn}"),
+    ):
+        assert main([command, "--scenario", str(small_scn), *flags, "--reps", "1",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --out: {error}\n"
+    assert list(tmp_path.iterdir()) == [small_scn]
+
+
+def test_table_with_an_unusable_path_writes_nothing(tmp_path, capsys):
+    # the thresholds file used to be written before the sweep failed with exit 3
+    out = tmp_path / "t.csv"
+    for paths, error in (
+        (["--out", str(out), "--sweep-out", str(tmp_path / "missing" / "s.csv")],
+         f"--sweep-out: no directory {tmp_path / 'missing'}"),
+        (["--out", str(out), "--sweep-out", str(tmp_path)],
+         f"--sweep-out: {tmp_path} is a directory"),
+        (["--out", str(tmp_path)], f"--out: {tmp_path} is a directory"),
+    ):
+        assert main(["table", "--alpha", "25", *paths]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def _write_reference(path, rows):
@@ -447,28 +499,37 @@ def test_bad_arguments_exit_two(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_run_huge_rate_fails_before_allocating(tmp_path, capsys):
-    # a finite rate whose Poisson draw is far beyond memory: the pool bound
-    # fires on the count, before any per-device array exists
-    scn = tmp_path / "huge.scn"
-    scn.write_text("[load]\nsegments = 0:3:0:1e12\n")
-    rc = main(["run", "--scenario", str(scn), "--reps", "1",
-               "--out", str(tmp_path / "o.csv")])
-    assert rc == 3
-    err = capsys.readouterr().err
-    assert "frame 1:" in err and f"pool bound of {MAX_POOL}" in err
+def test_run_huge_rate_fails_before_allocating(tmp_path, capsys, monkeypatch):
+    # a finite rate whose Poisson draw is far beyond memory: the segment is
+    # refused when the file is parsed, before any replication starts
+    monkeypatch.setattr(rachsim.cli, "run_replications", _no_replications)
+    scn = tmp_path / "f.scn"
+    for segments, entry, rate in (
+        ("0:5:1e8:1e8", "0:5:1e8:1e8", "100000000.0"),
+        # a segment past [sim] frames is refused too, though no frame reads it
+        ("0:5:10:10, 5:10:2e7:2e7\n[sim]\nframes = 5", "5:10:2e7:2e7", "20000000.0"),
+    ):
+        scn.write_text(f"[load]\nsegments = {segments}\n")
+        rc = main(["run", "--scenario", str(scn), "--reps", "1",
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {scn}:2: load.segments entry '{entry}': "
+            f"rate_start must be in [0, 10000000], got {rate}\n"
+        )
     assert not (tmp_path / "o.csv").exists()
 
 
-def test_run_rate_beyond_the_poisson_range_names_the_frame(tmp_path, capsys):
+def test_run_rate_beyond_the_poisson_range_names_the_entry(tmp_path, capsys):
     # numpy's Poisson draw refuses this rate with its own unlabelled error
     scn = tmp_path / "huge.scn"
     scn.write_text("[load]\nsegments = 0:5:1e308:1e308\n")
     rc = main(["run", "--scenario", str(scn), "--reps", "1",
                "--out", str(tmp_path / "o.csv")])
-    assert rc == 3
+    assert rc == 2
     assert capsys.readouterr().err == (
-        f"error: frame 0: mean arrival rate 1e+308 exceeds the pool bound of {MAX_POOL}\n"
+        f"error: {scn}:2: load.segments entry '0:5:1e308:1e308': "
+        f"rate_start must be in [0, {MAX_POOL}], got 1e+308\n"
     )
     assert not (tmp_path / "o.csv").exists()
 

@@ -26,6 +26,7 @@ from rachsim.optimizer import (
 )
 from rachsim.scenario import default_scenario
 from rachsim.simulator import (
+    MAX_POOL,
     MAX_WINDOW,
     DeviceState,
     ProfileSegment,
@@ -250,8 +251,12 @@ VALUE_ENTRY_POINTS = {
         lambda x: run_replications(default_scenario("fixed"), 1, x), "base_seed", ">= 0"
     ),
     "run_scenario": (lambda x: run_scenario(default_scenario("fixed"), x), "seed", ">= 0"),
-    "profile_segment_rate_start": (lambda x: ProfileSegment(0, 5, x, 1.0), "rate_start", ">= 0"),
-    "profile_segment_rate_end": (lambda x: ProfileSegment(0, 5, 1.0, x), "rate_end", ">= 0"),
+    "profile_segment_rate_start": (
+        lambda x: ProfileSegment(0, 5, x, 1.0), "rate_start", f"in [0, {MAX_POOL}]"
+    ),
+    "profile_segment_rate_end": (
+        lambda x: ProfileSegment(0, 5, 1.0, x), "rate_end", f"in [0, {MAX_POOL}]"
+    ),
 }
 
 

@@ -104,14 +104,18 @@ def test_bad_segments():
         parse_scenario_text("[load]\nsegments = 5:10:1:1\n")
     with pytest.raises(ScenarioError, match="contiguous"):
         parse_scenario_text("[load]\nsegments = 0:5:1:1, 6:10:1:1\n")
+    # the profile refuses an empty one; the parser names the line
     for value in ("", " , ,"):
-        with pytest.raises(ScenarioError, match=":2: load.segments is empty"):
+        with pytest.raises(
+            ScenarioError, match=":2: load.segments: profile needs at least one segment$"
+        ):
             parse_scenario_text(f"[load]\nsegments ={value}\n")
     # a segment's own range error names the entry and the value
     for chunk, error in (
         ("0:5:nan:1", "rate_start must be finite, got nan"),
         ("0:5:1:-inf", "rate_end must be finite, got -inf"),
-        ("0:5:-1:1", "rate_start must be >= 0, got -1.0"),
+        ("0:5:-1:1", "rate_start must be in [0, 10000000], got -1.0"),
+        ("0:5:1:2e7", "rate_end must be in [0, 10000000], got 20000000.0"),
         ("0:-5:1:1", "end_frame must be >= 1, got -5"),
         ("3:3:1:1", "end_frame must exceed start_frame"),
     ):

@@ -21,6 +21,7 @@ from rachsim.scenario import default_scenario, parse_scenario
 from rachsim.simulator import (
     FRAME_FIELDS,
     MAX_PAIRS,
+    MAX_POOL,
     MAX_WINDOW,
     _defer,
     _pick_pairs,
@@ -70,7 +71,7 @@ def test_profile_interpolation():
 
 @given(
     st.lists(
-        st.tuples(st.integers(1, 60), st.floats(0.0, 1e12), st.floats(0.0, 1e12)),
+        st.tuples(st.integers(1, 60), st.floats(0.0, MAX_POOL), st.floats(0.0, MAX_POOL)),
         min_size=1, max_size=6,
     )
 )
@@ -132,19 +133,20 @@ def test_arrivals_outside_span():
         generate_arrivals(TRIANGLE, [-1], rng)
 
 
-def test_arrivals_refuse_a_rate_past_the_pool_bound():
-    # numpy's own Poisson draw refuses 1e308 with an unlabelled error
-    bound = f"exceeds the pool bound of {rachsim.simulator.MAX_POOL}$"
-    flat = LoadProfile((ProfileSegment(0, 5, 1e308, 1e308),))
-    with pytest.raises(ValueError, match=r"^frame 0: mean arrival rate 1e\+308 " + bound):
-        generate_arrivals(flat, range(5), np.random.default_rng(1))
-    # the error names the frame asked for, not its position among the frames
-    step = LoadProfile((ProfileSegment(0, 2, 1.0, 1.0), ProfileSegment(2, 5, 2e7, 2e7)))
-    with pytest.raises(ValueError, match=r"^frame 3: mean arrival rate 20000000\.0 " + bound):
-        generate_arrivals(step, [1, 3, 4], np.random.default_rng(1))
-    with pytest.raises(ValueError, match=r"^frame 4: mean arrival rate 20000000\.0 " + bound):
-        generate_arrivals(step, 4, np.random.default_rng(1))
-    assert generate_arrivals(step, 1, np.random.default_rng(1)) >= 0  # one frame, one draw
+def test_segments_refuse_a_rate_past_the_pool_bound():
+    # a profile holds no rate numpy's Poisson draw refuses (1e308) or that
+    # no pool could hold, so arrivals need no check of their own
+    assert ProfileSegment(0, 5, 1e7, 1e7).rate_end == MAX_POOL
+    just_past = math.nextafter(1e7, math.inf)
+    for rates, field, value in (
+        ((just_past, 0.0), "rate_start", just_past), ((1.0, 1e308), "rate_end", 1e308)
+    ):
+        with pytest.raises(SettingError) as exc:
+            ProfileSegment(0, 5, *rates)
+        assert str(exc.value) == f"{field} must be in [0, {MAX_POOL}], got {value}"
+        assert exc.value.fields == (field,)
+    flat = LoadProfile((ProfileSegment(0, 5, 1e7, 1e7),))
+    assert generate_arrivals(flat, 4, np.random.default_rng(1)) >= 0  # one frame, one draw
 
 
 def test_a_run_evaluates_the_profile_rates_once(monkeypatch):
