@@ -208,7 +208,7 @@ _FLAGS = {
 
 @contextmanager
 def _flag_errors(**flags: str):
-    """Re-raise a SettingError about flag values as an argument error naming the flags.
+    """Re-raise a SettingError about flag values as an argument error that names the flags.
 
     It wraps only the code that takes the values. A simulation's own
     SettingError is a program fault even when its field has a flag.

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Mapping
 
 __all__ = [
     "FRAME_SUBFRAMES",
@@ -40,41 +39,36 @@ MAX_ALPHA = 1e100
 class SettingError(ValueError):
     """A value out of its range: a dataclass's setting or a library function's argument.
 
-    `fields` names the values at fault, the one to blame first. `template`
-    is the message with each as a `{field}` placeholder, so that a scenario
-    file or a command line can name it its own way, by key or by flag.
+    `fields` names the values at fault, the one to blame first. The message
+    calls each by its field name; a scenario file or a command line puts its
+    own name for the fields in front of it, by key or by flag.
     """
 
-    def __init__(self, template: str, *fields: str):
-        self.template = template
+    def __init__(self, message: str, *fields: str):
         self.fields = fields
-        super().__init__(self.naming({field: field for field in fields}))
-
-    def naming(self, names: Mapping[str, str]) -> str:
-        """The message with each field called by its name in `names`."""
-        return self.template.format_map(names)
+        super().__init__(message)
 
 
 def check_range(
     name: str, value: float, lo: float, hi: float | None = None, lo_open: bool = False
 ) -> None:
-    """Raise SettingError naming `name` unless value is finite and in [lo, hi], or (lo, hi]."""
+    """Raise SettingError about `name` unless value is finite and in [lo, hi], or (lo, hi]."""
     # finiteness is a float question: math.isfinite overflows on a huge int
     if isinstance(value, float) and not math.isfinite(value):
-        raise SettingError(f"{{{name}}} must be finite, got {value}", name)
+        raise SettingError(f"{name} must be finite, got {value}", name)
     if value < lo or (lo_open and value == lo) or (hi is not None and value > hi):
         if hi is None:
             bound = f"{'>' if lo_open else '>='} {lo}"
         else:
             bound = f"in {'(' if lo_open else '['}{lo}, {hi}]"
-        raise SettingError(f"{{{name}}} must be {bound}, got {value}", name)
+        raise SettingError(f"{name} must be {bound}, got {value}", name)
 
 
 def check_integer(name: str, value: int, lo: int, hi: int | None = None) -> None:
     """check_range, then refuse a non-integer (a numpy integer is one, 2.0 is not)."""
     check_range(name, value, lo, hi)
     if not isinstance(value, numbers.Integral):
-        raise SettingError(f"{{{name}}} must be an integer, got {value!r}", name)
+        raise SettingError(f"{name} must be an integer, got {value!r}", name)
 
 
 @dataclass(frozen=True)
@@ -100,7 +94,7 @@ class RachConfig:
         check_integer("n_s_max", self.n_s_max, 1, FRAME_SUBFRAMES)
         check_range("alpha", self.alpha, 0.0, MAX_ALPHA)
         if self.n_s_min > self.n_s_max:
-            raise SettingError("{n_s_min} must not exceed {n_s_max}", "n_s_min", "n_s_max")
+            raise SettingError("n_s_min must not exceed n_s_max", "n_s_min", "n_s_max")
 
     @property
     def subframe_range(self) -> range:

@@ -92,7 +92,7 @@ class LoadGrid:
         steps = max_load / step + 1e-9
         if steps >= MAX_GRID_POINTS:
             raise SettingError(
-                f"load grid {{max_load}} / {{step}} = {max_load} / {step} exceeds "
+                f"load grid max_load / step = {max_load} / {step} exceeds "
                 f"{MAX_GRID_POINTS} points",
                 "max_load", "step",
             )

@@ -12,7 +12,7 @@ Four sections, all keys optional except the load profile:
     [load]
     segments = 0:10:0.0:600.0, 10:20:600.0:0.0   # required
     # each segment is start_frame:end_frame:rate_start:rate_end,
-    # contiguous, starting at frame 0; rates in [0, 1e7] devices/frame
+    # contiguous, from frame 0; rates in [0, 9968380] devices/frame (MAX_RATE)
 
     [controller]
     kind = adaptive       # fixed | max | adaptive | acb
@@ -27,11 +27,13 @@ Four sections, all keys optional except the load profile:
     retry_limit = 10      # failed attempts before a device drops
 
 '#' starts a comment. Unknown sections or keys are rejected with the line
-number; out-of-range values are rejected naming the offending key.
+number; a bad value with its line and key before its owner's message:
+`f.scn:2: channel.alpha: alpha must be in [0.0, 1e+100], got 1e+101`.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -126,37 +128,38 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> Scenario:
         raise ScenarioError(f"{source}: load.segments required")
     profile = _parse_segments(*raw["load", "segments"], source=source)
 
-    fields: dict[type, dict] = {RachConfig: {}, ControllerSpec: {}, Scenario: {}}
-    for (section, key), spec in _KEYS.items():
-        if (section, key) in raw:
-            value, lineno = raw[section, key]
-            where = f"{source}:{lineno}: {section}.{key}"
-            fields[spec.target][spec.field] = _number(value, spec.type, where)
-    if ("controller", "kind") in raw:
-        fields[ControllerSpec]["kind"] = raw["controller", "kind"][0]
-
+    values: dict[type, dict] = {RachConfig: {}, ControllerSpec: {}, Scenario: {}}
     try:
+        for name, spec in _KEYS.items():
+            if name in raw:
+                values[spec.target][spec.field] = _number(raw[name][0], spec.type, spec.field)
+        if ("controller", "kind") in raw:
+            values[ControllerSpec]["kind"] = raw["controller", "kind"][0]
         return Scenario(
-            config=RachConfig(**fields[RachConfig]),
+            config=RachConfig(**values[RachConfig]),
             profile=profile,
-            controller=ControllerSpec(**fields[ControllerSpec]),
-            **fields[Scenario],
+            controller=ControllerSpec(**values[ControllerSpec]),
+            **values[Scenario],
         )
     except SettingError as exc:
         keys = {spec.field: name for name, spec in _KEYS.items()}
         keys["kind"] = ("controller", "kind")
         # the defaults are in range, so the file sets at least one named field
         lineno = next(raw[keys[field]][1] for field in exc.fields if keys[field] in raw)
-        names = {field: ".".join(name) for field, name in keys.items()}
-        raise ScenarioError(f"{source}:{lineno}: {exc.naming(names)}") from None
+        names = "/".join(".".join(keys[field]) for field in exc.fields)
+        raise ScenarioError(f"{source}:{lineno}: {names}: {exc}") from None
 
 
-def _number(value: str, type_: type, where: str) -> int | float:
+def _number(text: str, type_: type, name: str) -> int | float:
     try:
-        return type_(value)
+        return type_(text)
     except ValueError:
         noun = "an integer" if type_ is int else "a number"
-        raise ScenarioError(f"{where} must be {noun}, got {value!r}") from None
+        raise SettingError(f"{name} must be {noun}, got {text!r}", name) from None
+
+
+# A segment's numbers in file order, each as its field's type and name.
+_SEGMENT_FIELDS = [({"int": int, "float": float}[f.type], f.name) for f in fields(ProfileSegment)]
 
 
 def _parse_segments(value: str, lineno: int, source: str) -> LoadProfile:
@@ -167,15 +170,11 @@ def _parse_segments(value: str, lineno: int, source: str) -> LoadProfile:
             continue
         where = f"{source}:{lineno}: load.segments entry {chunk!r}"
         parts = chunk.split(":")
-        if len(parts) != 4:
+        if len(parts) != len(_SEGMENT_FIELDS):
             raise ScenarioError(f"{where} must be start:end:rate_start:rate_end")
         try:
-            start, end = int(parts[0]), int(parts[1])
-            r0, r1 = float(parts[2]), float(parts[3])
-        except ValueError:
-            raise ScenarioError(f"{where} has a non-numeric field") from None
-        try:
-            segments.append(ProfileSegment(start, end, r0, r1))
+            numbers = (_number(part, *spec) for part, spec in zip(parts, _SEGMENT_FIELDS))
+            segments.append(ProfileSegment(*numbers))
         except SettingError as exc:
             raise ScenarioError(f"{where}: {exc}") from None
     try:

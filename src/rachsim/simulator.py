@@ -46,6 +46,7 @@ __all__ = [
     "ProfileSegment",
     "LoadProfile",
     "MAX_POOL",
+    "MAX_RATE",
     "MAX_PAIRS",
     "MAX_WINDOW",
     "DeviceStatus",
@@ -75,11 +76,13 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Load profile
 
-# Bound on the devices one frame may hold (pending plus new arrivals). A
-# segment whose mean arrival rate exceeds it is refused when built, and a
-# pool that outgrows it fails at its frame, so a finite but huge rate neither
-# exhausts memory nor reaches numpy's Poisson limit.
+# Bound on the devices one frame may hold (pending plus new arrivals); a pool
+# that outgrows it, pushed there by retriers, fails at its frame.
 MAX_POOL = 10_000_000
+# Bound on a segment's mean arrival rate, so no rate exhausts memory or reaches
+# numpy's Poisson limit. It is 10 Poisson standard deviations below MAX_POOL:
+# a frame's draw at it passes MAX_POOL with probability about 7e-24.
+MAX_RATE = MAX_POOL - 10 * math.isqrt(MAX_POOL)
 
 
 @dataclass(frozen=True)
@@ -95,9 +98,9 @@ class ProfileSegment:
         check_integer("start_frame", self.start_frame, 0)
         check_integer("end_frame", self.end_frame, 1)
         if self.end_frame <= self.start_frame:
-            raise SettingError("{end_frame} must exceed {start_frame}", "end_frame", "start_frame")
-        check_range("rate_start", self.rate_start, 0, MAX_POOL)
-        check_range("rate_end", self.rate_end, 0, MAX_POOL)
+            raise SettingError("end_frame must exceed start_frame", "end_frame", "start_frame")
+        check_range("rate_start", self.rate_start, 0, MAX_RATE)
+        check_range("rate_end", self.rate_end, 0, MAX_RATE)
 
 
 @dataclass(frozen=True)
@@ -315,9 +318,8 @@ class ControllerKind(Enum):
 
     @classmethod
     def _missing_(cls, value):
-        """Refuse a value that is not a kind's name; braces in it are text, not placeholders."""
-        got = repr(value).replace("{", "{{").replace("}", "}}")
-        raise SettingError(f"{{kind}} must be one of {KIND_NAMES}, got {got}", "kind")
+        """Refuse a value that is not a kind's name."""
+        raise SettingError(f"kind must be one of {KIND_NAMES}, got {value!r}", "kind")
 
 
 KIND_NAMES = sorted(kind.value for kind in ControllerKind)  # the names a kind is given by
@@ -458,7 +460,7 @@ class Scenario:
         ns_max, preambles = self.config.n_s_max, self.config.n_preambles
         if ns_max * preambles > MAX_PAIRS:
             raise SettingError(
-                f"{{n_s_max}} x {{n_preambles}} = {ns_max} x {preambles} = "
+                f"n_s_max x n_preambles = {ns_max} x {preambles} = "
                 f"{ns_max * preambles} pairs exceed the bound of {MAX_PAIRS}",
                 "n_preambles", "n_s_max",
             )

@@ -28,7 +28,7 @@ from rachsim.cli import (
 from rachsim.model import RachConfig, SettingError, check_range, throughput, utility_of_load
 from rachsim.optimizer import subframe_lookup_table
 from rachsim.simulator import (
-    MAX_POOL,
+    MAX_RATE,
     ControllerKind,
     ControllerSpec,
     ReplicationSet,
@@ -161,10 +161,10 @@ def test_run_missing_scenario_exit_code(tmp_path, capsys):
     # a scenario with a value out of range is a scenario error as well, naming the
     # value; every load.segments refusal names the line, and the entry if it has one
     entry = "load.segments entry"
-    bound = f"must be in [0, {MAX_POOL}]"
-    just_past = math.nextafter(1e7, math.inf)
+    bound = f"must be in [0, {MAX_RATE}]"
+    just_past = math.nextafter(MAX_RATE, math.inf)
     for text, error in (
-        ("[channel]\nalpha = inf\n" + SMALL, "channel.alpha must be finite, got inf"),
+        ("[channel]\nalpha = inf\n" + SMALL, "channel.alpha: alpha must be finite, got inf"),
         ("[load]\nsegments = 0:5:nan:1\n",
          f"{entry} '0:5:nan:1': rate_start must be finite, got nan"),
         ("[load]\nsegments = 0:5:-1:1\n",
@@ -184,7 +184,10 @@ def test_run_missing_scenario_exit_code(tmp_path, capsys):
         ("[load]\nsegments = 0:5:1:1, 6:10:1:1\n",
          "load.segments: segments must be contiguous: 5 then 6"),
         ("[load]\nsegments = 0:5:1\n", f"{entry} '0:5:1' must be start:end:rate_start:rate_end"),
-        ("[load]\nsegments = 0:5:one:1\n", f"{entry} '0:5:one:1' has a non-numeric field"),
+        ("[load]\nsegments = 0:5:one:1\n",
+         f"{entry} '0:5:one:1': rate_start must be a number, got 'one'"),
+        ("[load]\nsegments = 0.0:5:1:1\n",
+         f"{entry} '0.0:5:1:1': start_frame must be an integer, got '0.0'"),
     ):
         bad = tmp_path / "bad.scn"
         bad.write_text(text)
@@ -407,6 +410,17 @@ def test_compare_shares_arrival_sequences(small_scn, tmp_path, capsys):
 UNKNOWN_KIND = "kind must be one of ['acb', 'adaptive', 'fixed', 'max'], got 'bogus'"
 
 
+def test_a_kind_in_braces_is_quoted_verbatim(tmp_path, capsys):
+    # the message is plain text: braces in the value are not placeholders
+    scn = tmp_path / "f.scn"
+    scn.write_text(SMALL + "[controller]\nkind = {x}\n")
+    assert main(["run", "--scenario", str(scn), "--out", str(tmp_path / "o.csv")]) == 2
+    kinds = "['acb', 'adaptive', 'fixed', 'max']"
+    assert capsys.readouterr().err == (
+        f"error: {scn}:4: controller.kind: kind must be one of {kinds}, got '{{x}}'\n"
+    )
+
+
 def test_compare_needs_two_controllers(small_scn, tmp_path, capsys):
     out = tmp_path / "x.csv"
     rc = main(["compare", "--scenario", str(small_scn), "--controllers",
@@ -438,7 +452,7 @@ def test_an_unknown_controller_name_is_refused_one_way(entry, tmp_path, capsys):
         "compare": (
             ["compare", "--controllers", "adaptive,bogus"], f"--controllers: {UNKNOWN_KIND}"
         ),
-        "scenario": (["run"], f"{scn}:4: controller.{UNKNOWN_KIND}"),
+        "scenario": (["run"], f"{scn}:4: controller.kind: {UNKNOWN_KIND}"),
     }[entry]
     out = tmp_path / "o.csv"
     assert main(flags + ["--scenario", str(scn), "--out", str(out)]) == 2  # not argparse's exit
@@ -506,6 +520,8 @@ def test_run_huge_rate_fails_before_allocating(tmp_path, capsys, monkeypatch):
     scn = tmp_path / "f.scn"
     for segments, entry, rate in (
         ("0:5:1e8:1e8", "0:5:1e8:1e8", "100000000.0"),
+        # a draw at the pool bound itself passes it about half the time
+        ("0:5:1e7:1e7", "0:5:1e7:1e7", "10000000.0"),
         # a segment past [sim] frames is refused too, though no frame reads it
         ("0:5:10:10, 5:10:2e7:2e7\n[sim]\nframes = 5", "5:10:2e7:2e7", "20000000.0"),
     ):
@@ -515,7 +531,7 @@ def test_run_huge_rate_fails_before_allocating(tmp_path, capsys, monkeypatch):
         assert rc == 2
         assert capsys.readouterr().err == (
             f"error: {scn}:2: load.segments entry '{entry}': "
-            f"rate_start must be in [0, 10000000], got {rate}\n"
+            f"rate_start must be in [0, 9968380], got {rate}\n"
         )
     assert not (tmp_path / "o.csv").exists()
 
@@ -529,7 +545,7 @@ def test_run_rate_beyond_the_poisson_range_names_the_entry(tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err == (
         f"error: {scn}:2: load.segments entry '0:5:1e308:1e308': "
-        f"rate_start must be in [0, {MAX_POOL}], got 1e+308\n"
+        f"rate_start must be in [0, {MAX_RATE}], got 1e+308\n"
     )
     assert not (tmp_path / "o.csv").exists()
 
@@ -593,7 +609,7 @@ def test_run_window_beyond_the_bound_exits_two(tmp_path, capsys, section, key):
     rc = main(["run", "--scenario", str(scn), "--controller", "acb", "--reps", "1",
                "--out", str(tmp_path / "o.csv")])
     assert rc == 2
-    assert f"{section}.{key} must be in [1, 2147483647]" in capsys.readouterr().err
+    assert f"{section}.{key}: {key} must be in [1, 2147483647]" in capsys.readouterr().err
     assert not (tmp_path / "o.csv").exists()
 
 
@@ -606,7 +622,10 @@ def test_pair_bound_applies_to_simulations_only(tmp_path, capsys):
                              "--out", str(tmp_path / "o.csv")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "channel.ns_max x channel.preambles = 8 x 1000000 = 8000000 pairs" in err
+        assert (
+            "pairs.scn:2: channel.preambles/channel.ns_max: "
+            "n_s_max x n_preambles = 8 x 1000000 = 8000000 pairs"
+        ) in err
     assert not (tmp_path / "o.csv").exists()
     # table and optimize simulate nothing and keep accepting large counts
     assert main(["optimize", "--load", "500", "--alpha", "25", "--preambles", "1000000"]) == 0
@@ -614,14 +633,30 @@ def test_pair_bound_applies_to_simulations_only(tmp_path, capsys):
                  "--out", str(tmp_path / "t.csv")]) == 0
 
 
-def test_python_dash_m_rachsim_help():
+def python_dash_m_rachsim(*args: str) -> subprocess.CompletedProcess:
     src = str(Path(rachsim.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    done = subprocess.run([sys.executable, "-m", "rachsim", "--help"],
+    return subprocess.run([sys.executable, "-m", "rachsim", *args],
                           env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_python_dash_m_rachsim_help():
+    done = python_dash_m_rachsim("--help")
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: rachsim")
+
+
+def test_python_dash_m_rachsim_passes_on_the_exit_code():
+    # the README's example, then a refused flag: the module exits with main's code
+    done = python_dash_m_rachsim("optimize", "--load", "70", "--alpha", "2")
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, "n_s=6 utility=46.33507695015013\n", ""
+    )
+    done = python_dash_m_rachsim("optimize", "--load", "-5", "--alpha", "2")
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", "error: --load: load must be >= 0, got -5.0\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -660,7 +695,7 @@ def test_alpha_beyond_the_bound_exits_two(tmp_path, capsys):
     rc = main(["compare", "--scenario", str(scn), "--controllers", "adaptive,fixed",
                "--reps", "2", "--out", str(tmp_path / "o.csv")])
     assert rc == 2
-    assert "alpha.scn:2: channel.alpha must be in [0.0, 1e+100], got 1e+308" in (
+    assert "alpha.scn:2: channel.alpha: alpha must be in [0.0, 1e+100], got 1e+308" in (
         capsys.readouterr().err
     )
     for command in (["optimize", "--load", "100"], ["table", "--out", str(tmp_path / "o.csv")]):
@@ -755,7 +790,7 @@ def test_a_range_error_without_a_flag_is_a_fault(monkeypatch, capsys):
 def test_a_range_error_inside_a_run_is_a_fault(monkeypatch, small_scn, tmp_path, capsys):
     # a flag sets load for optimize, but a simulation's own range error is a fault
     def faulty(load, config, table_max_load):
-        raise SettingError("{load} is out of range inside a run", "load")
+        raise SettingError("load is out of range inside a run", "load")
 
     monkeypatch.setattr(rachsim.simulator, "decide_subframes", faulty)
     argv = ["run", "--scenario", str(small_scn), "--reps", "1", "--out", str(tmp_path / "o.csv")]

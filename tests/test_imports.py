@@ -6,7 +6,9 @@ it anywhere or lists it in `__all__`. A private module-level name (`_x`, not
 a dunder) must be read in its own module, so that no helper outlives its
 last caller. And no module but `model` words a range requirement in an error
 it raises: a value's range is checked by `model.check_range` (or, for an
-integer, `model.check_integer`), not by hand.
+integer, `model.check_integer`), not by hand. A `SettingError` message is
+plain text with no brace in its literal parts, so that no call site words it
+as a template for another layer to fill in.
 """
 
 import ast
@@ -76,6 +78,25 @@ def hand_written_range_checks(source: str) -> list[str]:
     ]
 
 
+def templated_setting_errors(source: str) -> list[str]:
+    """The SettingError calls with a brace in one of their string constants."""
+    calls = [
+        node for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and "SettingError" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)
+        )
+    ]
+    return [
+        f"line {node.lineno}"
+        for node in sorted(calls, key=lambda node: node.lineno)
+        if any(
+            isinstance(part, ast.Constant) and isinstance(part.value, str)
+            and ("{" in part.value or "}" in part.value)
+            for part in ast.walk(node)
+        )
+    ]
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
 def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -91,6 +112,11 @@ def test_no_unread_private_name(path):
 )
 def test_no_hand_written_range_check(path):
     assert hand_written_range_checks(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
+def test_no_templated_setting_error(path):
+    assert templated_setting_errors(path.read_text(encoding="utf-8")) == []
 
 
 def test_the_check_sees_leftovers():
@@ -153,3 +179,19 @@ def test_the_check_sees_hand_written_range_checks():
     assert hand_written_range_checks(source) == [
         "line 3", "line 5", "line 7", "line 9", "line 13", "line 18",
     ]
+
+
+def test_the_check_sees_templated_setting_errors():
+    source = (
+        "def f(x, name, value, kinds):\n"
+        "    raise SettingError('{n_s_min} must not exceed {n_s_max}', 'n_s_min', 'n_s_max')\n"
+        "    raise SettingError(f'{{{name}}} must be finite, got {value}', name)\n"
+        "    raise SettingError(f'kind must be one of {kinds}, got {value!r}', 'kind')\n"
+        "    got = repr(value).replace('{', '{{')\n"
+        "    raise model.SettingError(\n"
+        "        f'x must be ' f'{{x}}', 'x')\n"
+        "    raise SettingError(f'got {repr(value).replace(\"}\", \"}}\")}', 'x')\n"
+        "    raise ValueError('{x} is a template')\n"
+        "    raise SettingError(f'{name} must be < {x:.3g}', name)\n"
+    )
+    assert templated_setting_errors(source) == ["line 2", "line 3", "line 6", "line 8"]

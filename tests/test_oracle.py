@@ -1,20 +1,20 @@
 """run_scenario against an independent per-device reference loop.
 
-The reference keeps one DeviceState object per device and a dict wait
-queue keyed by due frame, and implements pair selection, the singleton
-test, the retry-limit drop, the backoff draw and barring itself, one
-device at a time, in the order the simulator defines: a frame's pool is
-its due devices in the order they were deferred, then the new arrivals;
-barred devices are deferred before retriers. It shares only the load
-profile, the controllers' subframe decisions and the random streams with
-the library, so identical rows check the array core draw for draw,
-including drops and heavy barring. Its arrivals are one scalar Poisson
+The reference keeps one record of its own per device, its attempt count,
+and a dict wait queue keyed by due frame, and implements pair selection,
+the singleton test, the retry-limit drop, the backoff draw and barring
+itself, one device at a time, in the order the simulator defines: a
+frame's pool is its due devices in the order they were deferred, then the
+new arrivals; barred devices are deferred before retriers. It shares only
+the load profile, the controllers' subframe decisions and the random
+streams with the library, so identical rows check the array core draw for
+draw, including drops and heavy barring. Its arrivals are one scalar Poisson
 draw per frame, which checks the library's single whole-run draw. A pick
 out of n pairs or a delay of 1..n frames takes one uniform u each, as
 int(u * n) and 1 + int(u * n).
 """
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -26,7 +26,6 @@ from rachsim.scenario import default_scenario
 from rachsim.simulator import (
     ControllerKind,
     ControllerSpec,
-    DeviceState,
     FrameOutcome,
     LoadProfile,
     ProfileSegment,
@@ -34,6 +33,13 @@ from rachsim.simulator import (
     make_controller,
     run_scenario,
 )
+
+
+@dataclass
+class Device:
+    """A device of the reference loop: failed attempts so far."""
+
+    attempts: int = 0
 
 
 def reference_run(scenario, seed):
@@ -46,12 +52,10 @@ def reference_run(scenario, seed):
     rng = np.random.default_rng(event_seq)
     waiting = {}  # due frame -> devices, in the order they were deferred
     rows = []
-    next_id = 0
     for frame in range(scenario.frames):
         n_s = controller.n_s
         arrivals = int(arrival_rng.poisson(scenario.profile.rate_at(frame)))
-        pool = waiting.pop(frame, []) + [DeviceState(id=next_id + k) for k in range(arrivals)]
-        next_id += arrivals
+        pool = waiting.pop(frame, []) + [Device() for _ in range(arrivals)]
 
         admitted = pool
         if spec.kind is ControllerKind.ACB and pool:

@@ -79,10 +79,11 @@ def test_out_of_range_value_names_key():
         parse_scenario_text(text)
     for value in ("inf", "nan", "-inf"):
         text = f"[channel]\nalpha = {value}\n\n[load]\nsegments = 0:5:1:1\n"
-        with pytest.raises(ScenarioError, match="channel.alpha must be finite"):
+        with pytest.raises(ScenarioError, match="channel.alpha: alpha must be finite"):
             parse_scenario_text(text)
         text = f"[load]\nsegments = 0:5:1:1\n\n[controller]\ntable_max_load = {value}\n"
-        with pytest.raises(ScenarioError, match="controller.table_max_load must be finite"):
+        match = "controller.table_max_load: table_max_load must be finite"
+        with pytest.raises(ScenarioError, match=match):
             parse_scenario_text(text)
 
 
@@ -98,8 +99,6 @@ def test_malformed_lines():
 def test_bad_segments():
     with pytest.raises(ScenarioError, match="start:end:rate_start:rate_end"):
         parse_scenario_text("[load]\nsegments = 0:5:1\n")
-    with pytest.raises(ScenarioError, match="non-numeric"):
-        parse_scenario_text("[load]\nsegments = 0:5:one:1\n")
     with pytest.raises(ScenarioError, match="start at frame 0"):
         parse_scenario_text("[load]\nsegments = 5:10:1:1\n")
     with pytest.raises(ScenarioError, match="contiguous"):
@@ -110,12 +109,14 @@ def test_bad_segments():
             ScenarioError, match=":2: load.segments: profile needs at least one segment$"
         ):
             parse_scenario_text(f"[load]\nsegments ={value}\n")
-    # a segment's own range error names the entry and the value
+    # a segment's own range error, or a field that is no number, names the entry and the value
     for chunk, error in (
+        ("0:5:one:1", "rate_start must be a number, got 'one'"),
+        ("0.5:5:1:1", "start_frame must be an integer, got '0.5'"),
         ("0:5:nan:1", "rate_start must be finite, got nan"),
         ("0:5:1:-inf", "rate_end must be finite, got -inf"),
-        ("0:5:-1:1", "rate_start must be in [0, 10000000], got -1.0"),
-        ("0:5:1:2e7", "rate_end must be in [0, 10000000], got 20000000.0"),
+        ("0:5:-1:1", "rate_start must be in [0, 9968380], got -1.0"),
+        ("0:5:1:1e7", "rate_end must be in [0, 9968380], got 10000000.0"),
         ("0:-5:1:1", "end_frame must be >= 1, got -5"),
         ("3:3:1:1", "end_frame must exceed start_frame"),
     ):
@@ -222,7 +223,8 @@ def test_window_bound_names_key(section, key):
     assert getattr(s if section == "sim" else s.controller, key) == 2**31 - 1
     for value in ("2147483648", "99999999999999999999"):
         with pytest.raises(
-            ScenarioError, match=rf":5: {section}.{key} must be in \[1, 2147483647\], got {value}"
+            ScenarioError,
+            match=rf":5: {section}.{key}: {key} must be in \[1, 2147483647\], got {value}",
         ):
             parse_scenario_text(text.format(section, key, value))
 
@@ -232,8 +234,8 @@ def test_pair_bound_names_both_keys_and_product():
     assert parse_scenario_text(text.format(100_000, 10)).config.n_preambles == 100_000
     with pytest.raises(
         ScenarioError,
-        match=r":2: channel.ns_max x channel.preambles = 8 x 1000000 = 8000000 pairs "
-        r"exceed the bound of 1000000",
+        match=r":2: channel.preambles/channel.ns_max: n_s_max x n_preambles = 8 x 1000000 "
+        r"= 8000000 pairs exceed the bound of 1000000",
     ):
         parse_scenario_text(text.format(1_000_000, 8))
     with pytest.raises(ScenarioError, match=r"= 10 x 100001 = 1000010 pairs"):
@@ -282,7 +284,7 @@ def test_single_error_messages(section, key, not_a_number, out_of_range):
     for given, message in (("x", not_a_number), (value, out_of_range)):
         with pytest.raises(ScenarioError) as exc:
             parse_scenario_text(text.format(section, key, given), source="f.scn")
-        assert str(exc.value) == f"f.scn:5: {section}.{key} {message}"
+        assert str(exc.value) == f"f.scn:5: {section}.{key}: {_KEYS[section, key].field} {message}"
 
 
 def test_format_writes_every_key():
@@ -323,4 +325,6 @@ def test_alpha_bound_names_key():
     for value in ("1.0000000000000002e+100", "1e+101", "1e+308"):
         with pytest.raises(ScenarioError) as exc:
             parse_scenario_text(text.format(value), source="f.scn")
-        assert str(exc.value) == f"f.scn:2: channel.alpha must be in [0.0, 1e+100], got {value}"
+        assert str(exc.value) == (
+            f"f.scn:2: channel.alpha: alpha must be in [0.0, 1e+100], got {value}"
+        )

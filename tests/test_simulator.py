@@ -22,6 +22,7 @@ from rachsim.simulator import (
     FRAME_FIELDS,
     MAX_PAIRS,
     MAX_POOL,
+    MAX_RATE,
     MAX_WINDOW,
     _defer,
     _pick_pairs,
@@ -71,7 +72,7 @@ def test_profile_interpolation():
 
 @given(
     st.lists(
-        st.tuples(st.integers(1, 60), st.floats(0.0, MAX_POOL), st.floats(0.0, MAX_POOL)),
+        st.tuples(st.integers(1, 60), st.floats(0.0, MAX_RATE), st.floats(0.0, MAX_RATE)),
         min_size=1, max_size=6,
     )
 )
@@ -134,19 +135,23 @@ def test_arrivals_outside_span():
 
 
 def test_segments_refuse_a_rate_past_the_pool_bound():
-    # a profile holds no rate numpy's Poisson draw refuses (1e308) or that
-    # no pool could hold, so arrivals need no check of their own
-    assert ProfileSegment(0, 5, 1e7, 1e7).rate_end == MAX_POOL
-    just_past = math.nextafter(1e7, math.inf)
+    # a profile holds no rate numpy's Poisson draw refuses (1e308) or whose
+    # draw could pass the pool bound on its own: the rate bound sits 10
+    # standard deviations below it, so arrivals need no check of their own
+    assert MAX_RATE == 9_968_380 and MAX_POOL - MAX_RATE >= 10 * math.sqrt(MAX_RATE)
+    assert ProfileSegment(0, 5, MAX_RATE, MAX_RATE).rate_end == MAX_RATE
+    just_past = math.nextafter(MAX_RATE, math.inf)
     for rates, field, value in (
-        ((just_past, 0.0), "rate_start", just_past), ((1.0, 1e308), "rate_end", 1e308)
+        ((just_past, 0.0), "rate_start", just_past),
+        ((0.0, float(MAX_POOL)), "rate_end", float(MAX_POOL)),
+        ((1.0, 1e308), "rate_end", 1e308),
     ):
         with pytest.raises(SettingError) as exc:
             ProfileSegment(0, 5, *rates)
-        assert str(exc.value) == f"{field} must be in [0, {MAX_POOL}], got {value}"
+        assert str(exc.value) == f"{field} must be in [0, {MAX_RATE}], got {value}"
         assert exc.value.fields == (field,)
-    flat = LoadProfile((ProfileSegment(0, 5, 1e7, 1e7),))
-    assert generate_arrivals(flat, 4, np.random.default_rng(1)) >= 0  # one frame, one draw
+    flat = LoadProfile((ProfileSegment(0, 5, MAX_RATE, MAX_RATE),))
+    assert 0 <= generate_arrivals(flat, 4, np.random.default_rng(1)) <= MAX_POOL
 
 
 def test_a_run_evaluates_the_profile_rates_once(monkeypatch):
