@@ -17,6 +17,8 @@ __all__ = [
     "FRAME_SUBFRAMES",
     "MAX_ALPHA",
     "SettingError",
+    "MAX_SHOWN",
+    "shown",
     "check_range",
     "check_integer",
     "RachConfig",
@@ -49,6 +51,19 @@ class SettingError(ValueError):
         super().__init__(message)
 
 
+# An error message shows a value's text whole up to this many characters;
+# longer text is cut there and followed by its length, so that a hostile
+# value cannot fill the terminal.
+MAX_SHOWN = 40
+
+
+def shown(text: str) -> str:
+    """text as an error message shows it: whole, or its first MAX_SHOWN characters and its length."""
+    if len(text) <= MAX_SHOWN:
+        return text
+    return f"{text[:MAX_SHOWN]}... ({len(text)} characters)"
+
+
 def check_range(
     name: str, value: float, lo: float, hi: float | None = None, lo_open: bool = False
 ) -> None:
@@ -61,14 +76,14 @@ def check_range(
             bound = f"{'>' if lo_open else '>='} {lo}"
         else:
             bound = f"in {'(' if lo_open else '['}{lo}, {hi}]"
-        raise SettingError(f"{name} must be {bound}, got {value}", name)
+        raise SettingError(f"{name} must be {bound}, got {shown(str(value))}", name)
 
 
 def check_integer(name: str, value: int, lo: int, hi: int | None = None) -> None:
     """check_range, then refuse a non-integer (a numpy integer is one, 2.0 is not)."""
     check_range(name, value, lo, hi)
     if not isinstance(value, numbers.Integral):
-        raise SettingError(f"{name} must be an integer, got {value!r}", name)
+        raise SettingError(f"{name} must be an integer, got {shown(repr(value))}", name)
 
 
 @dataclass(frozen=True)

@@ -33,11 +33,13 @@ number; a bad value with its line and key before its owner's message:
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import fields
 from pathlib import Path
 from typing import NamedTuple
 
-from .model import RachConfig, SettingError
+from .model import RachConfig, SettingError, shown
 from .simulator import (
     ControllerKind,
     ControllerSpec,
@@ -52,6 +54,7 @@ __all__ = [
     "parse_scenario_text",
     "format_scenario",
     "default_scenario",
+    "check_digits",
 ]
 
 
@@ -110,7 +113,7 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> Scenario:
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
             if section not in _SECTIONS:
-                raise ScenarioError(f"{source}:{lineno}: unknown section [{section}]")
+                raise ScenarioError(f"{source}:{lineno}: unknown section [{shown(section)}]")
             continue
         if "=" not in line:
             raise ScenarioError(f"{source}:{lineno}: expected 'key = value'")
@@ -119,7 +122,7 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> Scenario:
         key, _, value = line.partition("=")
         name = (section, key.strip())
         if name not in _KEYS and name not in _OTHER_KEYS:
-            raise ScenarioError(f"{source}:{lineno}: unknown key {section}.{name[1]}")
+            raise ScenarioError(f"{source}:{lineno}: unknown key {shown(f'{section}.{name[1]}')}")
         if name in raw:
             raise ScenarioError(f"{source}:{lineno}: duplicate key {section}.{name[1]}")
         raw[name] = (value.strip(), lineno)
@@ -154,8 +157,27 @@ def _number(text: str, type_: type, name: str) -> int | float:
     try:
         return type_(text)
     except ValueError:
+        check_digits(text, name)
         noun = "an integer" if type_ is int else "a number"
-        raise SettingError(f"{name} must be {noun}, got {text!r}", name) from None
+        raise SettingError(f"{name} must be {noun}, got {shown(repr(text))}", name) from None
+
+
+# Integer text as int() reads it, whatever its number of digits
+_INTEGER = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+
+
+def check_digits(text: str, name: str) -> None:
+    """Refuse integer text, which int() refused for its length alone, as too large.
+
+    int() reads at most sys.get_int_max_str_digits() decimal digits; longer
+    integer text is a number too large to read, not text that is no integer.
+    """
+    if _INTEGER.fullmatch(text):
+        raise SettingError(
+            f"{name} is too large: more than {sys.get_int_max_str_digits()} digits, "
+            f"got {shown(repr(text))}",
+            name,
+        )
 
 
 # A segment's numbers in file order, each as its field's type and name.
@@ -168,7 +190,7 @@ def _parse_segments(value: str, lineno: int, source: str) -> LoadProfile:
         chunk = chunk.strip()
         if not chunk:
             continue
-        where = f"{source}:{lineno}: load.segments entry {chunk!r}"
+        where = f"{source}:{lineno}: load.segments entry {shown(repr(chunk))}"
         parts = chunk.split(":")
         if len(parts) != len(_SEGMENT_FIELDS):
             raise ScenarioError(f"{where} must be start:end:rate_start:rate_end")

@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .estimator import InconsistentObservationError, classify_load_branch, estimate_load
-from .model import RachConfig, SettingError, check_integer, check_range, utility
+from .model import RachConfig, SettingError, check_integer, check_range, shown, utility
 from .optimizer import SATURATION_LOAD, decide_subframes
 
 __all__ = [
@@ -113,11 +113,12 @@ class LoadProfile:
         if not self.segments:
             raise ValueError("profile needs at least one segment")
         if (start := self.segments[0].start_frame) != 0:
-            raise ValueError(f"segments must start at frame 0, not {start}")
+            raise ValueError(f"segments must start at frame 0, not {shown(str(start))}")
         for a, b in zip(self.segments, self.segments[1:]):
             if b.start_frame != a.end_frame:
                 raise ValueError(
-                    f"segments must be contiguous: {a.end_frame} then {b.start_frame}"
+                    f"segments must be contiguous: {shown(str(a.end_frame))} "
+                    f"then {shown(str(b.start_frame))}"
                 )
 
     @property
@@ -319,7 +320,7 @@ class ControllerKind(Enum):
     @classmethod
     def _missing_(cls, value):
         """Refuse a value that is not a kind's name."""
-        raise SettingError(f"kind must be one of {KIND_NAMES}, got {value!r}", "kind")
+        raise SettingError(f"kind must be one of {KIND_NAMES}, got {shown(repr(value))}", "kind")
 
 
 KIND_NAMES = sorted(kind.value for kind in ControllerKind)  # the names a kind is given by
@@ -574,8 +575,14 @@ def run_scenario(scenario: Scenario, seed: int, replication_id: int = 0, memo=No
     new arrivals; it appends its deferrals, barred before retriers. Spent
     entries (frame passed) never match again: a frame drops those in front
     of the first pending one as views, and once spent entries outnumber the
-    pending ones it keeps only the pending ones, in order. An empty frame
-    (nothing pending, no arrivals) draws nothing and touches no array.
+    pending ones it keeps only the pending ones, in order.
+
+    A frame does array work only for the device groups it holds: an empty
+    frame (nothing pending, no arrivals) draws nothing and touches no array,
+    a frame with nothing pending takes its arrivals as the pool without
+    reading the pending arrays, and a frame that bars and retries nobody
+    leaves them as they are. Every frame still counts its pending devices
+    for the conservation check.
     """
     check_integer("seed", seed, 0)
     cfg = scenario.config
@@ -587,6 +594,8 @@ def run_scenario(scenario: Scenario, seed: int, replication_id: int = 0, memo=No
     fresh = np.zeros(min(int(new_devices.max()), MAX_POOL), dtype=np.int64)
     fresh.flags.writeable = False
 
+    n_preambles, alpha = cfg.n_preambles, cfg.alpha
+    backoff_window, retry_limit = scenario.backoff_window, scenario.retry_limit
     due = attempts = _NO_DEVICES
     arrived = succeeded = dropped = pending = 0
     rows: list[tuple] = []  # per frame, the FrameOutcome fields in order
@@ -600,24 +609,26 @@ def run_scenario(scenario: Scenario, seed: int, replication_id: int = 0, memo=No
                 f"exceed the pool bound of {MAX_POOL}"
             )
         if not (pending or arrivals):  # an empty frame: its counts, no draw
-            _, successes, collisions, idle = _pick_pairs(0, n_s, cfg.n_preambles, event_rng)
-            pool = admitted = losers = _NO_DEVICES
+            _, successes, collisions, idle = _pick_pairs(0, n_s, n_preambles, event_rng)
+            n_pool = n_admitted = n_losers = 0
         else:
-            pool = np.concatenate((attempts[due == frame], fresh[:arrivals]))
+            if pending:
+                pool = np.concatenate((attempts[due == frame], fresh[:arrivals]))
+            else:  # the pending arrays are empty
+                pool = fresh[:arrivals]
             admitted, barred, barred_due = controller.admit(pool, frame, event_rng)
-            lost, successes, collisions, idle = _pick_pairs(
-                len(admitted), n_s, cfg.n_preambles, event_rng
-            )
+            n_pool, n_admitted = len(pool), len(admitted)
+            lost, successes, collisions, idle = _pick_pairs(n_admitted, n_s, n_preambles, event_rng)
             losers = admitted[lost]
-            retriers, retry_due = _backoff(
-                losers, frame, scenario.backoff_window, scenario.retry_limit, event_rng
-            )
-            due = np.concatenate((due, barred_due, retry_due))
-            attempts = np.concatenate((attempts, barred, retriers + 1))
+            retriers, retry_due = _backoff(losers, frame, backoff_window, retry_limit, event_rng)
+            n_losers, n_retriers = len(losers), len(retriers)
+            if n_retriers or len(barred):  # else nothing is deferred: the arrays stay
+                due = np.concatenate((due, barred_due, retry_due))
+                attempts = np.concatenate((attempts, barred, retriers + 1))
 
             arrived += arrivals
             succeeded += successes
-            dropped += len(losers) - len(retriers)
+            dropped += n_losers - n_retriers
             live = due > frame
             pending = int(np.count_nonzero(live))
             if arrived != succeeded + dropped + pending:
@@ -635,8 +646,8 @@ def run_scenario(scenario: Scenario, seed: int, replication_id: int = 0, memo=No
 
         est = controller.observe_counts(successes, idle, n_s)
         rows.append((
-            frame, n_s, arrivals, len(admitted), successes, collisions, len(losers), idle,
-            len(pool), est, utility(successes, cfg.alpha, n_s), controller.fallback,
+            frame, n_s, arrivals, n_admitted, successes, collisions, n_losers, idle,
+            n_pool, est, utility(successes, alpha, n_s), controller.fallback,
         ))
 
     series = TimeSeries(replication_id=replication_id, seed=seed, columns=_as_columns(zip(*rows)))

@@ -767,6 +767,44 @@ def test_every_refused_flag_value_names_its_flag(command, flag, value, tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    # 4000 digits pass int() and exceed the setting's bound (a seed has
+    # none); 5001 digits are past Python's limit of 4300, too large to read
+    "place, digits",
+    [(place, digits) for place in ("key", "segment", "--reps") for digits in (4000, 5001)]
+    + [("--seed", 5001)],
+)
+def test_an_over_long_number_is_refused_in_one_short_line(place, digits, tmp_path, capsys):
+    big = "1" + "0" * (digits - 1)
+    scenario = tmp_path / "s.scn"
+    scenario.write_text({
+        "key": f"[channel]\npreambles = {big}\n[load]\nsegments = 0:5:1:1\n",
+        "segment": f"[load]\nsegments = 0:{big}:1:1\n",
+    }.get(place, "[load]\nsegments = 0:5:1:1\n"))
+    out = tmp_path / "o.csv"
+    flags = [place, big] if place.startswith("--") else []
+    assert main(["run", "--scenario", str(scenario), "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    # besides the scenario's path, at most two values cut to 40 characters
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert len(err.replace(str(scenario), "")) < 250, err
+    assert f"({digits} characters)" in err or f"({digits + 2} characters)" in err
+    if digits > sys.get_int_max_str_digits():
+        assert "is too large: more than 4300 digits" in err
+    assert not out.exists()
+
+
+def test_refused_flag_text_is_shown_cut(tmp_path, capsys):
+    argv = ["run", "--scenario", str(tmp_path / "s.scn"), "--out", str(tmp_path / "o.csv")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--reps", "x" * 5000])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: argument --reps: invalid int value: '{'x' * 39}... (5002 characters)\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_grid_bound_names_both_flags(tmp_path, capsys):
     argv = ["table", "--alpha", "25", "--max-load", "1e12", "--out", str(tmp_path / "t.csv")]
     assert main(argv) == 2

@@ -13,7 +13,8 @@ from pathlib import Path
 from rachsim.cli import main
 from rachsim.scenario import default_scenario, format_scenario
 
-TM2 = Path(__file__).resolve().parents[1] / "benchmarks" / "scenarios" / "tm2_beta.scn"
+SCENARIOS = Path(__file__).resolve().parents[1] / "benchmarks" / "scenarios"
+TM2 = SCENARIOS / "tm2_beta.scn"
 
 GOLDEN = {
     "run.csv": "0c94b93673a4ad5ca041084fbbc85e7bba6865ed994709e0c4597f4404664bde",
@@ -38,6 +39,9 @@ GOLDEN = {
     "zero_sweep.csv": "009747a89739de58e274f7099bb891c0ee71e88fd47c1a19ecf2ad4d73e6e634",
     "single.csv": "e18156465c57a8f0a7f5ef702311bdf6313fd05b4ae898193eeeebfa72563233",
     "single_sweep.csv": "d1ac866ca63e0047bf507d4befe55fa832bf63e5ade2ec8532656b3ffda06963",
+    # the benchmark's run and compare invocations, over its 5 replications
+    "tm2_bench.csv": "c2e04c3c9afd780a738f0e22f1850e148a11222eb6d74da7a4fa75f2a8542b55",
+    "stock_bench.csv": "98d78f10ea00fa74460a2616c7c6397ee89f522861d957d3d23a217b6ef2193f",
 }
 
 
@@ -76,6 +80,11 @@ def test_golden_output_digests(tmp_path, capsys):
                  "--seed", "1", "--reps", "3", "--out", str(tmp_path / "acb9.csv")]) == 0
     assert main(["run", "--scenario", str(backoff1), "--controller", "fixed",
                  "--seed", "1", "--reps", "3", "--out", str(tmp_path / "backoff1.csv")]) == 0
+    assert main(["run", "--scenario", str(TM2), "--controller", "adaptive", "--seed", "1",
+                 "--reps", "5", "--out", str(tmp_path / "tm2_bench.csv")]) == 0
+    assert main(["compare", "--scenario", str(SCENARIOS / "stock_wave.scn"),
+                 "--controllers", "adaptive,fixed,acb,max", "--seed", "1",
+                 "--reps", "5", "--out", str(tmp_path / "stock_bench.csv")]) == 0
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         for name in GOLDEN

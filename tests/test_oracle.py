@@ -14,6 +14,7 @@ out of n pairs or a delay of 1..n frames takes one uniform u each, as
 int(u * n) and 1 + int(u * n).
 """
 
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rachsim import simulator
 from rachsim.model import RachConfig, utility
 from rachsim.scenario import default_scenario
 from rachsim.simulator import (
@@ -241,3 +243,53 @@ def test_run_scenario_matches_reference_on_random_scenarios(scenario, seed):
         assert rows == reference_run(variant, seed)
         arrivals.add(tuple(row.arrivals for row in rows))
     assert len(arrivals) == 1  # every controller sees the same arrivals
+
+
+# Sparse arrivals around one burst, with one retry: once the burst drains,
+# frames take arrivals with nothing pending; sparse frames without a
+# collision defer nobody; and ACB bars devices in frames with no retrier.
+SPARSE_BURST = replace(
+    STOCK,
+    profile=LoadProfile((
+        ProfileSegment(0, 20, 0.5, 0.5),
+        ProfileSegment(20, 30, 150.0, 150.0),
+        ProfileSegment(30, 70, 0.5, 0.5),
+    )),
+    frames=None,
+    retry_limit=1,
+)
+
+
+@pytest.mark.parametrize("kind", [k.value for k in ControllerKind])
+def test_run_scenario_matches_reference_on_frames_that_skip_array_work(kind, monkeypatch):
+    scenario = SPARSE_BURST.with_controller(ControllerKind(kind))
+    deferrals = []  # (frame, kernel, due frames) of every barring and backoff call
+
+    def recording(name, frame_arg):
+        kernel = getattr(simulator, name)
+
+        def wrapper(*args):
+            result = kernel(*args)
+            deferrals.append((args[frame_arg], name, result[1].tolist()))
+            return result
+
+        return wrapper
+
+    monkeypatch.setattr(simulator, "_bar", recording("_bar", 3))
+    monkeypatch.setattr(simulator, "_backoff", recording("_backoff", 1))
+    paths = Counter()
+    for seed in range(1, 4):
+        deferrals.clear()
+        rows = run_scenario(scenario, seed).rows
+        assert rows == reference_run(scenario, seed), seed
+        deferred = {(frame, name): len(due) for frame, name, due in deferrals}
+        first = next(row.frame for row in rows if row.true_load)
+        for row in rows[first + 1:]:
+            pending = sum(g < row.frame <= d for g, _, dues in deferrals for d in dues)
+            barred = deferred.get((row.frame, "_bar"), 0)
+            retriers = deferred.get((row.frame, "_backoff"), 0)
+            paths["nothing pending"] += row.arrivals > 0 and pending == 0
+            paths["defers nobody"] += row.true_load > 0 and barred + retriers == 0
+            paths["bars without retriers"] += barred > 0 and retriers == 0
+    assert paths["nothing pending"] > 0 and paths["defers nobody"] > 0, paths
+    assert paths["bars without retriers"] > 0 or kind != "acb", paths

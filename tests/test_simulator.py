@@ -764,6 +764,30 @@ def test_conservation_check_catches_a_lost_device(monkeypatch):
         run_scenario(default_scenario("fixed"), seed=1)
 
 
+def test_run_scenario_reaches_every_kernel_by_its_module_name(monkeypatch):
+    # stream_equivalence.py swaps the contention law by patching these names;
+    # a kernel bound at import time would compare the new law with itself
+    calls = dict.fromkeys(("_pick_pairs", "_backoff", "_defer", "_bar"), 0)
+
+    def counting(name):
+        kernel = getattr(rachsim.simulator, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return kernel(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(rachsim.simulator, name, counting(name))
+    scenario = replace(default_scenario(), frames=12)
+    for kind in ("acb", "adaptive"):
+        before = calls["_pick_pairs"]
+        run_scenario(scenario.with_controller(kind), seed=1)
+        assert calls["_pick_pairs"] - before == scenario.frames, kind
+    assert all(calls.values()), calls
+
+
 def test_whole_run_check_catches_miscounted_pairs(monkeypatch):
     # the adaptive controller takes the counts unchecked; the run's check
     # still refuses a frame whose pairs do not add up
