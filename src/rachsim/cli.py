@@ -35,8 +35,8 @@ from .model import (
     RachConfig, SettingError, check_integer, shown, throughput, utility, utility_of_load,
 )
 from .optimizer import SATURATION_LOAD, optimal_subframes_integer, subframe_lookup_table
-from .scenario import ScenarioError, check_digits, parse_scenario
-from .simulator import FRAME_FIELDS, KIND_NAMES, ReplicationSet, Scenario, run_replications
+from .scenario import ScenarioError, parse_scenario, read_number
+from .simulator import KIND_NAMES, ReplicationSet, Scenario, run_replications
 
 __all__ = ["main", "ComparisonReport", "build_report"]
 
@@ -106,13 +106,13 @@ def write_run_csv(
     column raveled in replication order, so each column is formatted once.
     """
     tp_num = _at_true_load(repset, lambda n, n_s: throughput(n, n_s, config.n_preambles))
-    ut_num = utility(tp_num, config.alpha, repset.column("n_s_used"))
+    ut_num = utility(tp_num, config.alpha, repset.columns["n_s_used"])
     with _create(path) as handle:
         _write_rows(handle, [RUN_COLUMNS])
-        c = {name: repset.column(name).ravel() for name in FRAME_FIELDS}
+        c = {name: column.ravel() for name, column in repset.columns.items()}
         _write_rows(handle, _table_rows(_RUN_TABLE, {
             **c, "controller": controller_name,
-            "rep": np.repeat([run.replication_id for run in repset.runs], repset.n_frames),
+            "rep": np.repeat(repset.replication_ids, repset.n_frames),
             "throughput_sim": c["successes"].astype(np.float64),
             "throughput_num": tp_num.ravel(), "utility_num": ut_num.ravel(),
         }))
@@ -146,8 +146,8 @@ def _at_true_load(repset: ReplicationSet, model) -> np.ndarray:
     The model runs once per distinct (true_load, n_s_used) pair; the pairs
     recur, and each result is the scalar model's own float.
     """
-    true_load = repset.column("true_load")
-    pairs = zip(true_load.ravel().tolist(), repset.column("n_s_used").ravel().tolist())
+    true_load = repset.columns["true_load"]
+    pairs = zip(true_load.ravel().tolist(), repset.columns["n_s_used"].ravel().tolist())
     return np.array(list(starmap(functools.cache(model), pairs))).reshape(true_load.shape)
 
 
@@ -236,7 +236,7 @@ def _flag_errors(**flags: str):
 def _check_frame_rows(scenario: Scenario, reps: int, controllers: int) -> None:
     rows = scenario.frames * reps * controllers
     if rows > MAX_FRAME_ROWS:
-        frames, reps, rows = (shown(str(n)) for n in (scenario.frames, reps, rows))
+        frames, reps, rows = (shown(n) for n in (scenario.frames, reps, rows))
         raise ScenarioError(
             f"{frames} frames x {reps} replications x {controllers} "
             f"controller(s) = {rows} frame rows exceed the bound of {MAX_FRAME_ROWS}"
@@ -284,7 +284,7 @@ def cmd_run(args) -> int:
     scenario, repsets = _simulate(args, names, "--controller")
     [(name, repset)] = repsets.items()
     write_run_csv(Path(args.out), repset, name, scenario.config)
-    print(f"wrote {args.out}: {len(repset.runs)} replications x {repset.n_frames} frames ({name})")
+    print(f"wrote {args.out}: {args.n_reps} replications x {repset.n_frames} frames ({name})")
     return 0
 
 
@@ -349,28 +349,19 @@ def cmd_compare(args) -> int:
 
 
 def _add_flag(parser: argparse.ArgumentParser, field: str, type_: type, **kwargs) -> None:
-    """The value flag of field; argparse only converts its text, the code that takes it checks."""
-    parser.add_argument(_FLAGS[field], dest=field, type=_converter(field, type_), **kwargs)
-
-
-def _converter(field: str, type_: type):
-    """field's flag text read by type_; argparse refuses text that is no number, shown cut.
-
-    Integer text that int() refused for its length alone is a number too
-    large, refused by flag like a value out of range: the ScenarioError
-    leaves parse_args, and main prints it in one line.
-    """
+    """The value flag of field; its text is read as a key's, the code that takes it checks."""
     def convert(text: str) -> int | float:
-        try:
-            return type_(text)
-        except ValueError:
-            with _flag_errors():
-                check_digits(text, field)
-            raise argparse.ArgumentTypeError(
-                f"invalid {type_.__name__} value: {shown(repr(text))}"
-            ) from None
+        with _flag_errors():
+            return read_number(text, type_, field)
 
-    return convert
+    parser.add_argument(_FLAGS[field], dest=field, type=convert, **kwargs)
+
+
+class _Parser(argparse.ArgumentParser):
+    """The parser of every command: argparse's own refusals show each echoed word cut."""
+
+    def error(self, message: str):
+        super().error(" ".join(map(shown, message.split(" "))))
 
 
 def _add_channel_flags(parser: argparse.ArgumentParser) -> None:
@@ -382,7 +373,7 @@ def _add_channel_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rachsim",
         description="RACH subframe allocation: simulate, optimize, tabulate, compare.",
     )
@@ -429,7 +420,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)  # may refuse a flag's number as too large
+        args = parser.parse_args(argv)  # a flag's refused text is a ScenarioError
         return args.func(args)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)

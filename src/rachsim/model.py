@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -57,8 +58,12 @@ class SettingError(ValueError):
 MAX_SHOWN = 40
 
 
-def shown(text: str) -> str:
-    """text as an error message shows it: whole, or its first MAX_SHOWN characters and its length."""
+def shown(value: object, form=str) -> str:
+    """The text form(value) as an error message shows it, cut past MAX_SHOWN characters."""
+    try:
+        text = form(value)
+    except ValueError:  # an int past Python's int-string limit has no text
+        return f"an integer of more than {sys.get_int_max_str_digits()} digits"
     if len(text) <= MAX_SHOWN:
         return text
     return f"{text[:MAX_SHOWN]}... ({len(text)} characters)"
@@ -76,14 +81,14 @@ def check_range(
             bound = f"{'>' if lo_open else '>='} {lo}"
         else:
             bound = f"in {'(' if lo_open else '['}{lo}, {hi}]"
-        raise SettingError(f"{name} must be {bound}, got {shown(str(value))}", name)
+        raise SettingError(f"{name} must be {bound}, got {shown(value)}", name)
 
 
 def check_integer(name: str, value: int, lo: int, hi: int | None = None) -> None:
     """check_range, then refuse a non-integer (a numpy integer is one, 2.0 is not)."""
     check_range(name, value, lo, hi)
     if not isinstance(value, numbers.Integral):
-        raise SettingError(f"{name} must be an integer, got {shown(repr(value))}", name)
+        raise SettingError(f"{name} must be an integer, got {shown(value, repr)}", name)
 
 
 @dataclass(frozen=True)

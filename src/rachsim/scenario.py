@@ -54,7 +54,7 @@ __all__ = [
     "parse_scenario_text",
     "format_scenario",
     "default_scenario",
-    "check_digits",
+    "read_number",
 ]
 
 
@@ -135,7 +135,7 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> Scenario:
     try:
         for name, spec in _KEYS.items():
             if name in raw:
-                values[spec.target][spec.field] = _number(raw[name][0], spec.type, spec.field)
+                values[spec.target][spec.field] = read_number(raw[name][0], spec.type, spec.field)
         if ("controller", "kind") in raw:
             values[ControllerSpec]["kind"] = raw["controller", "kind"][0]
         return Scenario(
@@ -153,31 +153,27 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> Scenario:
         raise ScenarioError(f"{source}:{lineno}: {names}: {exc}") from None
 
 
-def _number(text: str, type_: type, name: str) -> int | float:
-    try:
-        return type_(text)
-    except ValueError:
-        check_digits(text, name)
-        noun = "an integer" if type_ is int else "a number"
-        raise SettingError(f"{name} must be {noun}, got {shown(repr(text))}", name) from None
-
-
 # Integer text as int() reads it, whatever its number of digits
 _INTEGER = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
 
 
-def check_digits(text: str, name: str) -> None:
-    """Refuse integer text, which int() refused for its length alone, as too large.
+def read_number(text: str, type_: type, name: str) -> int | float:
+    """text read by type_ as the value name; a key's and a flag's number alike.
 
-    int() reads at most sys.get_int_max_str_digits() decimal digits; longer
-    integer text is a number too large to read, not text that is no integer.
+    Text that is no number is refused naming name. int() reads at most
+    sys.get_int_max_str_digits() decimal digits; longer integer text is a
+    number too large to read, not text that is no integer.
     """
-    if _INTEGER.fullmatch(text):
-        raise SettingError(
-            f"{name} is too large: more than {sys.get_int_max_str_digits()} digits, "
-            f"got {shown(repr(text))}",
-            name,
-        )
+    try:
+        return type_(text)
+    except ValueError:
+        if _INTEGER.fullmatch(text):
+            limit = sys.get_int_max_str_digits()
+            message = f"{name} is too large: more than {limit} digits, got {shown(text, repr)}"
+        else:
+            noun = "an integer" if type_ is int else "a number"
+            message = f"{name} must be {noun}, got {shown(text, repr)}"
+        raise SettingError(message, name) from None
 
 
 # A segment's numbers in file order, each as its field's type and name.
@@ -190,12 +186,12 @@ def _parse_segments(value: str, lineno: int, source: str) -> LoadProfile:
         chunk = chunk.strip()
         if not chunk:
             continue
-        where = f"{source}:{lineno}: load.segments entry {shown(repr(chunk))}"
+        where = f"{source}:{lineno}: load.segments entry {shown(chunk, repr)}"
         parts = chunk.split(":")
         if len(parts) != len(_SEGMENT_FIELDS):
             raise ScenarioError(f"{where} must be start:end:rate_start:rate_end")
         try:
-            numbers = (_number(part, *spec) for part, spec in zip(parts, _SEGMENT_FIELDS))
+            numbers = (read_number(part, *spec) for part, spec in zip(parts, _SEGMENT_FIELDS))
             segments.append(ProfileSegment(*numbers))
         except SettingError as exc:
             raise ScenarioError(f"{where}: {exc}") from None

@@ -113,12 +113,12 @@ class LoadProfile:
         if not self.segments:
             raise ValueError("profile needs at least one segment")
         if (start := self.segments[0].start_frame) != 0:
-            raise ValueError(f"segments must start at frame 0, not {shown(str(start))}")
+            raise ValueError(f"segments must start at frame 0, not {shown(start)}")
         for a, b in zip(self.segments, self.segments[1:]):
             if b.start_frame != a.end_frame:
                 raise ValueError(
-                    f"segments must be contiguous: {shown(str(a.end_frame))} "
-                    f"then {shown(str(b.start_frame))}"
+                    f"segments must be contiguous: {shown(a.end_frame)} "
+                    f"then {shown(b.start_frame)}"
                 )
 
     @property
@@ -320,7 +320,7 @@ class ControllerKind(Enum):
     @classmethod
     def _missing_(cls, value):
         """Refuse a value that is not a kind's name."""
-        raise SettingError(f"kind must be one of {KIND_NAMES}, got {shown(repr(value))}", "kind")
+        raise SettingError(f"kind must be one of {KIND_NAMES}, got {shown(value, repr)}", "kind")
 
 
 KIND_NAMES = sorted(kind.value for kind in ControllerKind)  # the names a kind is given by
@@ -661,23 +661,24 @@ def run_scenario(scenario: Scenario, seed: int, replication_id: int = 0, memo=No
 
 @dataclass
 class ReplicationSet:
-    """Replication runs plus per-frame means and the utility's 95% confidence halfwidth."""
+    """Every replication's records, their per-frame means and the utility's 95% CI halfwidth.
 
-    runs: list[TimeSeries]
+    columns[name] is one FrameOutcome field shaped (replications, frames),
+    its rows in replication_ids order and its dtype the runs' own.
+    """
+
+    columns: dict[str, np.ndarray]
+    replication_ids: list[int]
     means: dict[str, np.ndarray]
     ci95_utility: np.ndarray
 
     @property
     def n_frames(self) -> int:
-        return len(self.runs[0])
-
-    def column(self, name: str) -> np.ndarray:
-        """One record column of every run, shaped (replications, frames)."""
-        return np.array([run.columns[name] for run in self.runs])
+        return self.columns["frame"].shape[1]
 
 
 def aggregate_runs(runs: list[TimeSeries]) -> ReplicationSet:
-    """Per-frame means, and the utility's normal-approximation 95% CI (zero for one run).
+    """Stack the runs' columns once; per-frame means and the utility's 95% CI (zero for one run).
 
     Every field but frame is averaged, so estimator_fallback's mean is the
     share of runs that fell back at the frame. est_load rows without an
@@ -691,21 +692,21 @@ def aggregate_runs(runs: list[TimeSeries]) -> ReplicationSet:
     if any(len(r) != n_frames for r in runs):
         raise ValueError("all runs must cover the same number of frames")
     runs = sorted(runs, key=lambda r: r.replication_id)
+    columns = {name: np.array([run.columns[name] for run in runs]) for name in FRAME_FIELDS}
     means = {
-        col: np.mean([run.columns[col] for run in runs], axis=0)
-        for col in FRAME_FIELDS if col not in ("frame", "est_load")
+        name: np.mean(columns[name], axis=0)
+        for name in FRAME_FIELDS if name not in ("frame", "est_load")
     }
-    est_load = np.array([run.columns["est_load"] for run in runs])
+    est_load = columns["est_load"]
     counts = np.count_nonzero(~np.isnan(est_load), axis=0)
     means["est_load"] = np.divide(
         np.nansum(est_load, axis=0), counts, out=np.full(n_frames, np.nan), where=counts > 0
     )
-    utility = np.array([run.columns["utility"] for run in runs])
     ci95_utility = (
-        1.96 * utility.std(axis=0, ddof=1) / math.sqrt(len(runs)) if len(runs) > 1
+        1.96 * columns["utility"].std(axis=0, ddof=1) / math.sqrt(len(runs)) if len(runs) > 1
         else np.zeros(n_frames)
     )
-    return ReplicationSet(runs=runs, means=means, ci95_utility=ci95_utility)
+    return ReplicationSet(columns, [run.replication_id for run in runs], means, ci95_utility)
 
 
 def run_replications(

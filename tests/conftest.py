@@ -1,6 +1,16 @@
-"""Shared test helpers: independent oracles kept free of library code."""
+"""Shared test helpers: independent oracles kept free of library code, and a row view."""
 
 import math
+
+from rachsim.simulator import TimeSeries
+
+
+def runs_of(repset) -> list[TimeSeries]:
+    """Each replication of a ReplicationSet as a run of row views, in replication order."""
+    return [
+        TimeSeries(replication_id=rep, columns={name: c[i] for name, c in repset.columns.items()})
+        for i, rep in enumerate(repset.replication_ids)
+    ]
 
 
 def w_bisect(x: float, branch: str) -> float:

@@ -23,7 +23,7 @@ from rachsim.optimizer import (
 from rachsim.scenario import default_scenario
 from rachsim.simulator import DeviceState, contend, run_replications
 
-from conftest import w_bisect
+from conftest import runs_of, w_bisect
 
 DEFAULT_SCENARIO_TEXT = "[load]\nsegments = 0:10:0:600, 10:20:600:0\n"
 
@@ -159,7 +159,7 @@ def test_criterion_5_monte_carlo_fidelity():
 
 def test_criterion_6_branch_classification_accuracy(adaptive_100):
     hits = total = 0
-    for run in adaptive_100.runs:
+    for run in runs_of(adaptive_100):
         for row in run.rows:
             pivot = row.n_s_used * 64
             if abs(row.true_load - pivot) <= 0.1 * pivot:
@@ -257,7 +257,7 @@ def test_criterion_9_byte_identical_csv(tmp_path):
 def test_criterion_10_conservation_invariants(adaptive_100, tmp_path):
     cfg = RachConfig()
     violations = 0
-    for run in adaptive_100.runs:
+    for run in runs_of(adaptive_100):
         run.validate(cfg)
         for row in run.rows:
             if row.successes + row.collisions + row.idle != row.n_s_used * 64:
@@ -279,7 +279,7 @@ def test_criterion_10_conservation_invariants(adaptive_100, tmp_path):
                 violations += 1
             if int(row["successes"]) + int(row["idle"]) > pairs:
                 violations += 1
-    n_rows = sum(len(run.rows) for run in adaptive_100.runs)
+    n_rows = adaptive_100.columns["frame"].size
     report(
         "10",
         violations == 0,

@@ -32,7 +32,9 @@ from rachsim.simulator import (
     ControllerKind,
     ControllerSpec,
     ReplicationSet,
+    aggregate_runs,
     run_replications,
+    run_scenario,
 )
 from rachsim.scenario import default_scenario, format_scenario, parse_scenario
 
@@ -306,11 +308,12 @@ def test_run_csv_matches_csv_writer(tmp_path, capsys, monkeypatch, controller):
                  "--seed", "3", "--reps", "3", "--out", str(tmp_path / "run.csv")]) == 0
     scenario = parse_scenario(stock).with_controller(ControllerKind(controller))
     config = scenario.config
-    repset = run_replications(scenario, 3, 3)
-    assert repset.n_frames == 20
+    # the reference: seeds 3, 4 and 5 simulated one by one
+    runs = [run_scenario(scenario, 3 + i, replication_id=i) for i in range(3)]
+    assert [len(run) for run in runs] == [20] * 3
     rows = [RUN_COLUMNS]
     tp_num, ut_num = [], []
-    for run in repset.runs:
+    for run in runs:
         tp_num.append([throughput(r.true_load, r.n_s_used, config.n_preambles) for r in run.rows])
         ut_num.append([utility_of_load(r.true_load, r.n_s_used, config) for r in run.rows])
         rows.extend(
@@ -319,7 +322,7 @@ def test_run_csv_matches_csv_writer(tmp_path, capsys, monkeypatch, controller):
              float(r.successes), tp, r.utility, ut)
             for r, tp, ut in zip(run.rows, tp_num[-1], ut_num[-1])
         )
-    means = repset.means
+    means = aggregate_runs(runs).means
     mean_columns = [
         means["n_s_used"], means["arrivals"], means["contenders"], means["successes"],
         means["collided_devices"], means["idle"], means["est_load"], means["true_load"],
@@ -344,13 +347,14 @@ def test_compare_csv_matches_csv_writer(tmp_path, capsys, monkeypatch):
     rows = [("controller", "frame", "arrivals", "n_s", "contenders", "true_load", "est_load",
              "successes", "utility_sim", "utility_num", "ci95_utility_sim")]
     for name in names:
-        repset = run_replications(scenario.with_controller(ControllerKind(name)), 3, 2)
-        assert repset.n_frames == 20
+        variant = scenario.with_controller(ControllerKind(name))
+        runs = [run_scenario(variant, 2 + i, replication_id=i) for i in range(3)]
+        assert [len(run) for run in runs] == [20] * 3
         ut_num = np.mean(
-            [[utility_of_load(r.true_load, r.n_s_used, config) for r in run.rows]
-             for run in repset.runs],
+            [[utility_of_load(r.true_load, r.n_s_used, config) for r in run.rows] for run in runs],
             axis=0,
         )
+        repset = aggregate_runs(runs)
         means = repset.means
         columns = [
             means["arrivals"], means["n_s_used"], means["contenders"], means["true_load"],
@@ -479,7 +483,9 @@ def test_build_report_win_fraction_semantics():
 def test_build_report_against_a_zero_utility_base():
     # a base whose aggregate utility is exactly 0 gives an infinite improvement
     repsets = {
-        name: ReplicationSet(runs=[], means={"utility": np.array(u)}, ci95_utility=np.zeros(2))
+        name: ReplicationSet(
+            columns={}, replication_ids=[], means={"utility": np.array(u)}, ci95_utility=np.zeros(2)
+        )
         for name, u in (("zero", [1.5, -1.5]), ("up", [2.0, 1.0]), ("down", [-2.0, 0.5]))
     }
     improvement = build_report(repsets).improvement_pct
@@ -495,15 +501,14 @@ def test_bad_arguments_exit_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus-command"])
     assert exc.value.code == 2
+    capsys.readouterr()
     for command in (["run"], ["compare", "--controllers", "adaptive,fixed"]):
         # the scenario file does not exist: a refused value is named before it is read
         argv = command + ["--scenario", str(tmp_path / "x.scn"), "--out", str(tmp_path / "x.csv")]
-        with pytest.raises(SystemExit) as exc:  # not an int: argparse refuses the text
-            main(argv + ["--reps", "two"])
-        assert exc.value.code == 2
-        capsys.readouterr()
-        # a negative seed is an argument error, not numpy's unlabelled one
+        # text that is no int is refused by flag in one line, and a negative
+        # seed is an argument error, not numpy's unlabelled one
         for flags, error in (
+            (["--reps", "two"], "--reps: n_reps must be an integer, got 'two'"),
             (["--reps", "0"], "--reps: n_reps must be >= 1, got 0"),
             (["--reps", "-1"], "--reps: n_reps must be >= 1, got -1"),
             (["--seed", "-1"], "--seed: seed must be >= 0, got -1"),
@@ -755,11 +760,12 @@ def test_every_refused_flag_value_names_its_flag(command, flag, value, tmp_path,
                     str(tmp_path / "s.scn"), "--out", str(tmp_path / "o.csv")],
     }[command] + [flag, value]
     if flag in INT_FLAGS and value != "-1":
-        # not an int at all: argparse refuses it, naming the flag its own way
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        assert f"error: argument {flag}: invalid int value: '{value}'\n" in capsys.readouterr().err
+        # not an int at all: refused as a scenario key's text is, by flag
+        field = next(field for field, name in rachsim.cli._FLAGS.items() if name == flag)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {flag}: {field} must be an integer, got '{value}'\n"
+        )
     else:
         assert main(argv) == 2
         err = capsys.readouterr().err
@@ -796,13 +802,57 @@ def test_an_over_long_number_is_refused_in_one_short_line(place, digits, tmp_pat
 
 def test_refused_flag_text_is_shown_cut(tmp_path, capsys):
     argv = ["run", "--scenario", str(tmp_path / "s.scn"), "--out", str(tmp_path / "o.csv")]
-    with pytest.raises(SystemExit) as exc:
-        main(argv + ["--reps", "x" * 5000])
-    assert exc.value.code == 2
-    assert capsys.readouterr().err.endswith(
-        f"error: argument --reps: invalid int value: '{'x' * 39}... (5002 characters)\n"
+    assert main(argv + ["--reps", "x" * 5000]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --reps: n_reps must be an integer, got '{'x' * 39}... (5002 characters)\n"
     )
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("text", ["two", "2.5", "nan", "x" * 5000, "1" * 5001])
+def test_a_flag_and_a_key_refuse_text_alike(text, tmp_path, capsys):
+    scenario = tmp_path / "s.scn"
+    scenario.write_text(f"[channel]\npreambles = {text}\n[load]\nsegments = 0:5:1:1\n")
+    out = tmp_path / "o.csv"
+    assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 2
+    key_error = capsys.readouterr().err
+    assert main(["optimize", "--load", "10", "--alpha", "5", "--preambles", text]) == 2
+    flag_error = capsys.readouterr().err
+    message = flag_error.removeprefix("error: --preambles: ")
+    assert message != flag_error and message.startswith("n_preambles ")
+    assert key_error == f"error: {scenario}:2: channel.preambles: {message}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("place", ["command", "argument"])
+def test_argparse_refusals_show_a_long_token_cut(place, tmp_path, capsys):
+    token = "z" * 5000
+    out = tmp_path / "o.csv"
+    argv = {
+        "command": [token, "--out", str(out)],
+        "argument": ["run", "--scenario", str(TM2), "--out", str(out), "--" + token],
+    }[place]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 1024, err
+    assert f"{'z' * 38}... (" in err and "characters)" in err
+    assert not out.exists()
+
+
+def test_a_count_past_the_int_text_limit_is_refused_by_its_bound(tmp_path, capsys):
+    # 4300 nines pass int(), but the frame rows they give have more digits
+    # than str() writes: the message used to fail, exiting 3
+    out = tmp_path / "o.csv"
+    assert main(["run", "--scenario", str(TM2), "--reps", "9" * 4300, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 1000 frames x ") and err.count("\n") == 1
+    assert err.endswith(
+        "= an integer of more than 4300 digits frame rows exceed the bound of 1000000\n"
+    )
+    assert len(err) < 250
+    assert not out.exists()
 
 
 def test_grid_bound_names_both_flags(tmp_path, capsys):

@@ -10,6 +10,7 @@ from rachsim.model import (
     MAX_ALPHA,
     RachConfig,
     SettingError,
+    shown,
     throughput,
     utility,
     utility_gradient,
@@ -194,6 +195,17 @@ def test_alpha_bound():
             RachConfig(alpha=alpha)
 
 
+
+def test_an_int_too_long_to_write_is_refused_by_name():
+    # str() of an int of more than 4300 digits raises; the message used to
+    # fail with that ValueError instead of naming the setting
+    with pytest.raises(SettingError) as exc:
+        RachConfig(n_preambles=10**5000)
+    assert exc.value.fields == ("n_preambles",)
+    assert str(exc.value).endswith("got an integer of more than 4300 digits")
+    assert shown(10**4299) == "1" + "0" * 39 + "... (4300 characters)"
+    assert shown("x" * 40, repr) == "'" + "x" * 39 + "... (42 characters)"
+
 # Each library entry point's range-checked argument, as (call, argument name,
 # the range its message states for a finite value out of it).
 RNG = np.random.default_rng(0)
@@ -297,7 +309,8 @@ def test_integer_entry_points_take_numpy_integers():
     resolve_backoff(devices, np.int64(3), np.int64(4), np.int16(10), RNG)
     assert all(4 <= dev.backoff_until <= 7 for dev in devices)
     acb_gate(devices, 0.5, np.uint8(4), np.int64(3), RNG)
-    assert len(run_replications(default_scenario("fixed"), np.int64(1), np.int64(3)).runs) == 1
+    repset = run_replications(default_scenario("fixed"), np.int64(1), np.int64(3))
+    assert repset.replication_ids == [0]
 
 
 def test_lookup_refuses_only_nan():

@@ -44,6 +44,7 @@ from rachsim.simulator import (
     run_replications,
     run_scenario,
 )
+from conftest import runs_of
 from stream_equivalence import ALPHA, compare_streams, holm_rejected, main, welch_p
 
 TM2 = Path(__file__).resolve().parents[1] / "benchmarks" / "scenarios" / "tm2_beta.scn"
@@ -625,7 +626,7 @@ def test_run_replications_shares_one_memo_per_call(monkeypatch):
         if first is not None:
             assert misses == first
         first = {name: list(calls) for name, calls in misses.items()}
-        for run, run_alone in zip(repset.runs, alone, strict=True):
+        for run, run_alone in zip(runs_of(repset), alone, strict=True):
             assert run.rows == run_alone.rows
 
 
@@ -831,15 +832,15 @@ def test_run_replications_single_equals_run():
     scenario = default_scenario("fixed")
     repset = run_replications(scenario, 1, base_seed=9)
     single = run_scenario(scenario, 9, replication_id=0)
-    assert repset.runs[0].rows == single.rows
+    assert runs_of(repset)[0].rows == single.rows
     assert repset.means["utility"].tolist() == [row.utility for row in single.rows]
     assert all(v == 0.0 for v in repset.ci95_utility)
 
 
 def test_ci95_utility_is_the_normal_halfwidth_of_each_frame():
     repset = run_replications(default_scenario("adaptive"), 5, base_seed=3)
-    n = len(repset.runs)
-    columns = zip(*(run.columns["utility"].tolist() for run in repset.runs))
+    n = len(repset.replication_ids)
+    columns = repset.columns["utility"].T.tolist()
     expected = [1.96 * statistics.stdev(column) / math.sqrt(n) for column in columns]
     got = repset.ci95_utility.tolist()
     assert len(got) == repset.n_frames and any(ci > 0 for ci in got)
@@ -886,7 +887,7 @@ def test_mean_fallback_is_the_share_of_runs_that_fell_back():
     config = RachConfig(n_preambles=2, n_s_min=1, n_s_max=2)
     profile = LoadProfile((ProfileSegment(0, 30, 1.0, 1.0),))
     repset = run_replications(Scenario(config=config, profile=profile), 4, base_seed=1)
-    fell_back = [run.columns["estimator_fallback"].tolist() for run in repset.runs]
+    fell_back = repset.columns["estimator_fallback"].tolist()
     share = [sum(frame) / len(fell_back) for frame in zip(*fell_back)]
     assert any(0 < s < 1 for s in share)
     assert repset.means["estimator_fallback"].tolist() == share
@@ -925,12 +926,28 @@ def test_aggregate_does_not_depend_on_run_order():
     scenario = default_scenario("adaptive")
     runs = [run_scenario(scenario, 10 + i, replication_id=i) for i in range(5)]
     in_order, reversed_ = aggregate_runs(runs), aggregate_runs(runs[::-1])
-    assert [run.replication_id for run in reversed_.runs] == list(range(5))
+    assert reversed_.replication_ids == list(range(5))
     assert in_order.means.keys() == reversed_.means.keys()
     for name, mean in in_order.means.items():
         assert np.array_equal(mean, reversed_.means[name], equal_nan=True), name
     assert np.array_equal(in_order.ci95_utility, reversed_.ci95_utility, equal_nan=True)
 
+
+
+def test_aggregate_stacks_each_field_in_replication_order():
+    scenario = default_scenario("adaptive")
+    runs = [run_scenario(scenario, 20 + i, replication_id=i) for i in range(6)]
+    shuffled = [runs[i] for i in np.random.default_rng(5).permutation(len(runs))]
+    assert [run.replication_id for run in shuffled] != list(range(6))
+    repset = aggregate_runs(shuffled)
+    assert repset.replication_ids == list(range(6))
+    assert list(repset.columns) == list(FRAME_FIELDS)
+    for name in FRAME_FIELDS:
+        column = repset.columns[name]
+        stacked = np.stack([run.columns[name] for run in runs])
+        assert column.shape == (6, repset.n_frames) == stacked.shape, name
+        assert column.dtype == runs[0].columns[name].dtype, name
+        assert np.array_equal(column, stacked, equal_nan=True), name
 
 def test_scenario_validation():
     with pytest.raises(ValueError):
