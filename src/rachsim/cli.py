@@ -125,19 +125,19 @@ def write_run_csv(
 
 
 def _cells(values: np.ndarray) -> list[str]:
-    """Cell text of each value: str of an int, repr of a float, "" for NaN.
+    """Cell text of each value: its str, "" for NaN.
 
-    A float's repr is its shortest round-trip decimal, and an empty cell is
-    a missing value (a frame without a load estimate). Each distinct value
-    is formatted once; the columns repeat values a lot. Floats are told
-    apart by bit pattern, so NaN is one value and -0.0 another than 0.0.
+    A float's str is its repr, the shortest round-trip decimal; an int's or
+    a name's is itself. An empty cell is a missing value (a frame without a
+    load estimate). Each distinct value is formatted once, found by one
+    np.unique pass, and its text gathered by the inverse index; the columns
+    repeat values a lot. Floats are told apart by bit pattern, so NaN is one
+    value and -0.0 another than 0.0.
     """
     floats = values.dtype == np.float64
-    keys = (values.view(np.int64) if floats else values).tolist()
-    distinct = list(dict.fromkeys(keys))
-    items = np.array(distinct, dtype=np.int64).view(np.float64).tolist() if floats else distinct
-    texts = {key: "" if v != v else repr(v) for key, v in zip(distinct, items)}
-    return list(map(texts.__getitem__, keys))
+    distinct, index = np.unique(values.view(np.int64) if floats else values, return_inverse=True)
+    items = (distinct.view(np.float64) if floats else distinct).tolist()
+    return np.array(["" if v != v else str(v) for v in items], dtype=object)[index].tolist()
 
 
 def _at_true_load(repset: ReplicationSet, model) -> np.ndarray:
@@ -193,14 +193,23 @@ def build_report(repsets: dict[str, ReplicationSet]) -> ComparisonReport:
 def write_compare_csv(
     path: Path, repsets: dict[str, ReplicationSet], config: RachConfig
 ) -> None:
+    """Each controller's per-frame mean rows, in the order of repsets.
+
+    The rows of every controller are one table, each column concatenated
+    in that order, so each column is formatted once.
+    """
+    parts = [{
+        **repset.means, "controller": np.full(repset.n_frames, name),
+        "frame": np.arange(repset.n_frames), "ci95_utility_sim": repset.ci95_utility,
+        "utility_num": _at_true_load(
+            repset, lambda n, n_s: utility_of_load(n, n_s, config)
+        ).mean(axis=0),
+    } for name, repset in repsets.items()]
     with _create(path) as handle:
         _write_rows(handle, [COMPARE_COLUMNS])
-        for name, repset in repsets.items():
-            ut_num = _at_true_load(repset, lambda n, n_s: utility_of_load(n, n_s, config))
-            _write_rows(handle, _table_rows(_COMPARE_TABLE, {
-                **repset.means, "controller": name, "frame": np.arange(repset.n_frames),
-                "utility_num": ut_num.mean(axis=0), "ci95_utility_sim": repset.ci95_utility,
-            }))
+        _write_rows(handle, _table_rows(_COMPARE_TABLE, {
+            source: np.concatenate([part[source] for part in parts]) for _, source in _COMPARE_TABLE
+        }))
 
 
 # ---------------------------------------------------------------------------
@@ -357,11 +366,25 @@ def _add_flag(parser: argparse.ArgumentParser, field: str, type_: type, **kwargs
     parser.add_argument(_FLAGS[field], dest=field, type=convert, **kwargs)
 
 
+# Words of an argparse refusal shown, each cut by model.shown: at most about
+# 65 characters a word, so the whole line stays under 1 kB.
+MAX_REFUSAL_WORDS = 12
+
+
 class _Parser(argparse.ArgumentParser):
-    """The parser of every command: argparse's own refusals show each echoed word cut."""
+    """The parser of every command: argparse's own refusals are one bounded line.
+
+    Each echoed word is cut, the words past MAX_REFUSAL_WORDS are counted
+    instead of shown, and no usage lines are printed, as for every other
+    refusal; --help prints the usage.
+    """
 
     def error(self, message: str):
-        super().error(" ".join(map(shown, message.split(" "))))
+        words = message.split(" ")
+        text = " ".join(map(shown, words[:MAX_REFUSAL_WORDS]))
+        if len(words) > MAX_REFUSAL_WORDS:
+            text += f" ... ({len(words) - MAX_REFUSAL_WORDS} more words)"
+        self.exit(2, f"{self.prog}: error: {text}\n")
 
 
 def _add_channel_flags(parser: argparse.ArgumentParser) -> None:

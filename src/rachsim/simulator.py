@@ -580,9 +580,10 @@ def run_scenario(scenario: Scenario, seed: int, replication_id: int = 0, memo=No
     A frame does array work only for the device groups it holds: an empty
     frame (nothing pending, no arrivals) draws nothing and touches no array,
     a frame with nothing pending takes its arrivals as the pool without
-    reading the pending arrays, and a frame that bars and retries nobody
-    leaves them as they are. Every frame still counts its pending devices
-    for the conservation check.
+    reading the pending arrays, a frame where nobody lost makes no backoff
+    call, and a frame that bars and retries nobody leaves the pending
+    arrays as they are. Every frame still counts its pending devices for
+    the conservation check.
     """
     check_integer("seed", seed, 0)
     cfg = scenario.config
@@ -619,9 +620,15 @@ def run_scenario(scenario: Scenario, seed: int, replication_id: int = 0, memo=No
             admitted, barred, barred_due = controller.admit(pool, frame, event_rng)
             n_pool, n_admitted = len(pool), len(admitted)
             lost, successes, collisions, idle = _pick_pairs(n_admitted, n_s, n_preambles, event_rng)
-            losers = admitted[lost]
-            retriers, retry_due = _backoff(losers, frame, backoff_window, retry_limit, event_rng)
-            n_losers, n_retriers = len(losers), len(retriers)
+            if successes == n_admitted:  # nobody lost: _backoff would draw nothing
+                n_losers, retriers, retry_due = 0, _NO_DEVICES, _NO_DEVICES
+            else:
+                losers = admitted[lost]
+                n_losers = len(losers)
+                retriers, retry_due = _backoff(
+                    losers, frame, backoff_window, retry_limit, event_rng
+                )
+            n_retriers = len(retriers)
             if n_retriers or len(barred):  # else nothing is deferred: the arrays stay
                 due = np.concatenate((due, barred_due, retry_due))
                 attempts = np.concatenate((attempts, barred, retriers + 1))

@@ -335,7 +335,7 @@ def test_run_csv_matches_csv_writer(tmp_path, capsys, monkeypatch, controller):
 
 
 def test_compare_csv_matches_csv_writer(tmp_path, capsys, monkeypatch):
-    # 20 frames: each controller's mean rows go out as 16 and 4
+    # 3 controllers x 20 frames, one table: the mean rows go out as 16, 16, 16 and 12
     monkeypatch.setattr(rachsim.cli, "CSV_CHUNK_ROWS", 16)
     stock = tmp_path / "stock.scn"
     stock.write_text(format_scenario(default_scenario()))
@@ -365,6 +365,29 @@ def test_compare_csv_matches_csv_writer(tmp_path, capsys, monkeypatch):
             rows.append((name, frame, *(None if v != v else v for v in values)))
     _write_reference(tmp_path / "ref.csv", rows)
     assert (tmp_path / "cmp.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "values, cells",
+    [
+        (np.array([1.5, NAN, 1.5, NAN]), ["1.5", "", "1.5", ""]),
+        (np.array([-0.0, 0.0, -0.0]), ["-0.0", "0.0", "-0.0"]),
+        (np.array([3, -1, 3, 10**12]), ["3", "-1", "3", "1000000000000"]),
+        (np.full(4, 0.1), ["0.1"] * 4),
+        (np.array([0.3, 0.1 + 0.2, 1e-300, -2.5e16, 7.0]),
+         ["0.3", "0.30000000000000004", "1e-300", "-2.5e+16", "7.0"]),
+        (np.zeros(0), []),
+        (np.zeros(0, dtype=np.int64), []),
+        (np.array(["fixed", "adaptive", "fixed"]), ["fixed", "adaptive", "fixed"]),
+    ],
+    ids=["nan", "signed-zero", "int", "one-value", "all-distinct", "empty-float", "empty-int",
+         "names"],
+)
+def test_cells_text_of_each_value(values, cells):
+    assert rachsim.cli._cells(values) == cells
 
 
 def test_table_alpha100_single_row(tmp_path, capsys):
@@ -836,8 +859,23 @@ def test_argparse_refusals_show_a_long_token_cut(place, tmp_path, capsys):
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert len(err.encode()) < 1024, err
+    assert len(err.encode()) < 1024 and err.count("\n") == 1, err
     assert f"{'z' * 38}... (" in err and "characters)" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("word", ["z", "z" * 5000])
+@pytest.mark.parametrize("split", [True, False], ids=["arguments", "one-argument"])
+def test_argparse_refusal_of_many_words_is_one_bounded_line(word, split, tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    words = [word] * 2000 if split else [" ".join([word] * 2000)]
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--scenario", str(TM2), "--out", str(out), *words])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 1024 and err.count("\n") == 1, err
+    assert err.startswith("rachsim: error: unrecognized arguments: ")
+    assert err.endswith(f" ... ({2002 - rachsim.cli.MAX_REFUSAL_WORDS} more words)\n")
     assert not out.exists()
 
 

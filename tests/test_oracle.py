@@ -247,7 +247,8 @@ def test_run_scenario_matches_reference_on_random_scenarios(scenario, seed):
 
 # Sparse arrivals around one burst, with one retry: once the burst drains,
 # frames take arrivals with nothing pending; sparse frames without a
-# collision defer nobody; and ACB bars devices in frames with no retrier.
+# collision lose nobody, so they make no backoff call, and defer nobody; and
+# ACB bars devices in frames with no retrier.
 SPARSE_BURST = replace(
     STOCK,
     profile=LoadProfile((
@@ -291,5 +292,9 @@ def test_run_scenario_matches_reference_on_frames_that_skip_array_work(kind, mon
             paths["nothing pending"] += row.arrivals > 0 and pending == 0
             paths["defers nobody"] += row.true_load > 0 and barred + retriers == 0
             paths["bars without retriers"] += barred > 0 and retriers == 0
+            if row.contenders > 0 and row.collided_devices == 0:
+                paths["loses nobody"] += 1
+                assert (row.frame, "_backoff") not in deferred, (seed, row.frame)
     assert paths["nothing pending"] > 0 and paths["defers nobody"] > 0, paths
+    assert paths["loses nobody"] > 0, paths
     assert paths["bars without retriers"] > 0 or kind != "acb", paths
