@@ -1,8 +1,17 @@
-"""Shared test helpers: independent oracles kept free of library code, and a row view."""
+"""Shared test helpers: independent oracles kept free of library code, a row view, and
+a worker count for run_replications."""
 
 import math
+import os
 
+import rachsim.simulator
 from rachsim.simulator import TimeSeries
+
+
+def force_workers(monkeypatch, workers: int) -> None:
+    """Make run_replications use `workers` processes for any call of at least that many reps."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+    monkeypatch.setattr(rachsim.simulator, "MIN_WORKER_ROWS", 1)
 
 
 def runs_of(repset) -> list[TimeSeries]:

@@ -44,7 +44,7 @@ from rachsim.simulator import (
     run_replications,
     run_scenario,
 )
-from conftest import runs_of
+from conftest import force_workers, runs_of
 from stream_equivalence import ALPHA, compare_streams, holm_rejected, main, welch_p
 
 TM2 = Path(__file__).resolve().parents[1] / "benchmarks" / "scenarios" / "tm2_beta.scn"
@@ -603,6 +603,8 @@ def test_adaptive_memo_matches_direct_calls(window, monkeypatch):
 
 
 def test_run_replications_shares_one_memo_per_call(monkeypatch):
+    # the misses are counted in this process, so all replications run here
+    force_workers(monkeypatch, 1)
     scenario = parse_scenario(TM2)
     misses = record_misses(monkeypatch, "estimate_load", "decide_subframes")
     alone = [run_scenario(scenario, seed) for seed in range(1, 6)]
