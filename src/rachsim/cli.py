@@ -284,8 +284,8 @@ def _simulate(args, names: list[str], flag: str) -> tuple[Scenario, dict[str, Re
     with _flag_errors(kind=flag):
         variants = [scenario.with_controller(n) for n in dict.fromkeys(names)] or [scenario]
     _check_frame_rows(scenario, args.n_reps, len(variants))
-    runs = {v.controller.kind.value: run_replications(v, args.n_reps, args.seed) for v in variants}
-    return scenario, runs
+    repsets = run_replications(variants, args.n_reps, args.seed)
+    return scenario, {v.controller.kind.value: r for v, r in zip(variants, repsets)}
 
 
 def cmd_run(args) -> int:

@@ -30,6 +30,7 @@ records are columns, one array per FrameOutcome field, checked once per run.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import pickle
@@ -381,8 +382,9 @@ class AdaptiveController(Controller):
     branch), decisions by the smoothed load. The counts themselves are
     checked by run_scenario's whole-run check. The caches live as long as
     the controller, one run, unless it is given a pair: run_replications
-    shares one pair across the replications each of its processes runs in
-    one call, never across calls.
+    gives each of its processes one pair per scenario in one call, shared
+    across the replications of that scenario the process runs, never
+    across calls.
     They hold at most one entry per frame run through them; an inconsistent
     observation raises and is never cached. A miss looks up estimate_load or
     decide_subframes in this module when it runs, so a wrapper set on either
@@ -721,10 +723,11 @@ def aggregate_runs(runs: list[TimeSeries]) -> ReplicationSet:
     return ReplicationSet(columns, [run.replication_id for run in runs], means, ci95_utility)
 
 
-# A share of replications is forked off only if it outweighs the fork: a fork
-# round trip (fork, pickle the runs back, reap) takes 2.9-3.4 ms at 30 to
-# 180 MB RSS, while 1000 traffic-model-2 frame rows are 25-30 ms of serial work.
-MIN_WORKER_ROWS = 1000
+# A share of jobs is forked off only if it outweighs the fork: a fork round
+# trip (fork, pickle a run back, reap) takes 3.6-4.8 ms at 40 MB RSS, while
+# 200 frame rows are 5.5-7 ms of serial work on traffic model 2 and about
+# 20 ms on the stock wave (best of five, 2-vCPU Xeon VM, Python 3.11).
+MIN_WORKER_ROWS = 200
 
 
 def _usable_cpus() -> int:
@@ -738,49 +741,62 @@ def _usable_cpus() -> int:
     return 1
 
 
-def _run_share(scenario: Scenario, share: range, base_seed: int) -> tuple[list, tuple | None]:
-    """A share's runs, with one memo, up to its first failure: (runs, (id, error) or None)."""
-    memo = _adaptive_memo(scenario.config, scenario.controller.table_max_load)
+def _run_share(
+    scenarios: Sequence[Scenario], share: list[tuple[int, int]], base_seed: int
+) -> tuple[list, tuple | None]:
+    """A share's (scenario index, run) pairs up to its first failure: (runs, (job, error) or None).
+
+    Each scenario's replications in the share use one memo pair.
+    """
+    memos = [_adaptive_memo(s.config, s.controller.table_max_load) for s in scenarios]
     runs = []
-    for i in share:
+    for s, i in share:
         try:
-            runs.append(run_scenario(scenario, base_seed + i, replication_id=i, memo=memo))
+            run = run_scenario(scenarios[s], base_seed + i, replication_id=i, memo=memos[s])
+            runs.append((s, run))
         except Exception as exc:
-            return runs, (i, exc)
+            return runs, ((s, i), exc)
     return runs, None
 
 
-def _report(scenario: Scenario, share: range, base_seed: int, write_end: int) -> NoReturn:
+def _report(
+    scenarios: Sequence[Scenario], share: list[tuple[int, int]], base_seed: int, write_end: int
+) -> NoReturn:
     """In a forked child: run the share, pickle its (runs, failure) into the pipe and exit."""
     status = 1
     try:
         with open(write_end, "wb") as pipe:
-            pickle.dump(_run_share(scenario, share, base_seed), pipe, pickle.HIGHEST_PROTOCOL)
+            pickle.dump(_run_share(scenarios, share, base_seed), pipe, pickle.HIGHEST_PROTOCOL)
         status = 0
     finally:
         os._exit(status)  # runs none of the parent's exit handlers, flushes none of its buffers
 
 
 def run_replications(
-    scenario: Scenario, n_reps: int, base_seed: int = 1
-) -> ReplicationSet:
-    """Run seeds base_seed..base_seed + n_reps - 1 and aggregate.
+    scenarios: Sequence[Scenario], n_reps: int, base_seed: int = 1
+) -> list[ReplicationSet]:
+    """Run seeds base_seed..base_seed + n_reps - 1 of each scenario; one aggregate per scenario.
 
-    The replications are dealt into one share per worker, share k holding
-    replications k, k + workers, ...; workers - 1 forked children run the
-    later shares while this process runs the first, each process with one
-    adaptive memo. A child pickles its runs back through a pipe. There is
-    one worker per usable CPU, at most one per replication and one per
-    MIN_WORKER_ROWS frame rows; one worker forks nothing. The result does
-    not depend on the number of workers. Of failing replications, the
-    lowest-numbered one's error is raised, as one loop in order would; a
-    child that dies without reporting counts as its first replication
-    failing with ChildProcessError. No child outlives the call.
+    The jobs, (scenario index, replication) in scenario-major order, are
+    dealt into one share per worker, share k holding jobs k, k + workers,
+    ...; workers - 1 forked children run the later shares while this
+    process runs the first, each process with one adaptive memo pair per
+    scenario. A child pickles its runs back through a pipe. There is one
+    worker per usable CPU, at most one per job and one per MIN_WORKER_ROWS
+    frame rows of the whole call; one worker forks nothing. Every scenario
+    sees the same seeds, so controllers compare on common random numbers,
+    and the result does not depend on the number of workers. Of failing
+    jobs, the lowest one's error is raised (the first scenario's, then
+    the lowest-numbered replication's), as one loop in order would; a
+    child that dies without reporting counts as its first job failing
+    with ChildProcessError. No child outlives the call.
     """
     check_integer("n_reps", n_reps, 1)
     check_integer("base_seed", base_seed, 0)
-    workers = max(1, min(n_reps, _usable_cpus(), scenario.frames * n_reps // MIN_WORKER_ROWS))
-    first, *shares = (range(n_reps)[k::workers] for k in range(workers))
+    rows = n_reps * sum(scenario.frames for scenario in scenarios)
+    jobs = [(s, i) for s in range(len(scenarios)) for i in range(n_reps)]
+    workers = max(1, min(len(jobs), _usable_cpus(), rows // MIN_WORKER_ROWS))
+    first, *shares = (jobs[k::workers] for k in range(workers))
     children = {}  # pid -> (read end of its pipe, its share), until reaped
     try:
         for share in shares:
@@ -788,10 +804,10 @@ def run_replications(
             pid = os.fork()
             if pid == 0:
                 os.close(read_end)
-                _report(scenario, share, base_seed, write_end)
+                _report(scenarios, share, base_seed, write_end)
             os.close(write_end)
             children[pid] = (open(read_end, "rb"), share)
-        reports = [_run_share(scenario, first, base_seed)]
+        reports = [_run_share(scenarios, first, base_seed)]
         for pid, (pipe, share) in list(children.items()):
             try:
                 report = pickle.load(pipe)
@@ -805,7 +821,7 @@ def run_replications(
                     f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
                 )
                 report = [], (share[0], ChildProcessError(
-                    f"the process running replications {_listed(share)} {ended} without reporting"
+                    f"the process running {_listed(scenarios, share)} {ended} without reporting"
                 ))
             reports.append(report)
     finally:
@@ -816,10 +832,21 @@ def run_replications(
     failures = [failure for _, failure in reports if failure]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
-    return aggregate_runs([run for runs, _ in reports for run in runs])
+    runs = [[] for _ in scenarios]
+    for done, _ in reports:
+        for s, run in done:
+            runs[s].append(run)
+    return [aggregate_runs(scenario_runs) for scenario_runs in runs]
 
 
-def _listed(share: range) -> str:
-    """A share's replication ids, the first three and the last."""
-    head = ", ".join(map(str, share[:3]))
-    return head + f", ..., {share[-1]}" if len(share) > 3 else head
+def _listed(scenarios: Sequence[Scenario], share: list[tuple[int, int]]) -> str:
+    """A share's jobs by controller, each with its replication ids, the first three and the last."""
+    parts = []
+    for s, jobs in itertools.groupby(share, key=lambda job: job[0]):
+        ids = [i for _, i in jobs]
+        head = ", ".join(map(str, ids[:3]))
+        parts.append(
+            f"{scenarios[s].controller.kind.value} replications "
+            + (head + f", ..., {ids[-1]}" if len(ids) > 3 else head)
+        )
+    return " and ".join(parts)

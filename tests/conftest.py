@@ -9,7 +9,7 @@ from rachsim.simulator import TimeSeries
 
 
 def force_workers(monkeypatch, workers: int) -> None:
-    """Make run_replications use `workers` processes for any call of at least that many reps."""
+    """Make run_replications use `workers` processes for any call of at least that many jobs."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
     monkeypatch.setattr(rachsim.simulator, "MIN_WORKER_ROWS", 1)
 

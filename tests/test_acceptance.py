@@ -37,12 +37,12 @@ def report(num: str, ok: bool, label: str, detail: str = "") -> None:
 
 @pytest.fixture(scope="module")
 def adaptive_100():
-    return run_replications(default_scenario("adaptive"), 100, base_seed=1)
+    return run_replications([default_scenario("adaptive")], 100, base_seed=1)[0]
 
 
 @pytest.fixture(scope="module")
 def fixed_100():
-    return run_replications(default_scenario("fixed"), 100, base_seed=1)
+    return run_replications([default_scenario("fixed")], 100, base_seed=1)[0]
 
 
 def test_criterion_1_lambert_w():

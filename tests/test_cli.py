@@ -488,8 +488,8 @@ def test_an_unknown_controller_name_is_refused_one_way(entry, tmp_path, capsys):
 
 
 def test_build_report_win_fraction_semantics():
-    reps = {kind: run_replications(default_scenario(kind), 3, 1)
-            for kind in ("adaptive", "fixed")}
+    kinds = ("adaptive", "fixed")
+    reps = dict(zip(kinds, run_replications([default_scenario(kind) for kind in kinds], 3, 1)))
     report = build_report(reps)
     a_vs_f = report.win_fraction[("adaptive", "fixed")]
     f_vs_a = report.win_fraction[("fixed", "adaptive")]

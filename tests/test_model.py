@@ -257,10 +257,10 @@ VALUE_ENTRY_POINTS = {
     "load_grid_step": (lambda x: LoadGrid.up_to(700.0, x), "step", "> 0"),
     "load_grid_max_load": (lambda x: LoadGrid.up_to(x, 1.0), "max_load", "> 0"),
     "run_replications": (
-        lambda x: run_replications(default_scenario("fixed"), x), "n_reps", ">= 1"
+        lambda x: run_replications([default_scenario("fixed")], x), "n_reps", ">= 1"
     ),
     "run_replications_base_seed": (
-        lambda x: run_replications(default_scenario("fixed"), 1, x), "base_seed", ">= 0"
+        lambda x: run_replications([default_scenario("fixed")], 1, x), "base_seed", ">= 0"
     ),
     "run_scenario": (lambda x: run_scenario(default_scenario("fixed"), x), "seed", ">= 0"),
     "profile_segment_rate_start": (
@@ -309,7 +309,7 @@ def test_integer_entry_points_take_numpy_integers():
     resolve_backoff(devices, np.int64(3), np.int64(4), np.int16(10), RNG)
     assert all(4 <= dev.backoff_until <= 7 for dev in devices)
     acb_gate(devices, 0.5, np.uint8(4), np.int64(3), RNG)
-    repset = run_replications(default_scenario("fixed"), np.int64(1), np.int64(3))
+    repset = run_replications([default_scenario("fixed")], np.int64(1), np.int64(3))[0]
     assert repset.replication_ids == [0]
 
 

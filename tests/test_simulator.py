@@ -613,7 +613,7 @@ def test_run_replications_shares_one_memo_per_call(monkeypatch):
     for _ in range(2):  # a second call starts with empty caches
         for calls in misses.values():
             calls.clear()
-        repset = run_replications(scenario, 5, 1)
+        repset = run_replications([scenario], 5, 1)[0]
         # each distinct estimate and decision once across the replications;
         # an inconsistent observation is never cached, so it may recur
         consistent = [
@@ -832,7 +832,7 @@ def test_window_and_pair_bounds():
 
 def test_run_replications_single_equals_run():
     scenario = default_scenario("fixed")
-    repset = run_replications(scenario, 1, base_seed=9)
+    repset = run_replications([scenario], 1, base_seed=9)[0]
     single = run_scenario(scenario, 9, replication_id=0)
     assert runs_of(repset)[0].rows == single.rows
     assert repset.means["utility"].tolist() == [row.utility for row in single.rows]
@@ -840,7 +840,7 @@ def test_run_replications_single_equals_run():
 
 
 def test_ci95_utility_is_the_normal_halfwidth_of_each_frame():
-    repset = run_replications(default_scenario("adaptive"), 5, base_seed=3)
+    repset = run_replications([default_scenario("adaptive")], 5, base_seed=3)[0]
     n = len(repset.replication_ids)
     columns = repset.columns["utility"].T.tolist()
     expected = [1.96 * statistics.stdev(column) / math.sqrt(n) for column in columns]
@@ -851,15 +851,15 @@ def test_ci95_utility_is_the_normal_halfwidth_of_each_frame():
 
 def test_run_replications_deterministic():
     scenario = default_scenario("adaptive")
-    a = run_replications(scenario, 4, base_seed=2)
-    b = run_replications(scenario, 4, base_seed=2)
+    a = run_replications([scenario], 4, base_seed=2)[0]
+    b = run_replications([scenario], 4, base_seed=2)[0]
     for col in a.means:
         assert np.array_equal(a.means[col], b.means[col], equal_nan=True)
 
 
 def test_aggregate_est_load_skips_missing():
     scenario = default_scenario("fixed")
-    repset = run_replications(scenario, 2, base_seed=1)
+    repset = run_replications([scenario], 2, base_seed=1)[0]
     assert all(math.isnan(v) for v in repset.means["est_load"])
 
 
@@ -879,7 +879,7 @@ def test_run_columns_are_the_frame_outcome_fields(kind):
 
 
 def test_means_cover_every_field_but_frame():
-    repset = run_replications(default_scenario("adaptive"), 3, base_seed=1)
+    repset = run_replications([default_scenario("adaptive")], 3, base_seed=1)[0]
     assert sorted(repset.means) == sorted(set(FRAME_FIELDS) - {"frame"})
 
 
@@ -888,7 +888,7 @@ def test_mean_fallback_is_the_share_of_runs_that_fell_back():
     # peak, so the adaptive controller falls back in some runs' frames
     config = RachConfig(n_preambles=2, n_s_min=1, n_s_max=2)
     profile = LoadProfile((ProfileSegment(0, 30, 1.0, 1.0),))
-    repset = run_replications(Scenario(config=config, profile=profile), 4, base_seed=1)
+    repset = run_replications([Scenario(config=config, profile=profile)], 4, base_seed=1)[0]
     fell_back = repset.columns["estimator_fallback"].tolist()
     share = [sum(frame) / len(fell_back) for frame in zip(*fell_back)]
     assert any(0 < s < 1 for s in share)
@@ -899,7 +899,7 @@ def test_empty_replications_rejected():
     with pytest.raises(ValueError, match="need at least one run"):
         aggregate_runs([])
     with pytest.raises(ValueError, match="n_reps must be >= 1, got 0"):
-        run_replications(default_scenario("fixed"), 0)
+        run_replications([default_scenario("fixed")], 0)
 
 
 def test_unknown_controller_kind_rejected():

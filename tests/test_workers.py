@@ -52,23 +52,46 @@ def run_argv(scn, tmp_path, seed=1):
             "--out", str(tmp_path / "o.csv")]
 
 
+def assert_same_set(repset, expected, n_reps):
+    """Two replication sets equal field for field: ids, columns, means (NaN equals NaN), CI."""
+    assert repset.replication_ids == expected.replication_ids == list(range(n_reps))
+    for table, other in ((expected.columns, repset.columns), (expected.means, repset.means)):
+        assert table.keys() == other.keys()
+        for name, column in table.items():
+            assert other[name].dtype == column.dtype
+            np.testing.assert_array_equal(other[name], column)
+    np.testing.assert_array_equal(repset.ci95_utility, expected.ci95_utility)
+
+
 @pytest.mark.parametrize("path, kind", [(TM2, "adaptive"), (STOCK, "acb")])
 def test_worker_count_does_not_change_a_replication_set(path, kind, monkeypatch):
     scenario = parse_scenario(path).with_controller(kind)
     sets = []
     for workers in (1, 2, 3):
         force_workers(monkeypatch, workers)
-        sets.append(run_replications(scenario, 5, 11))
+        sets.append(run_replications([scenario], 5, 11)[0])
         assert_no_child()
-    first = sets[0]
     for other in sets[1:]:
-        assert other.replication_ids == first.replication_ids == list(range(5))
-        for table, other_table in ((first.columns, other.columns), (first.means, other.means)):
-            assert table.keys() == other_table.keys()
-            for name, column in table.items():
-                assert other_table[name].dtype == column.dtype
-                np.testing.assert_array_equal(other_table[name], column)  # NaN equals NaN
-        np.testing.assert_array_equal(other.ci95_utility, first.ci95_utility)
+        assert_same_set(other, sets[0], 5)
+
+
+@pytest.mark.parametrize(
+    "path, kinds, n_reps",
+    [(STOCK, ("adaptive", "fixed", "acb", "max"), 5), (TM2, ("adaptive", "fixed"), 3)],
+)
+def test_one_call_over_controllers_equals_one_call_each(path, kinds, n_reps, monkeypatch):
+    # the jobs of all controllers are dealt across the workers together, so
+    # a share mixes controllers; each set must still be its controller's own
+    variants = [parse_scenario(path).with_controller(kind) for kind in kinds]
+    force_workers(monkeypatch, 1)
+    alone = [run_replications([variant], n_reps, 11)[0] for variant in variants]
+    for workers in (1, 2, 3):
+        force_workers(monkeypatch, workers)
+        together = run_replications(variants, n_reps, 11)
+        assert_no_child()
+        assert len(together) == len(alone)
+        for repset, expected in zip(together, alone):
+            assert_same_set(repset, expected, n_reps)
 
 
 @pytest.mark.parametrize(
@@ -80,14 +103,17 @@ def test_worker_count_does_not_change_a_replication_set(path, kind, monkeypatch)
     ],
 )
 def test_worker_count_does_not_change_a_csv(argv, tmp_path, monkeypatch, capsys):
-    texts = []
+    # one --out path, since `run` prints it: stdout must match byte for byte too
+    out = tmp_path / "o.csv"
+    texts, printed = [], []
     for workers in (1, 2, 3):
         force_workers(monkeypatch, workers)
-        out = tmp_path / f"{workers}.csv"
         assert main(argv + ["--out", str(out)]) == 0
         assert_no_child()
         texts.append(out.read_bytes())
+        printed.append(capsys.readouterr().out)
     assert texts[1] == texts[0] and texts[2] == texts[0]
+    assert printed[0] and printed[1] == printed[0] and printed[2] == printed[0]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -100,7 +126,7 @@ def test_the_lowest_failing_replication_is_raised(workers, flood, monkeypatch):
         run_scenario(scenario, FLOOD_SEED + 2)
     force_workers(monkeypatch, workers)
     with pytest.raises(ValueError) as error:
-        run_replications(scenario, 3, FLOOD_SEED)
+        run_replications([scenario], 3, FLOOD_SEED)
     assert str(error.value) == FLOOD_ERROR
     assert_no_child()
 
@@ -111,6 +137,43 @@ def test_run_reports_the_lowest_failing_replication(workers, flood, tmp_path, mo
     assert main(run_argv(flood, tmp_path, seed=FLOOD_SEED)) == 3
     assert capsys.readouterr().err == f"error: {FLOOD_ERROR}\n"
     assert not (tmp_path / "o.csv").exists()
+    assert_no_child()
+
+
+# adaptive fails its replication 1 and acb every replication, so with three
+# workers the share holding acb's replication 0 fails on a lower replication
+# than any of adaptive's: the first controller's error must still win
+FLOOD_BY_KIND = {
+    "adaptive": "frame 27: 142 pending devices plus 59 arrivals exceed the pool bound of 180",
+    "acb": "frame 5: 138 pending devices plus 47 arrivals exceed the pool bound of 180",
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("kinds", [("adaptive", "acb"), ("acb", "adaptive")])
+def test_the_first_failing_controller_is_raised(kinds, workers, flood, monkeypatch):
+    variants = [parse_scenario(flood).with_controller(kind) for kind in kinds]
+    force_workers(monkeypatch, 1)
+    for variant in variants:  # each fails alone, as the one-call-per-controller loop saw it
+        with pytest.raises(ValueError, match=FLOOD_BY_KIND[variant.controller.kind.value]):
+            run_replications([variant], 3, FLOOD_SEED)
+    force_workers(monkeypatch, workers)
+    with pytest.raises(ValueError) as error:
+        run_replications(variants, 3, FLOOD_SEED)
+    assert str(error.value) == FLOOD_BY_KIND[kinds[0]]
+    assert_no_child()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_compare_reports_the_first_failing_controller(
+    workers, flood, tmp_path, monkeypatch, capsys
+):
+    force_workers(monkeypatch, workers)
+    out = tmp_path / "o.csv"
+    assert main(["compare", "--scenario", str(flood), "--controllers", "adaptive,acb",
+                 "--reps", "3", "--seed", str(FLOOD_SEED), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: {FLOOD_BY_KIND['adaptive']}\n"
+    assert not out.exists()
     assert_no_child()
 
 
@@ -136,7 +199,7 @@ def test_a_setting_error_from_a_child_keeps_its_fields(monkeypatch):
     fail_replication_1(monkeypatch, fail)
     force_workers(monkeypatch, 2)
     with pytest.raises(SettingError) as error:
-        run_replications(parse_scenario(STOCK), 3)
+        run_replications([parse_scenario(STOCK)], 3)
     assert error.value.fields == ("load", "n_s")
     assert str(error.value) != f"refused in process {test_pid}"  # it came from the child
     assert_no_child()
@@ -154,9 +217,31 @@ def test_a_child_killed_without_reporting_exits_three(tmp_path, monkeypatch, cap
     force_workers(monkeypatch, 2)
     assert main(run_argv(STOCK, tmp_path)) == 3
     assert capsys.readouterr().err == (
-        "error: the process running replications 1 was killed by signal 9 without reporting\n"
+        "error: the process running adaptive replications 1 was killed by signal 9"
+        " without reporting\n"
     )
     assert not (tmp_path / "o.csv").exists()
+    assert_no_child()
+
+
+@forks
+def test_a_dead_child_names_its_controllers_and_replications(monkeypatch):
+    test_pid = os.getpid()
+
+    def fail():  # replication 1 of the second controller runs here: it passes
+        if os.getpid() != test_pid:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    fail_replication_1(monkeypatch, fail)
+    force_workers(monkeypatch, 2)
+    stock = parse_scenario(STOCK)
+    with pytest.raises(ChildProcessError) as error:
+        run_replications([stock.with_controller("fixed"), stock.with_controller("max")], 3)
+    # the child's share is jobs 1, 3 and 5 of (controller, replication) order
+    assert str(error.value) == (
+        "the process running fixed replications 1 and max replications 0, 2"
+        " was killed by signal 9 without reporting"
+    )
     assert_no_child()
 
 
@@ -171,7 +256,8 @@ def test_a_child_whose_error_cannot_be_sent_exits_three(tmp_path, monkeypatch, c
     force_workers(monkeypatch, 2)
     assert main(run_argv(STOCK, tmp_path)) == 3
     assert capsys.readouterr().err == (
-        "error: the process running replications 1 exited with status 1 without reporting\n"
+        "error: the process running adaptive replications 1 exited with status 1"
+        " without reporting\n"
     )
     assert_no_child()
 
@@ -190,6 +276,34 @@ def test_a_failed_fork_kills_and_reaps_the_children_already_forked(monkeypatch):
     monkeypatch.setattr(os, "fork", fork_once)
     force_workers(monkeypatch, 3)
     with pytest.raises(OSError, match="no second fork"):
-        run_replications(parse_scenario(TM2), 3)
+        run_replications([parse_scenario(TM2)], 3)
     assert forked and forked[0] > 0
+    assert_no_child()
+
+
+@forks
+@pytest.mark.parametrize(
+    "argv, forked",
+    [
+        # 4 controllers x 5 reps x 20 frames = 400 frame rows: two workers
+        (["compare", "--scenario", str(STOCK), "--controllers", "adaptive,fixed,acb,max",
+          "--reps", "5"], 1),
+        (["compare", "--scenario", str(STOCK), "--controllers", "adaptive,fixed,acb,max",
+          "--reps", "1"], 0),
+        (["run", "--scenario", str(STOCK), "--reps", "5"], 0),
+        (["run", "--scenario", str(TM2), "--reps", "5"], 1),
+    ],
+)
+def test_forks_per_command_on_two_cpus(argv, forked, tmp_path, monkeypatch):
+    fork = os.fork
+    pids = []
+
+    def counted_fork():
+        pids.append(fork())  # the child appends to its own copy
+        return pids[-1]
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", counted_fork)
+    assert main(argv + ["--out", str(tmp_path / "o.csv")]) == 0
+    assert len(pids) == forked
     assert_no_child()
