@@ -22,12 +22,14 @@ import argparse
 import functools
 import math
 import os
+import stat
 import sys
-from contextlib import contextmanager
+import tempfile
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
 from itertools import combinations, islice, repeat, starmap
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -74,8 +76,53 @@ MAX_FRAME_ROWS = 1_000_000
 CSV_CHUNK_ROWS = 1 << 10
 
 
-def _create(path: Path) -> TextIO:
-    return path.open("w", encoding="utf-8", newline="")
+@contextmanager
+def _outputs(*paths: Path) -> Iterator[list[TextIO]]:
+    """A text handle per output path; each file ends up whole or as it was.
+
+    A regular file's text goes to a temporary file in its directory, which
+    replaces it only after the text of every path is written and closed;
+    on any error the temporaries are removed and every path keeps what it
+    held. A replaced file gets the mode a plain open gives it: an existing
+    file's mode, else 0o666 less the umask. A path that exists but is not
+    a regular file (/dev/stdout, a FIFO) cannot be replaced and is written
+    directly. A symlink is followed, so its target is replaced.
+    """
+    handles: list[TextIO] = []
+    temporaries: dict[str, Path] = {}
+    try:
+        for path in paths:
+            if path.exists() and not path.is_file():
+                handles.append(path.open("w", encoding="utf-8", newline=""))
+                continue
+            target = Path(os.path.realpath(path))
+            fd, temporary = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.")
+            temporaries[temporary] = target
+            handles.append(open(fd, "w", encoding="utf-8", newline=""))
+            os.chmod(temporary, _plain_mode(target))
+        yield handles
+        for handle in handles:
+            handle.close()
+        for temporary, target in temporaries.items():
+            os.replace(temporary, target)
+        temporaries.clear()
+    finally:
+        for handle in handles:
+            with suppress(OSError):
+                handle.close()
+        for temporary in temporaries:
+            with suppress(OSError):
+                os.unlink(temporary)
+
+
+def _plain_mode(path: Path) -> int:
+    """The mode open(path, "w") leaves the file with."""
+    try:
+        return stat.S_IMODE(path.stat().st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0o022)
+        os.umask(umask)
+        return 0o666 & ~umask
 
 
 def _write_rows(handle: TextIO, rows: Iterable[Sequence[str]]) -> None:
@@ -98,7 +145,7 @@ def _table_rows(table: Sequence[tuple[str, str]], columns: dict) -> Iterable[tup
 
 
 def write_run_csv(
-    path: Path, repset: ReplicationSet, controller_name: str, config: RachConfig
+    handle: TextIO, repset: ReplicationSet, controller_name: str, config: RachConfig
 ) -> None:
     """Per-replication rows followed by per-frame mean rows.
 
@@ -107,21 +154,20 @@ def write_run_csv(
     """
     tp_num = _at_true_load(repset, lambda n, n_s: throughput(n, n_s, config.n_preambles))
     ut_num = utility(tp_num, config.alpha, repset.columns["n_s_used"])
-    with _create(path) as handle:
-        _write_rows(handle, [RUN_COLUMNS])
-        c = {name: column.ravel() for name, column in repset.columns.items()}
-        _write_rows(handle, _table_rows(_RUN_TABLE, {
-            **c, "controller": controller_name,
-            "rep": np.repeat(repset.replication_ids, repset.n_frames),
-            "throughput_sim": c["successes"].astype(np.float64),
-            "throughput_num": tp_num.ravel(), "utility_num": ut_num.ravel(),
-        }))
-        means = repset.means
-        _write_rows(handle, _table_rows(_RUN_TABLE, {
-            **means, "rep": "mean", "frame": np.arange(repset.n_frames),
-            "controller": controller_name, "throughput_sim": means["successes"],
-            "throughput_num": tp_num.mean(axis=0), "utility_num": ut_num.mean(axis=0),
-        }))
+    _write_rows(handle, [RUN_COLUMNS])
+    c = {name: column.ravel() for name, column in repset.columns.items()}
+    _write_rows(handle, _table_rows(_RUN_TABLE, {
+        **c, "controller": controller_name,
+        "rep": np.repeat(repset.replication_ids, repset.n_frames),
+        "throughput_sim": c["successes"].astype(np.float64),
+        "throughput_num": tp_num.ravel(), "utility_num": ut_num.ravel(),
+    }))
+    means = repset.means
+    _write_rows(handle, _table_rows(_RUN_TABLE, {
+        **means, "rep": "mean", "frame": np.arange(repset.n_frames),
+        "controller": controller_name, "throughput_sim": means["successes"],
+        "throughput_num": tp_num.mean(axis=0), "utility_num": ut_num.mean(axis=0),
+    }))
 
 
 def _cells(values: np.ndarray) -> list[str]:
@@ -191,7 +237,7 @@ def build_report(repsets: dict[str, ReplicationSet]) -> ComparisonReport:
 
 
 def write_compare_csv(
-    path: Path, repsets: dict[str, ReplicationSet], config: RachConfig
+    handle: TextIO, repsets: dict[str, ReplicationSet], config: RachConfig
 ) -> None:
     """Each controller's per-frame mean rows, in the order of repsets.
 
@@ -205,11 +251,10 @@ def write_compare_csv(
             repset, lambda n, n_s: utility_of_load(n, n_s, config)
         ).mean(axis=0),
     } for name, repset in repsets.items()]
-    with _create(path) as handle:
-        _write_rows(handle, [COMPARE_COLUMNS])
-        _write_rows(handle, _table_rows(_COMPARE_TABLE, {
-            source: np.concatenate([part[source] for part in parts]) for _, source in _COMPARE_TABLE
-        }))
+    _write_rows(handle, [COMPARE_COLUMNS])
+    _write_rows(handle, _table_rows(_COMPARE_TABLE, {
+        source: np.concatenate([part[source] for part in parts]) for _, source in _COMPARE_TABLE
+    }))
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +337,8 @@ def cmd_run(args) -> int:
     names = [] if args.controller is None else [args.controller]
     scenario, repsets = _simulate(args, names, "--controller")
     [(name, repset)] = repsets.items()
-    write_run_csv(Path(args.out), repset, name, scenario.config)
+    with _outputs(Path(args.out)) as [handle]:
+        write_run_csv(handle, repset, name, scenario.config)
     print(f"wrote {args.out}: {args.n_reps} replications x {repset.n_frames} frames ({name})")
     return 0
 
@@ -319,13 +365,12 @@ def cmd_table(args) -> int:
     _refuse_bad_paths({}, {"--out": out, "--sweep-out": sweep_path})
     with _flag_errors():
         table = subframe_lookup_table(config, args.step, args.max_load)
-    with _create(out) as handle:
+    thresholds = [t for t, _ in table.entries]
+    with _outputs(out, sweep_path) as (handle, sweep):
         _write_rows(handle, [
             ("load_threshold", "n_s"), *((repr(t), str(n)) for t, n in table.entries)
         ])
-    thresholds = [t for t, _ in table.entries]
-    with _create(sweep_path) as handle:
-        handle.write("load,n_s\n")
+        sweep.write("load,n_s\n")
         for loads in table.grid.blocks():
             # the thresholds are grid points, so a block's loads from one
             # threshold up to the next are a run of that entry's n_s, written
@@ -335,7 +380,7 @@ def cmd_table(args) -> int:
             for start, end, (_, k) in zip(cuts, [*cuts[1:], len(values)], table.entries):
                 if start < end:
                     suffix = f",{k}\n"
-                    handle.write(suffix.join(map(repr, values[start:end])) + suffix)
+                    sweep.write(suffix.join(map(repr, values[start:end])) + suffix)
     print(f"wrote {out} ({len(table.entries)} thresholds) and {sweep_path}")
     return 0
 
@@ -345,7 +390,8 @@ def cmd_compare(args) -> int:
     if len(names) < 2:
         raise ScenarioError("--controllers: compare needs at least two controllers")
     scenario, repsets = _simulate(args, names, "--controllers")
-    write_compare_csv(Path(args.out), repsets, scenario.config)
+    with _outputs(Path(args.out)) as [handle]:
+        write_compare_csv(handle, repsets, scenario.config)
     report = build_report(repsets)
     print("aggregate utility (sum of per-frame means):")
     for name in repsets:

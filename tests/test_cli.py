@@ -4,6 +4,8 @@ import csv
 import math
 import os
 import re
+import resource
+import stat
 import subprocess
 import sys
 import warnings
@@ -661,12 +663,76 @@ def test_pair_bound_applies_to_simulations_only(tmp_path, capsys):
                  "--out", str(tmp_path / "t.csv")]) == 0
 
 
-def python_dash_m_rachsim(*args: str) -> subprocess.CompletedProcess:
+def python_dash_m_rachsim(*args: str, **kwargs) -> subprocess.CompletedProcess:
     src = str(Path(rachsim.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     return subprocess.run([sys.executable, "-m", "rachsim", *args],
-                          env=env, capture_output=True, text=True, timeout=60)
+                          env=env, capture_output=True, text=True, timeout=60, **kwargs)
+
+
+FILE_SIZE_LIMIT = 1024
+
+
+def _limit_file_size():
+    resource.setrlimit(resource.RLIMIT_FSIZE, (FILE_SIZE_LIMIT, FILE_SIZE_LIMIT))
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "table"])
+@pytest.mark.parametrize("earlier", [False, True])
+def test_an_output_cut_short_leaves_every_path_as_it_was(small_scn, tmp_path, command, earlier):
+    # a write past the file size limit fails with exit 3; the outputs of
+    # the command are all replaced or none is
+    outputs = tmp_path / "outputs"
+    outputs.mkdir()
+    out = outputs / "o.csv"
+    paths = [out, outputs / "o_sweep.csv"] if command == "table" else [out]
+    flags = {
+        "run": ["--scenario", str(small_scn), "--reps", "2"],
+        "compare": ["--scenario", str(small_scn), "--reps", "2", "--controllers", "adaptive,max"],
+        "table": ["--alpha", "25", "--step", "0.1"],
+    }[command] + ["--out", str(out)]
+    for path in paths if earlier else ():
+        path.write_bytes(f"earlier {path.name}\n".encode())
+    done = python_dash_m_rachsim(command, *flags, preexec_fn=_limit_file_size)
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == "error: [Errno 27] File too large\n"
+    assert sorted(outputs.iterdir()) == (paths if earlier else [])
+    for path in paths if earlier else ():
+        assert path.read_text() == f"earlier {path.name}\n"
+    # without the limit the command replaces them, and the last output is
+    # larger than the limit
+    assert main([command, *flags]) == 0
+    assert sorted(outputs.iterdir()) == paths
+    assert paths[-1].stat().st_size > FILE_SIZE_LIMIT
+
+
+def test_outputs_get_the_mode_a_plain_open_gives(tmp_path, capsys):
+    umask = os.umask(0o027)
+    try:
+        out, sweep = tmp_path / "t.csv", tmp_path / "t_sweep.csv"
+        sweep.write_text("earlier\n")
+        sweep.chmod(0o604)
+        assert main(["table", "--alpha", "25", "--out", str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        assert stat.S_IMODE(sweep.stat().st_mode) == 0o604
+    finally:
+        os.umask(umask)
+    assert sorted(tmp_path.iterdir()) == [out, sweep]
+
+
+def test_an_output_that_is_not_a_regular_file_is_written_directly(tmp_path):
+    sweep = tmp_path / "s.csv"
+    done = python_dash_m_rachsim(
+        "table", "--alpha", "25", "--out", "/dev/stdout", "--sweep-out", str(sweep)
+    )
+    assert done.returncode == 0, done.stderr
+    entries = subframe_lookup_table(RachConfig(alpha=25.0), 1.0, 700.0).entries
+    assert done.stdout == "".join([
+        "load_threshold,n_s\n", *(f"{t!r},{n}\n" for t, n in entries),
+        f"wrote /dev/stdout ({len(entries)} thresholds) and {sweep}\n",
+    ])
+    assert sorted(tmp_path.iterdir()) == [sweep]
 
 
 def test_python_dash_m_rachsim_help():

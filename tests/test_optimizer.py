@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ import rachsim.optimizer
 from rachsim.cli import main
 from rachsim.model import RachConfig, utility_of_load
 from rachsim.optimizer import (
+    CERTIFIED_RUN,
     MAX_GRID_POINTS,
     NEAR_TIE_RTOL,
     SWEEP_BLOCK,
@@ -220,6 +222,20 @@ def test_load_grid_point_bound():
         LoadGrid.up_to(1e300, 1e-300)  # the quotient overflows to inf
 
 
+def test_largest_grid_builds_in_memory_bounded_per_block():
+    # one float per point of the whole grid would take 80 MB
+    tracemalloc.start()
+    try:
+        table = subframe_lookup_table(ALPHA25, 1.0, MAX_GRID_POINTS - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.grid.points == MAX_GRID_POINTS
+    # past a load of 935 two subframes win throughout
+    assert table.entries == subframe_lookup_table(ALPHA25, 1.0, 2000.0).entries
+    assert peak < 16e6
+
+
 # ---------------------------------------------------------------------------
 # The vectorised table sweep against a math.exp argmax, point by point
 
@@ -268,6 +284,39 @@ def test_vectorised_sweep_matches_scalar_argmax(monkeypatch, config, points):
 def test_vectorised_sweep_at_the_real_block_size(points):
     step = 700.0 / SWEEP_BLOCK
     assert_table_is_scalar_sweep(ALPHA25, step, step * (points - 1), points)
+
+
+def test_count_winning_on_fewer_points_than_a_run():
+    # alpha just below the peak of the gap between one and two subframes,
+    # so two wins only on the three grid points nearest that peak: inside
+    # one run, whose first point one subframe wins
+    config = RachConfig(alpha=0.0, n_preambles=64, n_s_min=1, n_s_max=2)
+    gaps = [utility_of_load(load, 2, config) - utility_of_load(load, 1, config)
+            for load in range(301)]
+    third, fourth = sorted(gaps)[-3:-5:-1]
+    config = RachConfig(alpha=(third + fourth) / 2, n_preambles=64, n_s_min=1, n_s_max=2)
+    start, *_, end = (load for load, gap in enumerate(gaps) if gap > config.alpha)
+    assert end - start == 2
+    assert start // CERTIFIED_RUN == end // CERTIFIED_RUN and start % CERTIFIED_RUN > 0
+    table = subframe_lookup_table(config, 1.0, 300.0)
+    assert table.entries == ((0.0, 1), (start, 2), (end + 1.0, 1))
+    assert_table_is_scalar_sweep(config, 1.0, 300.0, 301)
+
+
+def test_no_run_is_certified_within_rounding_of_a_change():
+    # runs of one load each, within 1024 ULPs of where three subframes
+    # take over from two: every margin is far below the rounding
+    # allowance, so none is certified
+    edge = bisect_root(
+        lambda n: utility_of_load(n, 3, ALPHA25) - utility_of_load(n, 2, ALPHA25)
+        - tie_slack(n, ALPHA25),
+        50.0, 250.0, tol=0.0,
+    )
+    loads = edge + np.arange(-1024, 1025) * math.ulp(edge)
+    counts = np.array(ALPHA25.subframe_range)
+    rows, certified = rachsim.optimizer._certified_runs(loads, loads, ALPHA25, counts)
+    assert set(counts[rows].tolist()) == {2, 3}
+    assert not certified.any()
 
 
 def test_grid_blocks_are_the_grid_bit_for_bit():
@@ -412,8 +461,10 @@ def test_decisions_do_not_depend_on_numpy_exp_dispatch(capsys):
     step=st.floats(1e-3, 50.0),
     points=st.integers(2, 300),
     block=st.sampled_from([1, 7, 64, SWEEP_BLOCK]),
+    run=st.sampled_from([1, 7, CERTIFIED_RUN, SWEEP_BLOCK]),
 )
-def test_vectorised_sweep_property(alpha, n_preambles, n_s_min, width, step, points, block):
+def test_vectorised_sweep_property(alpha, n_preambles, n_s_min, width, step, points, block, run):
+    # every point is checked, in certified and uncertified runs alike
     config = RachConfig(
         n_preambles=n_preambles,
         n_s_min=n_s_min,
@@ -422,6 +473,7 @@ def test_vectorised_sweep_property(alpha, n_preambles, n_s_min, width, step, poi
     )
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rachsim.optimizer, "SWEEP_BLOCK", block)
+        patch.setattr(rachsim.optimizer, "CERTIFIED_RUN", run)
         table = subframe_lookup_table(config, step, step * (points - 1))
     expected = scalar_sweep(config, table.grid)
     assert [table.lookup(load) for load in table.grid] == expected
