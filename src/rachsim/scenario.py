@@ -97,7 +97,7 @@ def parse_scenario(path: str | Path) -> Scenario:
         text = p.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ScenarioError(f"scenario file not found: {p}") from None
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, no permission, not UTF-8
         raise ScenarioError(f"cannot read scenario file {p}: {exc}") from None
     return parse_scenario_text(text, source=str(p))
 

@@ -1,11 +1,29 @@
-"""Shared test helpers: independent oracles kept free of library code, a row view, and
-a worker count for run_replications."""
+"""Shared test helpers: independent oracles kept free of library code, a row view,
+a worker count for run_replications, and the README's fenced blocks."""
 
 import math
 import os
+import re
+from pathlib import Path
 
 import rachsim.simulator
 from rachsim.simulator import TimeSeries
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# A fenced block: its language, the rest of its info string, and its text.
+_FENCE = re.compile(r"^```(\w*) *([^\n]*)\n(.*?)^```$", re.M | re.S)
+
+
+def readme_blocks(language: str) -> list[tuple[int, str, str]]:
+    """README.md's fenced blocks in language, as (line of the opening fence, the
+    rest of its info string, the text inside the fences)."""
+    text = README.read_text(encoding="utf-8")
+    return [
+        (text.count("\n", 0, block.start()) + 1, block[2], block[3])
+        for block in _FENCE.finditer(text)
+        if block[1] == language
+    ]
 
 
 def force_workers(monkeypatch, workers: int) -> None:

@@ -153,6 +153,19 @@ def test_run_zero_load_scenario(zero_scn, tmp_path, capsys):
         assert float(row["utility_sim"]) == -25.0 * float(row["n_s"])
 
 
+def test_run_scenario_not_utf8_exit_code(tmp_path, capsys):
+    # a file that is not UTF-8 text is unreadable too; its decode error used to exit 3 unnamed
+    latin1 = tmp_path / "f.scn"
+    latin1.write_bytes(b"[load]\nsegments = 0:5:1:1\n# caf\xe9\n")
+    out = tmp_path / "o.csv"
+    assert main(["run", "--scenario", str(latin1), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", (
+        f"error: cannot read scenario file {latin1}: 'utf-8' codec can't decode byte 0xe9"
+        " in position 31: invalid continuation byte\n"
+    ))
+    assert sorted(tmp_path.iterdir()) == [latin1]
+
+
 def test_run_missing_scenario_exit_code(tmp_path, capsys):
     rc = main(["run", "--scenario", str(tmp_path / "nope.scn"),
                "--out", str(tmp_path / "o.csv")])
@@ -886,6 +899,11 @@ def test_an_over_long_number_is_refused_in_one_short_line(place, digits, tmp_pat
     assert f"({digits} characters)" in err or f"({digits + 2} characters)" in err
     if digits > sys.get_int_max_str_digits():
         assert "is too large: more than 4300 digits" in err
+    if place == "--seed":  # the README quotes this refusal
+        assert err == (
+            "error: --seed: seed is too large: more than 4300 digits, got "
+            f"'{big[:39]}... (5003 characters)\n"
+        )
     assert not out.exists()
 
 
@@ -942,6 +960,10 @@ def test_argparse_refusal_of_many_words_is_one_bounded_line(word, split, tmp_pat
     assert len(err.encode()) < 1024 and err.count("\n") == 1, err
     assert err.startswith("rachsim: error: unrecognized arguments: ")
     assert err.endswith(f" ... ({2002 - rachsim.cli.MAX_REFUSAL_WORDS} more words)\n")
+    if (word, split) == ("z", True):  # the README quotes this refusal
+        assert err == (
+            "rachsim: error: unrecognized arguments: z z z z z z z z z z ... (1990 more words)\n"
+        )
     assert not out.exists()
 
 

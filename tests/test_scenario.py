@@ -1,7 +1,5 @@
 """Scenario file parsing, defaults, and round-trip formatting."""
 
-from pathlib import Path
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +23,7 @@ from rachsim.simulator import (
     ProfileSegment,
     Scenario,
 )
+from conftest import readme_blocks
 
 MINIMAL = "[load]\nsegments = 0:10:0:600, 10:20:600:0\n"
 
@@ -311,8 +310,7 @@ def test_format_writes_every_key():
 
 def test_documented_examples_are_the_default_scenario():
     # both examples list every key at its default value
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    ini = readme.split("### Scenario files", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    [ini] = [text for _, name, text in readme_blocks("ini") if name == "wave.scn"]
     docstring = rachsim.scenario.__doc__.split("load profile:", 1)[1].split("'#' starts", 1)[0]
     for text in (ini, docstring):
         assert parse_scenario_text(text) == default_scenario()
