@@ -291,9 +291,10 @@ def _check_frame_rows(scenario: Scenario, reps: int, controllers: int) -> None:
     rows = scenario.frames * reps * controllers
     if rows > MAX_FRAME_ROWS:
         frames, reps, rows = (shown(n) for n in (scenario.frames, reps, rows))
-        raise ScenarioError(
+        raise SettingError(
             f"{frames} frames x {reps} replications x {controllers} "
-            f"controller(s) = {rows} frame rows exceed the bound of {MAX_FRAME_ROWS}"
+            f"controller(s) = {rows} frame rows exceed the bound of {MAX_FRAME_ROWS}",
+            "n_reps",
         )
 
 
@@ -328,7 +329,7 @@ def _simulate(args, names: list[str], flag: str) -> tuple[Scenario, dict[str, Re
     scenario = parse_scenario(args.scenario)
     with _flag_errors(kind=flag):
         variants = [scenario.with_controller(n) for n in dict.fromkeys(names)] or [scenario]
-    _check_frame_rows(scenario, args.n_reps, len(variants))
+        _check_frame_rows(scenario, args.n_reps, len(variants))
     repsets = run_replications(variants, args.n_reps, args.seed)
     return scenario, {v.controller.kind.value: r for v, r in zip(variants, repsets)}
 

@@ -86,11 +86,6 @@ NEAR_TIE_RTOL = 1e-9
 # unit of load, and the tie slack by NEAR_TIE_RTOL.
 _MARGIN_RATE = 1.0 + math.exp(-2.0) + NEAR_TIE_RTOL
 
-# The certificate's allowance for rounding, as a fraction of
-# 1 + load + alpha * n_s_max: far above the few-ULP error of np.exp and of
-# the subtractions in a margin, about 1e-16 of that sum.
-_MARGIN_ALLOWANCE_RTOL = 1e-12
-
 
 @dataclass(frozen=True)
 class SubframeDecision:
@@ -200,14 +195,14 @@ def _certified_runs(
     for every larger count k, so w ties with the best. Over a run each of
     these margins shrinks by at most _MARGIN_RATE per unit of load; the run
     is certified when every margin at its first load exceeds that drift
-    plus the rounding allowance.
+    plus a tie slack at its last load, far above any rounding.
     """
     utilities, slack = _utilities(firsts, config, counts)
     rows = _winners(utilities, slack)
     order = np.arange(len(counts))[:, None]
     best = utilities[rows, np.arange(len(rows))]
     margins = best - utilities + np.where(order < rows, -slack, slack)
-    bound = _MARGIN_RATE * (lasts - firsts) + _MARGIN_ALLOWANCE_RTOL * (
+    bound = _MARGIN_RATE * (lasts - firsts) + NEAR_TIE_RTOL * (
         1.0 + lasts + config.alpha * config.n_s_max
     )
     return rows, ((margins > bound) | (order == rows)).all(axis=0)

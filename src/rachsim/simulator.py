@@ -221,8 +221,6 @@ def _pick_pairs(
 
 def _defer(n: int, frame: int, window: int, rng: np.random.Generator) -> np.ndarray:
     """Due frames of n deferred devices, uniform over frame+1..frame+window."""
-    if not n:
-        return _NO_DEVICES
     return frame + 1 + (rng.random(n) * window).astype(np.int64)
 
 
@@ -242,8 +240,6 @@ def _bar(
     n: int, p_barring: float, barring_window: int, frame: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Barring of n devices: (passed mask, due frames of the barred)."""
-    if n == 0:
-        return np.zeros(0, dtype=bool), _NO_DEVICES
     passed = rng.random(n) < p_barring
     return passed, _defer(n - int(np.count_nonzero(passed)), frame, barring_window, rng)
 

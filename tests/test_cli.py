@@ -973,7 +973,7 @@ def test_a_count_past_the_int_text_limit_is_refused_by_its_bound(tmp_path, capsy
     out = tmp_path / "o.csv"
     assert main(["run", "--scenario", str(TM2), "--reps", "9" * 4300, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: 1000 frames x ") and err.count("\n") == 1
+    assert err.startswith("error: --reps: 1000 frames x ") and err.count("\n") == 1
     assert err.endswith(
         "= an integer of more than 4300 digits frame rows exceed the bound of 1000000\n"
     )

@@ -8,7 +8,9 @@ last caller. And no module but `model` words a range requirement in an error
 it raises: a value's range is checked by `model.check_range` (or, for an
 integer, `model.check_integer`), not by hand. A `SettingError` message is
 plain text with no brace in its literal parts, so that no call site words it
-as a template for another layer to fill in.
+as a template for another layer to fill in. Every refusal `cli` raises as a
+`ScenarioError` starts with the flag it refuses, as `--` text or a `{flag}`
+placeholder, so that no refusal leaves the user to guess which value it means.
 """
 
 import ast
@@ -97,6 +99,27 @@ def templated_setting_errors(source: str) -> list[str]:
     ]
 
 
+def refusals_without_a_flag(source: str) -> list[str]:
+    """The ScenarioError raises whose message does not start with `--` text or `{flag}`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            continue
+        call = node.exc if isinstance(node.exc, ast.Call) else None
+        error = node.exc if call is None else call.func
+        if "ScenarioError" not in (getattr(error, "id", None), getattr(error, "attr", None)):
+            continue
+        first = call.args[0] if call and call.args else None
+        if isinstance(first, ast.JoinedStr):
+            first = first.values[0]
+        if not (
+            isinstance(first, ast.FormattedValue) and getattr(first.value, "id", None) == "flag"
+            or isinstance(first, ast.Constant) and str(first.value).startswith("--")
+        ):
+            found.append(node.lineno)
+    return [f"line {line}" for line in sorted(found)]
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
 def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -117,6 +140,11 @@ def test_no_hand_written_range_check(path):
 @pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
 def test_no_templated_setting_error(path):
     assert templated_setting_errors(path.read_text(encoding="utf-8")) == []
+
+
+def test_every_cli_refusal_names_its_flag():
+    [cli] = [path for path in SOURCES if path.name == "cli.py"]
+    assert refusals_without_a_flag(cli.read_text(encoding="utf-8")) == []
 
 
 def test_the_check_sees_leftovers():
@@ -195,3 +223,23 @@ def test_the_check_sees_templated_setting_errors():
         "    raise SettingError(f'{name} must be < {x:.3g}', name)\n"
     )
     assert templated_setting_errors(source) == ["line 2", "line 3", "line 6", "line 8"]
+
+
+def test_the_check_sees_refusals_without_a_flag():
+    source = (
+        "def f(flag, other_flag, path, n, message):\n"
+        "    raise ScenarioError(f'{flag}: {path} is a directory') from None\n"
+        "    raise ScenarioError('--controllers: compare needs two controllers')\n"
+        "    raise scenario.ScenarioError(f'--out: no directory {path}')\n"
+        "    raise ScenarioError(f'{n} frames x 1 replications exceed the bound')\n"
+        "    raise ScenarioError('scenario file not found: ' f'{path}')\n"
+        "    raise ScenarioError(f'{other_flag}: {path}')\n"
+        "    raise ScenarioError(message)\n"
+        "    raise ScenarioError\n"
+        "    raise scenario.ScenarioError()\n"
+        "    raise ValueError(f'{n} frames exceed the bound')\n"
+        "    raise SettingError(f'{n} frame rows exceed the bound', 'n_reps')\n"
+    )
+    assert refusals_without_a_flag(source) == [
+        "line 5", "line 6", "line 7", "line 8", "line 9", "line 10",
+    ]

@@ -305,8 +305,8 @@ def test_count_winning_on_fewer_points_than_a_run():
 
 def test_no_run_is_certified_within_rounding_of_a_change():
     # runs of one load each, within 1024 ULPs of where three subframes
-    # take over from two: every margin is far below the rounding
-    # allowance, so none is certified
+    # take over from two: every margin is far below the tie slack the
+    # certificate allows for rounding, so none is certified
     edge = bisect_root(
         lambda n: utility_of_load(n, 3, ALPHA25) - utility_of_load(n, 2, ALPHA25)
         - tie_slack(n, ALPHA25),

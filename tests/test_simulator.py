@@ -24,6 +24,8 @@ from rachsim.simulator import (
     MAX_POOL,
     MAX_RATE,
     MAX_WINDOW,
+    _backoff,
+    _bar,
     _defer,
     _pick_pairs,
     AdaptiveController,
@@ -372,6 +374,20 @@ def test_scaled_uniforms_stay_below_their_range():
 
     assert _defer(3, 10, MAX_WINDOW, TopRng()).tolist() == [10 + MAX_WINDOW] * 3
     assert _pick_pairs(1, 8, MAX_PAIRS // 8, TopRng())[1:] == (1, 0, MAX_PAIRS - 1)
+
+
+def test_an_empty_selection_draws_nothing():
+    # deferring nobody, barring nobody and backing off losers who are all
+    # dropped leave the event stream as it was, as the kernels' comment
+    # requires; stream_equivalence.py's old-law patches rely on it too
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    due = _defer(0, 7, 4, rng)
+    passed, barred_due = _bar(0, 0.5, 4, 7, rng)
+    retriers, retry_due = _backoff(np.array([3, 3], dtype=np.int64), 7, 4, 3, rng)
+    assert passed.dtype == bool and len(passed) == 0
+    assert all(a.dtype == np.int64 and len(a) == 0 for a in (due, barred_due, retriers, retry_due))
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("poisson, size, n_s, n_p", [
