@@ -3,7 +3,8 @@
 run      simulate a scenario with one controller and write a per-frame CSV
          (one row per replication and frame, then per-frame mean rows with
          rep = "mean"); *_num columns evaluate the analytic model at the
-         frame's true contender count, *_sim columns are realized.
+         frame's true_load (every device that wanted to contend, before
+         barring), *_sim columns are realized.
 optimize print the utility-maximizing subframe count for one load.
 table    write the offline load -> n_s lookup table and a dense sweep.
 compare  run several controllers on common random numbers, write a merged
@@ -27,7 +28,7 @@ import sys
 import tempfile
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
-from itertools import combinations, islice, repeat, starmap
+from itertools import combinations, islice, permutations, repeat, starmap
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -201,9 +202,10 @@ def _at_true_load(repset: ReplicationSet, model) -> np.ndarray:
 class ComparisonReport:
     """Aggregate utilities and pairwise comparisons across controllers.
 
-    improvement_pct[(a, b)] = 100 * (U_a - U_b) / |U_b| on utilities summed
-    over frames (per-frame means first); win_fraction[(a, b)] is the share
-    of frames where a's mean utility is at least b's.
+    improvement_pct[(a, b)] is _improvement_pct(U_a, U_b) on utilities
+    summed over frames (per-frame means first); win_fraction[(a, b)] is the
+    share of frames where a's mean utility is at least b's. The pairs are
+    every ordered pair of controllers, or the one controller with itself.
     """
 
     aggregate_utility: dict[str, float]
@@ -211,28 +213,21 @@ class ComparisonReport:
     win_fraction: dict[tuple[str, str], float]
 
 
+def _improvement_pct(ua: float, ub: float) -> float:
+    """100 * (ua - ub) / |ub|; 0 for equal sums, +-inf over a zero base."""
+    if ua == ub:
+        return 0.0
+    if ub == 0.0:
+        return math.inf if ua > ub else -math.inf
+    return 100.0 * (ua - ub) / abs(ub)
+
+
 def build_report(repsets: dict[str, ReplicationSet]) -> ComparisonReport:
-    aggregate = {
-        name: float(np.sum(rs.means["utility"])) for name, rs in repsets.items()
-    }
-    improvement: dict[tuple[str, str], float] = {}
-    wins: dict[tuple[str, str], float] = {}
-    names = list(repsets)
-    for a in names:
-        for b in names:
-            # a controller meets itself only when it is the one compared
-            if a == b and len(names) > 1:
-                continue
-            ua, ub = aggregate[a], aggregate[b]
-            if ua == ub:
-                improvement[(a, b)] = 0.0
-            elif ub == 0.0:
-                improvement[(a, b)] = math.inf if ua > ub else -math.inf
-            else:
-                improvement[(a, b)] = 100.0 * (ua - ub) / abs(ub)
-            wins[(a, b)] = float(
-                np.mean(repsets[a].means["utility"] >= repsets[b].means["utility"])
-            )
+    means = {name: rs.means["utility"] for name, rs in repsets.items()}
+    aggregate = {name: float(np.sum(u)) for name, u in means.items()}
+    pairs = list(permutations(means, 2)) or [(name, name) for name in means]
+    improvement = {(a, b): _improvement_pct(aggregate[a], aggregate[b]) for a, b in pairs}
+    wins = {(a, b): float(np.mean(means[a] >= means[b])) for a, b in pairs}
     return ComparisonReport(aggregate, improvement, wins)
 
 
@@ -492,12 +487,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)  # a flag's refused text is a ScenarioError
         return args.func(args)
-    except ScenarioError as exc:
+    except (ScenarioError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ArithmeticError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ScenarioError) else 3
 
 
 if __name__ == "__main__":

@@ -90,11 +90,23 @@ _OTHER_KEYS = (("load", "segments"), ("controller", "kind"))
 _SECTIONS = ("channel", "load", "controller", "sim")
 
 
+# Bound on a scenario file's bytes, read before anything is decoded. A
+# command runs at most cli.MAX_FRAME_ROWS = 10**6 frames, so a useful file
+# holds at most 10**6 one-frame segments of about 50 characters each.
+MAX_SCENARIO_BYTES = 64 << 20
+
+
 def parse_scenario(path: str | Path) -> Scenario:
-    """Read and parse a scenario file."""
+    """Read and parse a scenario file of at most MAX_SCENARIO_BYTES bytes."""
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        with p.open("rb") as handle:
+            data = handle.read(MAX_SCENARIO_BYTES + 1)
+        if len(data) > MAX_SCENARIO_BYTES:
+            raise ScenarioError(
+                f"scenario file {p} exceeds the bound of {MAX_SCENARIO_BYTES} bytes"
+            )
+        text = data.decode("utf-8")
     except FileNotFoundError:
         raise ScenarioError(f"scenario file not found: {p}") from None
     except (OSError, UnicodeDecodeError) as exc:  # a directory, no permission, not UTF-8

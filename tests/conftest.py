@@ -15,15 +15,11 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 _FENCE = re.compile(r"^```(\w*) *([^\n]*)\n(.*?)^```$", re.M | re.S)
 
 
-def readme_blocks(language: str) -> list[tuple[int, str, str]]:
-    """README.md's fenced blocks in language, as (line of the opening fence, the
-    rest of its info string, the text inside the fences)."""
+def readme_blocks(language: str) -> list[tuple[str, str]]:
+    """README.md's fenced blocks in language, as (the rest of the info string,
+    the text inside the fences)."""
     text = README.read_text(encoding="utf-8")
-    return [
-        (text.count("\n", 0, block.start()) + 1, block[2], block[3])
-        for block in _FENCE.finditer(text)
-        if block[1] == language
-    ]
+    return [(block[2], block[3]) for block in _FENCE.finditer(text) if block[1] == language]
 
 
 def force_workers(monkeypatch, workers: int) -> None:

@@ -17,6 +17,7 @@ import pytest
 import rachsim
 import rachsim.cli
 import rachsim.optimizer
+import rachsim.scenario
 import rachsim.simulator
 from rachsim.cli import (
     MAX_FRAME_ROWS,
@@ -38,7 +39,9 @@ from rachsim.simulator import (
     run_replications,
     run_scenario,
 )
-from rachsim.scenario import default_scenario, format_scenario, parse_scenario
+from rachsim.scenario import (
+    MAX_SCENARIO_BYTES, default_scenario, format_scenario, parse_scenario,
+)
 
 TM2 = Path(__file__).resolve().parents[1] / "benchmarks" / "scenarios" / "tm2_beta.scn"
 
@@ -164,6 +167,33 @@ def test_run_scenario_not_utf8_exit_code(tmp_path, capsys):
         " in position 31: invalid continuation byte\n"
     ))
     assert sorted(tmp_path.iterdir()) == [latin1]
+
+
+def test_an_endless_scenario_file_is_refused_by_its_bound(tmp_path, capsys):
+    # /dev/zero never ends: only the bound stops its read, before anything is decoded
+    out = tmp_path / "o.csv"
+    assert main(["run", "--scenario", "/dev/zero", "--reps", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", (
+        f"error: scenario file /dev/zero exceeds the bound of {MAX_SCENARIO_BYTES} bytes\n"
+    ))
+    assert not out.exists()
+
+
+def test_a_scenario_file_one_byte_over_the_bound_is_refused(
+    small_scn, tmp_path, monkeypatch, capsys
+):
+    out = tmp_path / "o.csv"
+    argv = ["run", "--scenario", str(small_scn), "--reps", "1", "--out", str(out)]
+    monkeypatch.setattr(rachsim.scenario, "MAX_SCENARIO_BYTES", len(SMALL))
+    assert main(argv) == 0  # a file of exactly the bound is read
+    monkeypatch.setattr(rachsim.scenario, "MAX_SCENARIO_BYTES", len(SMALL) - 1)
+    out.unlink()
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", (
+        f"error: scenario file {small_scn} exceeds the bound of {len(SMALL) - 1} bytes\n"
+    ))
+    assert not out.exists()
 
 
 def test_run_missing_scenario_exit_code(tmp_path, capsys):

@@ -24,11 +24,13 @@ from rachsim.cli import main
 from conftest import readme_blocks
 
 _EXIT = re.compile(r"\[exit (\d+)\]\n\Z")
+# a command line: "$ " and the command, its continuation lines ending in a backslash
+_COMMAND = re.compile(r"^\$ ((?:.*\\\n)*.*\n)", flags=re.M)
 
 
 def transcripts(block: str) -> list[tuple[list[str], str, int]]:
     """Each transcript of a console block as (argv of main, printed text, exit code)."""
-    parts = re.split(r"^\$ ((?:.*\\\n)*.*\n)", block, flags=re.M)
+    parts = _COMMAND.split(block)
     assert parts[0] == "", f"text before the first command: {parts[0]!r}"
     found = []
     for command, text in zip(parts[1::2], parts[2::2]):
@@ -44,22 +46,34 @@ def transcripts(block: str) -> list[tuple[list[str], str, int]]:
     return found
 
 
-CONSOLE = readme_blocks("console")
+def first_command(block: str) -> str:
+    """A console block's first command as written, on one line: the name of its case.
+
+    An edit elsewhere in the README leaves it, and so the case's name, as it is.
+    """
+    found = _COMMAND.search(block)
+    return " ".join(found[1].replace("\\\n", " ").split()) if found else "(no command)"
+
+
+CONSOLE = [text for _, text in readme_blocks("console")]
+FIRST_COMMANDS = list(map(first_command, CONSOLE))
 
 
 def test_the_readme_quotes_commands():
     # the CLI section, the exit codes and the scenario refusals each have some
     assert len(CONSOLE) >= 3
+    # each case is named by its block's first command, so no two blocks share one
+    assert len(set(FIRST_COMMANDS)) == len(FIRST_COMMANDS), FIRST_COMMANDS
 
 
-@pytest.mark.parametrize("block", CONSOLE, ids=[f"README.md:{line}" for line, _, _ in CONSOLE])
+@pytest.mark.parametrize("block", CONSOLE, ids=FIRST_COMMANDS)
 def test_console_block(block, tmp_path, monkeypatch, capsys):
-    for _, name, text in readme_blocks("ini"):
+    for name, text in readme_blocks("ini"):
         assert name, "an ini block names the file it is written to"
         (tmp_path / name).write_text(text, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its help to the terminal width
-    runs = transcripts(block[2])
+    runs = transcripts(block)
     assert runs
     for argv, text, code in runs:
         try:
@@ -73,7 +87,7 @@ def test_console_block(block, tmp_path, monkeypatch, capsys):
 
 def test_library_block():
     # a print whose line ends in "# -> text" prints that text, "..." matching anything
-    [(_, _, code)] = readme_blocks("python")
+    [(_, code)] = readme_blocks("python")
     printed = []
     exec(code, {"print": lambda *values: printed.append(" ".join(map(str, values)))})
     wants = [

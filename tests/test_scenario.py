@@ -310,7 +310,7 @@ def test_format_writes_every_key():
 
 def test_documented_examples_are_the_default_scenario():
     # both examples list every key at its default value
-    [ini] = [text for _, name, text in readme_blocks("ini") if name == "wave.scn"]
+    [ini] = [text for name, text in readme_blocks("ini") if name == "wave.scn"]
     docstring = rachsim.scenario.__doc__.split("load profile:", 1)[1].split("'#' starts", 1)[0]
     for text in (ini, docstring):
         assert parse_scenario_text(text) == default_scenario()
