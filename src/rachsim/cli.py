@@ -30,16 +30,17 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
 from itertools import combinations, islice, permutations, repeat, starmap
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .model import (
-    RachConfig, SettingError, check_integer, shown, throughput, utility, utility_of_load,
-)
+from . import model
+from .model import RachConfig, SettingError, check_integer, shown, throughput, utility
 from .optimizer import SATURATION_LOAD, optimal_subframes_integer, subframe_lookup_table
 from .scenario import ScenarioError, parse_scenario, read_number
 from .simulator import KIND_NAMES, ReplicationSet, Scenario, run_replications
+
+utility_of_load = model.utility_of_load  # benchmarks/tracing.py wraps cli.utility_of_load
 
 __all__ = ["main", "ComparisonReport", "build_report"]
 
@@ -61,7 +62,6 @@ _COMPARE_TABLE = (
     ("utility_num", "utility_num"), ("ci95_utility_sim", "ci95_utility_sim"),
 )
 RUN_COLUMNS = [header for header, _ in _RUN_TABLE]
-COMPARE_COLUMNS = [header for header, _ in _COMPARE_TABLE]
 
 # Bound on the frame rows (frames x replications x controllers) one command
 # simulates and holds until its CSV is written. A row costs at most about
@@ -77,40 +77,42 @@ MAX_FRAME_ROWS = 1_000_000
 CSV_CHUNK_ROWS = 1 << 10
 
 
-@contextmanager
-def _outputs(*paths: Path) -> Iterator[list[TextIO]]:
-    """A text handle per output path; each file ends up whole or as it was.
+def _write_outputs(outputs: dict[str, tuple[Path, Callable[[TextIO], object]]]) -> None:
+    """Write each flag's path by its writer; each file ends up whole or as it was.
 
-    A regular file's text goes to a temporary file in its directory, which
-    replaces it only after the text of every path is written and closed;
-    on any error the temporaries are removed and every path keeps what it
-    held. A replaced file gets the mode a plain open gives it: an existing
-    file's mode, else 0o666 less the umask. A path that exists but is not
-    a regular file (/dev/stdout, a FIFO) cannot be replaced and is written
-    directly. A symlink is followed, so its target is replaced.
+    A writer is given a text handle on its path. A regular file's text
+    goes to a temporary file in its directory, which replaces it only
+    after the text of every path is written and closed; on any error the
+    temporaries are removed and every path keeps what it held. A replaced
+    file gets the mode a plain open gives it: an existing file's mode,
+    else 0o666 less the umask. A path that exists but is not a regular
+    file (/dev/stdout, a FIFO) cannot be replaced and is written directly.
+    A symlink is followed, so its target is replaced. An OSError in
+    opening, writing or closing a file, or in replacing its path, is
+    raised again with the flag in front, as a refusal names its flag.
     """
-    handles: list[TextIO] = []
-    temporaries: dict[str, Path] = {}
+    temporaries: dict[str, tuple[str, Path, int]] = {}
     try:
-        for path in paths:
-            if path.exists() and not path.is_file():
-                handles.append(path.open("w", encoding="utf-8", newline=""))
-                continue
-            target = Path(os.path.realpath(path))
-            fd, temporary = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.")
-            temporaries[temporary] = target
-            handles.append(open(fd, "w", encoding="utf-8", newline=""))
-            os.chmod(temporary, _plain_mode(target))
-        yield handles
-        for handle in handles:
-            handle.close()
-        for temporary, target in temporaries.items():
-            os.replace(temporary, target)
+        for flag, (path, write) in outputs.items():
+            try:
+                file: Path | int = path
+                if path.is_file() or not path.exists():
+                    target = Path(os.path.realpath(path))
+                    mode = _plain_mode(target)
+                    file, temporary = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.")
+                    temporaries[temporary] = (flag, target, mode)
+                with open(file, "w", encoding="utf-8", newline="") as handle:
+                    write(handle)
+            except OSError as exc:
+                raise OSError(f"{flag}: {exc}") from exc
+        for temporary, (flag, target, mode) in temporaries.items():
+            try:
+                os.chmod(temporary, mode)
+                os.replace(temporary, target)
+            except OSError as exc:
+                raise OSError(f"{flag}: {exc}") from exc
         temporaries.clear()
     finally:
-        for handle in handles:
-            with suppress(OSError):
-                handle.close()
         for temporary in temporaries:
             with suppress(OSError):
                 os.unlink(temporary)
@@ -139,10 +141,12 @@ def _write_rows(handle: TextIO, rows: Iterable[Sequence[str]]) -> None:
         handle.write("\n".join(chunk) + "\n")
 
 
-def _table_rows(table: Sequence[tuple[str, str]], columns: dict) -> Iterable[tuple[str, ...]]:
-    """The cell text of table's rows, each column read from columns by source."""
-    sources = (columns[source] for _, source in table)
-    return zip(*(repeat(v) if isinstance(v, str) else _cells(v) for v in sources))
+def _write_table(handle: TextIO, table: Sequence[tuple[str, str]], *parts: dict) -> None:
+    """Write table's header, then each part's rows, a column read from the part by source."""
+    _write_rows(handle, [[header for header, _ in table]])
+    for part in parts:
+        sources = (part[source] for _, source in table)
+        _write_rows(handle, zip(*(repeat(v) if isinstance(v, str) else _cells(v) for v in sources)))
 
 
 def write_run_csv(
@@ -153,22 +157,19 @@ def write_run_csv(
     The per-replication rows are one table over every replication, each
     column raveled in replication order, so each column is formatted once.
     """
-    tp_num = _at_true_load(repset, lambda n, n_s: throughput(n, n_s, config.n_preambles))
-    ut_num = utility(tp_num, config.alpha, repset.columns["n_s_used"])
-    _write_rows(handle, [RUN_COLUMNS])
+    tp_num, ut_num = _at_true_load(repset, config)
     c = {name: column.ravel() for name, column in repset.columns.items()}
-    _write_rows(handle, _table_rows(_RUN_TABLE, {
+    means = repset.means
+    _write_table(handle, _RUN_TABLE, {
         **c, "controller": controller_name,
         "rep": np.repeat(repset.replication_ids, repset.n_frames),
         "throughput_sim": c["successes"].astype(np.float64),
         "throughput_num": tp_num.ravel(), "utility_num": ut_num.ravel(),
-    }))
-    means = repset.means
-    _write_rows(handle, _table_rows(_RUN_TABLE, {
+    }, {
         **means, "rep": "mean", "frame": np.arange(repset.n_frames),
         "controller": controller_name, "throughput_sim": means["successes"],
         "throughput_num": tp_num.mean(axis=0), "utility_num": ut_num.mean(axis=0),
-    }))
+    })
 
 
 def _cells(values: np.ndarray) -> list[str]:
@@ -187,15 +188,18 @@ def _cells(values: np.ndarray) -> list[str]:
     return np.array(["" if v != v else str(v) for v in items], dtype=object)[index].tolist()
 
 
-def _at_true_load(repset: ReplicationSet, model) -> np.ndarray:
-    """model(true_load, n_s_used) for every row, shaped (replications, frames).
+def _at_true_load(repset: ReplicationSet, config: RachConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Throughput and utility at (true_load, n_s_used) of every row, each (replications, frames).
 
-    The model runs once per distinct (true_load, n_s_used) pair; the pairs
-    recur, and each result is the scalar model's own float.
+    The scalar throughput runs once per distinct pair; the pairs recur, and
+    each result is its own float. The utility, throughput - alpha * n_s,
+    takes the same two float operations as the scalar utility_of_load.
     """
-    true_load = repset.columns["true_load"]
-    pairs = zip(true_load.ravel().tolist(), repset.columns["n_s_used"].ravel().tolist())
-    return np.array(list(starmap(functools.cache(model), pairs))).reshape(true_load.shape)
+    true_load, n_s = repset.columns["true_load"], repset.columns["n_s_used"]
+    eta = functools.cache(functools.partial(throughput, n_preambles=config.n_preambles))
+    pairs = zip(true_load.ravel().tolist(), n_s.ravel().tolist())
+    tp = np.array(list(starmap(eta, pairs))).reshape(true_load.shape)
+    return tp, utility(tp, config.alpha, n_s)
 
 
 @dataclass
@@ -242,14 +246,11 @@ def write_compare_csv(
     parts = [{
         **repset.means, "controller": np.full(repset.n_frames, name),
         "frame": np.arange(repset.n_frames), "ci95_utility_sim": repset.ci95_utility,
-        "utility_num": _at_true_load(
-            repset, lambda n, n_s: utility_of_load(n, n_s, config)
-        ).mean(axis=0),
+        "utility_num": _at_true_load(repset, config)[1].mean(axis=0),
     } for name, repset in repsets.items()]
-    _write_rows(handle, [COMPARE_COLUMNS])
-    _write_rows(handle, _table_rows(_COMPARE_TABLE, {
+    _write_table(handle, _COMPARE_TABLE, {
         source: np.concatenate([part[source] for part in parts]) for _, source in _COMPARE_TABLE
-    }))
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +334,9 @@ def cmd_run(args) -> int:
     names = [] if args.controller is None else [args.controller]
     scenario, repsets = _simulate(args, names, "--controller")
     [(name, repset)] = repsets.items()
-    with _outputs(Path(args.out)) as [handle]:
-        write_run_csv(handle, repset, name, scenario.config)
+    _write_outputs({"--out": (
+        Path(args.out), lambda handle: write_run_csv(handle, repset, name, scenario.config)
+    )})
     print(f"wrote {args.out}: {args.n_reps} replications x {repset.n_frames} frames ({name})")
     return 0
 
@@ -362,10 +364,8 @@ def cmd_table(args) -> int:
     with _flag_errors():
         table = subframe_lookup_table(config, args.step, args.max_load)
     thresholds = [t for t, _ in table.entries]
-    with _outputs(out, sweep_path) as (handle, sweep):
-        _write_rows(handle, [
-            ("load_threshold", "n_s"), *((repr(t), str(n)) for t, n in table.entries)
-        ])
+
+    def write_sweep(sweep: TextIO) -> None:
         sweep.write("load,n_s\n")
         for loads in table.grid.blocks():
             # the thresholds are grid points, so a block's loads from one
@@ -377,6 +377,13 @@ def cmd_table(args) -> int:
                 if start < end:
                     suffix = f",{k}\n"
                     sweep.write(suffix.join(map(repr, values[start:end])) + suffix)
+
+    _write_outputs({
+        "--out": (out, lambda handle: _write_rows(handle, [
+            ("load_threshold", "n_s"), *((repr(t), str(n)) for t, n in table.entries)
+        ])),
+        "--sweep-out": (sweep_path, write_sweep),
+    })
     print(f"wrote {out} ({len(table.entries)} thresholds) and {sweep_path}")
     return 0
 
@@ -386,8 +393,9 @@ def cmd_compare(args) -> int:
     if len(names) < 2:
         raise ScenarioError("--controllers: compare needs at least two controllers")
     scenario, repsets = _simulate(args, names, "--controllers")
-    with _outputs(Path(args.out)) as [handle]:
-        write_compare_csv(handle, repsets, scenario.config)
+    _write_outputs({"--out": (
+        Path(args.out), lambda handle: write_compare_csv(handle, repsets, scenario.config)
+    )})
     report = build_report(repsets)
     print("aggregate utility (sum of per-frame means):")
     for name in repsets:

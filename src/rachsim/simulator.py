@@ -719,10 +719,16 @@ def aggregate_runs(runs: list[TimeSeries]) -> ReplicationSet:
     return ReplicationSet(columns, [run.replication_id for run in runs], means, ci95_utility)
 
 
-# A share of jobs is forked off only if it outweighs the fork: a fork round
-# trip (fork, pickle a run back, reap) takes 3.6-4.8 ms at 40 MB RSS, while
+# A share of jobs is forked off only if it outweighs the fork. A round trip
+# (fork, pickle a run back, reap) takes 3.6-4.8 ms at 40 MB RSS, and after the
+# fork the calling process takes a copy-on-write fault on each page it writes
+# that the child still shares: beside a child that only sleeps, its share of
+# the stock compare took 19.5 ms against 15.4 ms alone (about 780 more minor
+# faults), and its share of a 5-rep TM2 run 62.6 against 56.5 ms (about 910).
 # 200 frame rows are 5.5-7 ms of serial work on traffic model 2 and about
-# 20 ms on the stock wave (best of five, 2-vCPU Xeon VM, Python 3.11).
+# 20 ms on the stock wave, and forking still pays on both: the whole call took
+# 28.3 ms forked against 30.3 ms serial on the stock compare, and 74.3 against
+# 91.6 ms on the TM2 run (medians of 10, 2-vCPU Xeon VM, Python 3.11).
 MIN_WORKER_ROWS = 200
 
 

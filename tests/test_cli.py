@@ -156,6 +156,43 @@ def test_run_zero_load_scenario(zero_scn, tmp_path, capsys):
         assert float(row["utility_sim"]) == -25.0 * float(row["n_s"])
 
 
+def test_the_num_columns_are_the_model_at_the_true_load(tmp_path, capsys):
+    # throughput_num and utility_num are the scalar model at (true_load, n_s),
+    # true_load being every device that wanted to contend, before barring
+    stock = tmp_path / "stock.scn"
+    stock.write_text(format_scenario(default_scenario()))
+    config = parse_scenario(stock).config
+    names = ["adaptive", "fixed", "acb", "max"]
+    flags = ["--scenario", str(stock), "--seed", "4", "--reps", "3"]
+    assert main(["compare", *flags, "--controllers", ",".join(names),
+                 "--out", str(tmp_path / "cmp.csv")]) == 0
+    compared = read_csv(tmp_path / "cmp.csv")
+    barred = 0
+    for name in names:
+        out = tmp_path / f"{name}.csv"
+        assert main(["run", *flags, "--controller", name, "--out", str(out)]) == 0
+        rows = read_csv(out)
+        per_rep = [r for r in rows if r["rep"] != "mean"]
+        assert len(per_rep) == 3 * 20
+        tp, ut = [], []
+        for row in per_rep:
+            load, n_s = int(row["true_load"]), int(row["n_s"])
+            barred += load != int(row["contenders"])
+            tp.append(throughput(load, n_s, config.n_preambles))
+            ut.append(utility_of_load(load, n_s, config))
+            assert (row["throughput_num"], row["utility_num"]) == (repr(tp[-1]), repr(ut[-1]))
+        # each mean row, and compare's row, holds the mean over replications
+        tp_mean, ut_mean = (np.reshape(v, (3, 20)).mean(axis=0).tolist() for v in (tp, ut))
+        means = [r for r in rows if r["rep"] == "mean"]
+        assert [r["throughput_num"] for r in means] == list(map(repr, tp_mean))
+        assert [r["utility_num"] for r in means] == list(map(repr, ut_mean))
+        assert [r["utility_num"] for r in compared if r["controller"] == name] == list(
+            map(repr, ut_mean)
+        )
+    # acb bars devices, so its true_load exceeds its contenders in some rows
+    assert barred > 0
+
+
 def test_run_scenario_not_utf8_exit_code(tmp_path, capsys):
     # a file that is not UTF-8 text is unreadable too; its decode error used to exit 3 unnamed
     latin1 = tmp_path / "f.scn"
@@ -739,7 +776,9 @@ def test_an_output_cut_short_leaves_every_path_as_it_was(small_scn, tmp_path, co
         path.write_bytes(f"earlier {path.name}\n".encode())
     done = python_dash_m_rachsim(command, *flags, preexec_fn=_limit_file_size)
     assert (done.returncode, done.stdout) == (3, "")
-    assert done.stderr == "error: [Errno 27] File too large\n"
+    # the message names the output that grew past the limit: table's sweep
+    flag = "--sweep-out" if command == "table" else "--out"
+    assert done.stderr == f"error: {flag}: [Errno 27] File too large\n"
     assert sorted(outputs.iterdir()) == (paths if earlier else [])
     for path in paths if earlier else ():
         assert path.read_text() == f"earlier {path.name}\n"
@@ -748,6 +787,40 @@ def test_an_output_cut_short_leaves_every_path_as_it_was(small_scn, tmp_path, co
     assert main([command, *flags]) == 0
     assert sorted(outputs.iterdir()) == paths
     assert paths[-1].stat().st_size > FILE_SIZE_LIMIT
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("table", "--out"), ("table", "--sweep-out"), ("run", "--out"),
+])
+def test_a_failed_write_names_its_flag(small_scn, tmp_path, capsys, command, flag):
+    # the error used to name no output: "error: [Errno 28] No space left on device"
+    paths = {"--out": tmp_path / "o.csv"}
+    if command == "table":
+        args = ["table", "--alpha", "25"]
+        paths["--sweep-out"] = tmp_path / "s.csv"
+    else:
+        args = ["run", "--scenario", str(small_scn), "--reps", "2"]
+    earlier = {path: f"earlier {path.name}\n" for path in paths.values()}
+    for path, text in earlier.items():
+        path.write_text(text)
+    paths[flag] = Path("/dev/full")
+    for other, path in paths.items():
+        args += [other, str(path)]
+    assert main(args) == 3
+    assert capsys.readouterr() == ("", f"error: {flag}: [Errno 28] No space left on device\n")
+    # every file keeps what it held, and no temporary is left beside them
+    assert {path: path.read_text() for path in tmp_path.iterdir() if path != small_scn} == earlier
+
+
+def test_a_failed_replace_names_its_flag(tmp_path, capsys, monkeypatch):
+    def refuse(source, target):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    out, sweep = tmp_path / "t.csv", tmp_path / "s.csv"
+    assert main(["table", "--alpha", "25", "--out", str(out), "--sweep-out", str(sweep)]) == 3
+    assert capsys.readouterr().err == "error: --out: [Errno 13] Permission denied\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_outputs_get_the_mode_a_plain_open_gives(tmp_path, capsys):
