@@ -14,7 +14,8 @@ compare  run several controllers on common random numbers, write a merged
 Numbers are written in their shortest round-trippable decimal form, so a
 repeated invocation with the same scenario and seed produces a
 byte-identical file. Exit codes: 0 ok, 2 argument or scenario problems,
-3 runtime or model failures.
+3 runtime or model failures, 128 + the signal number when SIGHUP, SIGINT
+or SIGTERM interrupts a command.
 """
 
 from __future__ import annotations
@@ -23,9 +24,11 @@ import argparse
 import functools
 import math
 import os
+import signal
 import stat
 import sys
 import tempfile
+import threading
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
 from itertools import combinations, islice, permutations, repeat, starmap
@@ -61,7 +64,6 @@ _COMPARE_TABLE = (
     ("est_load", "est_load"), ("successes", "successes"), ("utility_sim", "utility"),
     ("utility_num", "utility_num"), ("ci95_utility_sim", "ci95_utility_sim"),
 )
-RUN_COLUMNS = [header for header, _ in _RUN_TABLE]
 
 # Bound on the frame rows (frames x replications x controllers) one command
 # simulates and holds until its CSV is written. A row costs at most about
@@ -490,14 +492,42 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Interrupted(KeyboardInterrupt):
+    """A SIGTERM or SIGHUP, raised where the command is as Ctrl-C's KeyboardInterrupt is."""
+
+
+def _interrupt(signum: int, frame) -> None:
+    raise _Interrupted(signum)
+
+
+# The signals main turns into _Interrupted; SIGINT raises KeyboardInterrupt itself.
+_INTERRUPTS = (signal.SIGTERM, signal.SIGHUP)
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code (see the module docstring).
+
+    On the main thread, SIGTERM and SIGHUP interrupt the command as Ctrl-C
+    does, for the length of the call: output files are left as they were,
+    forked workers are killed, and one line names the signal.
+    """
     parser = _build_parser()
+    previous = {}
+    if threading.current_thread() is threading.main_thread():
+        previous = {signum: signal.signal(signum, _interrupt) for signum in _INTERRUPTS}
     try:
         args = parser.parse_args(argv)  # a flag's refused text is a ScenarioError
         return args.func(args)
     except (ScenarioError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ScenarioError) else 3
+    except KeyboardInterrupt as exc:  # every finally has run
+        signum = exc.args[0] if isinstance(exc, _Interrupted) else signal.SIGINT
+        print(f"error: interrupted by {signal.Signals(signum).name}", file=sys.stderr)
+        return 128 + signum
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
 
 
 if __name__ == "__main__":

@@ -63,8 +63,6 @@ def lambert_w(x: float, branch: WBranch = WBranch.PRINCIPAL) -> float:
             raise ValueError("lambert_w: lower branch requires -1/e <= x < 0")
     elif branch is not WBranch.PRINCIPAL:
         raise TypeError(f"lambert_w: unknown branch {branch!r}")
-    if x == BRANCH_POINT:
-        return -1.0
 
     w = _initial_guess(x, branch)
     for _ in range(_MAX_ITER):

@@ -35,7 +35,7 @@ from typing import Iterator
 import numpy as np
 
 from .lambertw import BelowBranchPointError, WBranch, lambert_w
-from .model import RachConfig, SettingError, check_range, utility_of_load
+from .model import RachConfig, SettingError, check_range, utility, utility_of_load
 
 __all__ = [
     "SATURATION_LOAD",
@@ -172,7 +172,7 @@ def _utilities(
     # is exactly the int one model.throughput divides by
     column = counts[:, None].astype(np.float64)
     capacity = column * float(config.n_preambles)
-    utilities = loads * np.exp(-loads / capacity) - config.alpha * column
+    utilities = utility(loads * np.exp(-loads / capacity), config.alpha, column)
     return utilities, NEAR_TIE_RTOL * (1.0 + loads + config.alpha * config.n_s_max)
 
 

@@ -29,7 +29,9 @@ records are columns, one array per FrameOutcome field, checked once per run.
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import importlib
 import itertools
 import math
 import os
@@ -359,8 +361,8 @@ class Controller:
         """Split the pool's attempt counts into (admitted, barred, barred due frames)."""
         return pool, _NO_DEVICES, _NO_DEVICES
 
-    def observe_counts(self, successes: int, idle: int, n_s: int) -> float | None:
-        """Take one frame's counts and return the load estimate, if the controller makes one."""
+    def observe_counts(self, successes: int, idle: int) -> float | None:
+        """Take the counts of the frame just run at n_s; return the load estimate, if any."""
         return None
 
 
@@ -393,10 +395,10 @@ class AdaptiveController(Controller):
         self._history: deque[float] = deque(maxlen=window)
         self._estimate, self._decide = memo or _adaptive_memo(config, table_max_load)
 
-    def observe_counts(self, successes, idle, n_s):
-        branch = classify_load_branch(idle, n_s * self._config.n_preambles)
+    def observe_counts(self, successes, idle):
+        branch = classify_load_branch(idle, self.n_s * self._config.n_preambles)
         try:
-            raw = self._estimate(successes, n_s, branch)
+            raw = self._estimate(successes, self.n_s, branch)
         except InconsistentObservationError:
             self.fallback = True
             self.n_s = self._config.n_s_max
@@ -654,7 +656,7 @@ def run_scenario(scenario: Scenario, seed: int, replication_id: int = 0, memo=No
                 first = int(live.argmax())
                 due, attempts = due[first:], attempts[first:]
 
-        est = controller.observe_counts(successes, idle, n_s)
+        est = controller.observe_counts(successes, idle)
         rows.append((
             frame, n_s, arrivals, n_admitted, successes, collisions, n_losers, idle,
             n_pool, est, utility(successes, alpha, n_s), controller.fallback,
@@ -761,15 +763,38 @@ def _run_share(
     return runs, None
 
 
+# prctl(2)'s option that names the signal a process gets when its parent dies
+_PR_SET_PDEATHSIG = 1
+
+# The signals a fork holds off until the child has its own handlers: the
+# caller's handlers would unwind the child's copy of the caller's stack.
+_HELD = (signal.SIGINT, signal.SIGTERM, signal.SIGHUP)
+
+
 def _report(
-    scenarios: Sequence[Scenario], share: list[tuple[int, int]], base_seed: int, write_end: int
+    scenarios: Sequence[Scenario], share: list[tuple[int, int]], base_seed: int,
+    write_end: int, parent: int, mask: set,
 ) -> NoReturn:
-    """In a forked child: run the share, pickle its (runs, failure) into the pipe and exit."""
+    """In a forked child: run the share, pickle its (runs, failure) into the pipe and exit.
+
+    The child is forked with _HELD blocked. It takes the default action of
+    SIGTERM and SIGHUP, asks to be killed when its parent dies, and only
+    then restores the signal mask, mask. So it dies with its parent also
+    when the parent is killed by SIGKILL, or by a signal whose handler
+    raises before the parent holds the child's pid.
+    """
     status = 1
     try:
-        with open(write_end, "wb") as pipe:
-            pickle.dump(_run_share(scenarios, share, base_seed), pipe, pickle.HIGHEST_PROTOCOL)
-        status = 0
+        for signum in (signal.SIGTERM, signal.SIGHUP):
+            signal.signal(signum, signal.SIG_DFL)
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        if os.getppid() == parent:  # else the parent died before prctl
+            with open(write_end, "wb") as pipe:
+                pickle.dump(_run_share(scenarios, share, base_seed), pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
     finally:
         os._exit(status)  # runs none of the parent's exit handlers, flushes none of its buffers
 
@@ -791,7 +816,11 @@ def run_replications(
     jobs, the lowest one's error is raised (the first scenario's, then
     the lowest-numbered replication's), as one loop in order would; a
     child that dies without reporting counts as its first job failing
-    with ChildProcessError. No child outlives the call.
+    with ChildProcessError. The children are killed and reaped before the
+    call returns or raises, also when a KeyboardInterrupt, or the CLI's
+    SIGTERM or SIGHUP, interrupts it. One whose fork is interrupted before
+    the call holds its pid is not, but like every child it dies with this
+    process, also when SIGKILL ends it.
     """
     check_integer("n_reps", n_reps, 1)
     check_integer("base_seed", base_seed, 0)
@@ -799,16 +828,26 @@ def run_replications(
     jobs = [(s, i) for s in range(len(scenarios)) for i in range(n_reps)]
     workers = max(1, min(len(jobs), _usable_cpus(), rows // MIN_WORKER_ROWS))
     first, *shares = (jobs[k::workers] for k in range(workers))
+    # numpy imports numpy.random, about 10 ms, at its first use. Done here,
+    # before any fork, it is done once: the children inherit it. And it is
+    # over before a worker runs: a bare except in numpy.random's Cython module
+    # code swallows the exception a signal handler raises during the import.
+    importlib.import_module("numpy.random")
+    parent = os.getpid()
     children = {}  # pid -> (read end of its pipe, its share), until reaped
     try:
         for share in shares:
             read_end, write_end = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                os.close(read_end)
-                _report(scenarios, share, base_seed, write_end)
-            os.close(write_end)
-            children[pid] = (open(read_end, "rb"), share)
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, _HELD)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    os.close(read_end)
+                    _report(scenarios, share, base_seed, write_end, parent, mask)
+                os.close(write_end)
+                children[pid] = (open(read_end, "rb"), share)
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         reports = [_run_share(scenarios, first, base_seed)]
         for pid, (pipe, share) in list(children.items()):
             try:

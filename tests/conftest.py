@@ -1,5 +1,6 @@
 """Shared test helpers: independent oracles kept free of library code, a row view,
-a worker count for run_replications, and the README's fenced blocks."""
+a worker count for run_replications, the environment of a rachsim subprocess, and
+the README's fenced blocks."""
 
 import math
 import os
@@ -20,6 +21,13 @@ def readme_blocks(language: str) -> list[tuple[str, str]]:
     the text inside the fences)."""
     text = README.read_text(encoding="utf-8")
     return [(block[2], block[3]) for block in _FENCE.finditer(text) if block[1] == language]
+
+
+def rachsim_env() -> dict[str, str]:
+    """This process's environment with the rachsim under test first on PYTHONPATH."""
+    src = str(Path(rachsim.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
 
 
 def force_workers(monkeypatch, workers: int) -> None:

@@ -5,23 +5,23 @@ import math
 import os
 import re
 import resource
+import signal
 import stat
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import rachsim
 import rachsim.cli
 import rachsim.optimizer
 import rachsim.scenario
 import rachsim.simulator
 from rachsim.cli import (
     MAX_FRAME_ROWS,
-    RUN_COLUMNS,
     _build_parser,
     _check_frame_rows,
     _config_from_args,
@@ -42,11 +42,19 @@ from rachsim.simulator import (
 from rachsim.scenario import (
     MAX_SCENARIO_BYTES, default_scenario, format_scenario, parse_scenario,
 )
+from conftest import rachsim_env
 
 TM2 = Path(__file__).resolve().parents[1] / "benchmarks" / "scenarios" / "tm2_beta.scn"
 
 SMALL = "[load]\nsegments = 0:5:0:200, 5:10:200:0\n"
 ZERO = "[load]\nsegments = 0:6:0:0\n"
+
+# run's header, as the README's CSV schema lists it
+RUN_COLUMNS = [
+    "rep", "frame", "controller", "n_s", "arrivals", "contenders", "successes",
+    "collided_devices", "idle", "est_load", "true_load", "throughput_sim",
+    "throughput_num", "utility_sim", "utility_num",
+]
 
 
 @pytest.fixture
@@ -744,11 +752,8 @@ def test_pair_bound_applies_to_simulations_only(tmp_path, capsys):
 
 
 def python_dash_m_rachsim(*args: str, **kwargs) -> subprocess.CompletedProcess:
-    src = str(Path(rachsim.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     return subprocess.run([sys.executable, "-m", "rachsim", *args],
-                          env=env, capture_output=True, text=True, timeout=60, **kwargs)
+                          env=rachsim_env(), capture_output=True, text=True, timeout=60, **kwargs)
 
 
 FILE_SIZE_LIMIT = 1024
@@ -787,6 +792,53 @@ def test_an_output_cut_short_leaves_every_path_as_it_was(small_scn, tmp_path, co
     assert main([command, *flags]) == 0
     assert sorted(outputs.iterdir()) == paths
     assert paths[-1].stat().st_size > FILE_SIZE_LIMIT
+
+
+INTERRUPTS = [signal.SIGTERM, signal.SIGHUP, signal.SIGINT]
+
+
+@pytest.fixture
+def sigint_raises():
+    """Python's own SIGINT handler, which a process started with SIGINT ignored lacks."""
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    yield
+    signal.signal(signal.SIGINT, previous)
+
+
+@pytest.mark.parametrize("signum", INTERRUPTS)
+def test_a_signal_mid_write_leaves_the_path_as_it_was(
+    small_scn, tmp_path, monkeypatch, capsys, sigint_raises, signum
+):
+    out = tmp_path / "o.csv"
+    out.write_text("earlier\n")
+    write_rows = rachsim.cli._write_rows
+
+    def write_then_signal(handle, rows):  # the header, then the signal
+        write_rows(handle, rows)
+        os.kill(os.getpid(), signum)
+        handle.write("a row after the signal\n")
+
+    monkeypatch.setattr(rachsim.cli, "_write_rows", write_then_signal)
+    handlers = [signal.getsignal(s) for s in INTERRUPTS]
+    argv = ["run", "--scenario", str(small_scn), "--reps", "2", "--out", str(out)]
+    assert main(argv) == 128 + signum
+    assert capsys.readouterr() == ("", f"error: interrupted by {signum.name}\n")
+    # no temporary file is left beside it, and main put the handlers back
+    assert sorted(tmp_path.iterdir()) == [out, small_scn]
+    assert out.read_text() == "earlier\n"
+    assert [signal.getsignal(s) for s in INTERRUPTS] == handlers
+
+
+def test_main_runs_outside_the_main_thread(capsys):
+    # signal.signal works only on the main thread; elsewhere main installs no handler
+    codes = []
+    thread = threading.Thread(
+        target=lambda: codes.append(main(["optimize", "--load", "70", "--alpha", "2"]))
+    )
+    thread.start()
+    thread.join()
+    assert codes == [0]
+    assert capsys.readouterr().out == "n_s=6 utility=46.33507695015013\n"
 
 
 @pytest.mark.parametrize("command, flag", [

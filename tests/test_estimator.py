@@ -141,7 +141,8 @@ def raw_is_successes(monkeypatch):
 
 def smooth(controller, raw):
     """Feed the controller a light-load frame whose raw estimate is raw; its window mean."""
-    return controller.observe_counts(raw, 128, 2)
+    controller.n_s = 2
+    return controller.observe_counts(raw, 128)
 
 
 def test_smooth_single_and_mean(raw_is_successes):

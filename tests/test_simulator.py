@@ -50,7 +50,7 @@ from conftest import force_workers, runs_of
 from stream_equivalence import ALPHA, compare_streams, holm_rejected, main, welch_p
 
 TM2 = Path(__file__).resolve().parents[1] / "benchmarks" / "scenarios" / "tm2_beta.scn"
-# observe_counts arguments (successes, idle, n_s) at 64 preambles:
+# a recorded frame (successes, idle, n_s) at 64 preambles:
 # 70 successes on 128 pairs is beyond any load's expectation
 INCONSISTENT = (70, 28, 2)
 
@@ -59,6 +59,12 @@ TRIANGLE = LoadProfile((ProfileSegment(0, 10, 0.0, 600.0), ProfileSegment(10, 20
 
 def make_devices(n):
     return [DeviceState(id=i) for i in range(n)]
+
+
+def replay(controller, successes, idle, n_s):
+    """Feed the controller a recorded frame run at n_s; its load estimate."""
+    controller.n_s = n_s
+    return controller.observe_counts(successes, idle)
 
 
 # ---------------------------------------------------------------------------
@@ -534,12 +540,12 @@ def test_adaptive_tracks_load_up_and_down():
 
 def test_adaptive_fallback_pins_maximum():
     controller = AdaptiveController(RachConfig(), 1, 700.0)
-    est = controller.observe_counts(*INCONSISTENT)
+    est = replay(controller, *INCONSISTENT)
     assert est is None
     assert controller.fallback
     assert controller.n_s == 8
     # a sane observation afterwards recovers
-    est = controller.observe_counts(successes=30, idle=477, n_s=8)
+    est = replay(controller, successes=30, idle=477, n_s=8)
     assert est is not None
     assert not controller.fallback
 
@@ -611,7 +617,7 @@ def test_adaptive_memo_matches_direct_calls(window, monkeypatch):
     misses = record_misses(monkeypatch, "estimate_load", "decide_subframes")
     for _ in range(2):  # a new controller starts with empty caches
         controller = AdaptiveController(cfg, window, 700.0)
-        got = [(controller.observe_counts(*obs), controller.n_s) for obs in observations]
+        got = [(replay(controller, *obs), controller.n_s) for obs in observations]
         assert got == expected
         assert misses == {"estimate_load": estimates, "decide_subframes": decisions}
         for calls in misses.values():
@@ -661,10 +667,10 @@ def test_adaptive_memo_never_keeps_an_inconsistent_observation(monkeypatch):
     controller = AdaptiveController(cfg, 1, 700.0)
     sane = (30, 93, 2)
     for _ in range(2):
-        assert controller.observe_counts(*INCONSISTENT) is None
+        assert replay(controller, *INCONSISTENT) is None
         assert controller.fallback
         assert controller.n_s == cfg.n_s_max
-        assert controller.observe_counts(*sane) is not None
+        assert replay(controller, *sane) is not None
         assert not controller.fallback
         assert controller.n_s == cfg.n_s_min
     bad = (70, 2, 64, classify_load_branch(28, 128))

@@ -2,7 +2,10 @@
 
 import os
 import signal
+import subprocess
 import sys
+import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +16,7 @@ from rachsim.cli import main
 from rachsim.model import SettingError
 from rachsim.scenario import parse_scenario
 from rachsim.simulator import run_replications, run_scenario
-from conftest import force_workers
+from conftest import force_workers, rachsim_env
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "benchmarks" / "scenarios"
 TM2 = SCENARIOS / "tm2_beta.scn"
@@ -307,3 +310,95 @@ def test_forks_per_command_on_two_cpus(argv, forked, tmp_path, monkeypatch):
     assert main(argv + ["--out", str(tmp_path / "o.csv")]) == 0
     assert len(pids) == forked
     assert_no_child()
+
+
+# `python -m rachsim` with two usable CPUs whatever the affinity of the test,
+# so that a run of enough frame rows forks a worker
+ON_TWO_CPUS = (
+    "import os, sys\n"
+    "os.sched_getaffinity = lambda pid: {0, 1}\n"
+    "from rachsim.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
+@contextmanager
+def forked_run(tmp_path, reps=300):
+    """A forked TM2 `run` (300 replications take about 4 s) in a new process, once its
+    worker exists: (process, workers).
+
+    The process starts with SIGINT at its default, as a terminal's command does
+    (a background job of a non-interactive shell starts with it ignored). It is
+    killed, if it still runs, when the block ends.
+    """
+    argv = ["run", "--scenario", str(TM2), "--reps", str(reps), "--out", str(tmp_path / "o.csv")]
+    proc = subprocess.Popen(
+        [sys.executable, "-c", ON_TWO_CPUS, *argv], env=rachsim_env(), text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+    )
+    with proc:
+        try:
+            children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+            deadline = time.monotonic() + 30
+            while not (workers := children.read_text().split()) and proc.poll() is None:
+                assert time.monotonic() < deadline, "no worker within 30 s"
+                time.sleep(0.001)
+            assert workers, "no worker was forked"
+            yield proc, [int(pid) for pid in workers]
+        finally:
+            proc.kill()
+
+
+def live(pid):
+    """Whether the process runs: it exists and is no zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
+def end_within_a_second(proc, signum, workers) -> int:
+    """Send signum to the process; its exit code, once it and its workers are gone.
+
+    The worker's share takes seconds, so a process that waits for it fails.
+    """
+    proc.send_signal(signum)
+    deadline = time.monotonic() + 1.0
+    # the workers hold the output pipes too, so wait for the process alone
+    code = proc.wait(timeout=60)
+    while any(map(live, workers)) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert time.monotonic() < deadline and not any(map(live, workers)), workers
+    return code
+
+
+@forks
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP, signal.SIGINT])
+def test_a_signal_ends_a_forked_run_in_one_line(signum, tmp_path):
+    out = tmp_path / "o.csv"
+    out.write_text("earlier\n")
+    with forked_run(tmp_path) as (proc, workers):
+        assert end_within_a_second(proc, signum, workers) == 128 + signum
+        assert proc.communicate() == ("", f"error: interrupted by {signum.name}\n")
+    assert list(tmp_path.iterdir()) == [out]
+    assert out.read_text() == "earlier\n"
+
+
+@forks
+def test_a_worker_dies_with_its_killed_parent(tmp_path):
+    with forked_run(tmp_path) as (proc, workers):
+        assert end_within_a_second(proc, signal.SIGKILL, workers) == -signal.SIGKILL
+
+
+@forks
+def test_a_worker_ends_at_its_own_sigterm(tmp_path):
+    # at the default action, not by the parent's handler, which would unwind
+    # the worker's copy of the command as an interrupted command
+    with forked_run(tmp_path, reps=40) as (proc, [worker]):
+        os.kill(worker, signal.SIGTERM)
+        stdout, stderr = proc.communicate(timeout=60)
+    assert (proc.returncode, stdout) == (3, "")
+    assert stderr.startswith("error: the process running adaptive replications 1, 3, 5, ..., 39")
+    assert stderr.endswith(" was killed by signal 15 without reporting\n")
