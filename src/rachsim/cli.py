@@ -508,13 +508,17 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code (see the module docstring).
 
     On the main thread, SIGTERM and SIGHUP interrupt the command as Ctrl-C
-    does, for the length of the call: output files are left as they were,
-    forked workers are killed, and one line names the signal.
+    does, for the length of the call, unless the caller ignores them: output
+    files are left as they were, forked workers are killed, and one line
+    names the signal.
     """
     parser = _build_parser()
     previous = {}
     if threading.current_thread() is threading.main_thread():
-        previous = {signum: signal.signal(signum, _interrupt) for signum in _INTERRUPTS}
+        previous = {  # an ignored signal stays ignored, as nohup asks of SIGHUP
+            signum: signal.signal(signum, _interrupt)
+            for signum in _INTERRUPTS if signal.getsignal(signum) is not signal.SIG_IGN
+        }
     try:
         args = parser.parse_args(argv)  # a flag's refused text is a ScenarioError
         return args.func(args)

@@ -778,15 +778,17 @@ def _report(
     """In a forked child: run the share, pickle its (runs, failure) into the pipe and exit.
 
     The child is forked with _HELD blocked. It takes the default action of
-    SIGTERM and SIGHUP, asks to be killed when its parent dies, and only
-    then restores the signal mask, mask. So it dies with its parent also
-    when the parent is killed by SIGKILL, or by a signal whose handler
-    raises before the parent holds the child's pid.
+    SIGTERM and SIGHUP, or keeps ignoring one its parent ignores (as nohup
+    does SIGHUP), asks to be killed when its parent dies, and only then
+    restores the signal mask, mask. So it dies with its parent also when
+    the parent is killed by SIGKILL, or by a signal whose handler raises
+    before the parent holds the child's pid.
     """
     status = 1
     try:
         for signum in (signal.SIGTERM, signal.SIGHUP):
-            signal.signal(signum, signal.SIG_DFL)
+            if signal.getsignal(signum) is not signal.SIG_IGN:
+                signal.signal(signum, signal.SIG_DFL)
         prctl = ctypes.CDLL(None).prctl
         prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
         prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
@@ -835,11 +837,12 @@ def run_replications(
     importlib.import_module("numpy.random")
     parent = os.getpid()
     children = {}  # pid -> (read end of its pipe, its share), until reaped
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, [])  # the caller's, to restore
     try:
         for share in shares:
-            read_end, write_end = os.pipe()
-            mask = signal.pthread_sigmask(signal.SIG_BLOCK, _HELD)
             try:
+                signal.pthread_sigmask(signal.SIG_BLOCK, _HELD)  # may raise, having blocked
+                read_end, write_end = os.pipe()
                 pid = os.fork()
                 if pid == 0:
                     os.close(read_end)

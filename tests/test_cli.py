@@ -798,16 +798,20 @@ INTERRUPTS = [signal.SIGTERM, signal.SIGHUP, signal.SIGINT]
 
 
 @pytest.fixture
-def sigint_raises():
-    """Python's own SIGINT handler, which a process started with SIGINT ignored lacks."""
-    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+def interruptible():
+    """Python's own SIGINT handler, which a process started with SIGINT ignored
+    lacks, and SIGTERM and SIGHUP at their defaults, which main replaces;
+    under nohup SIGHUP starts ignored, and main leaves it so."""
+    defaults = [signal.SIG_DFL, signal.SIG_DFL, signal.default_int_handler]
+    previous = [signal.signal(s, handler) for s, handler in zip(INTERRUPTS, defaults)]
     yield
-    signal.signal(signal.SIGINT, previous)
+    for s, handler in zip(INTERRUPTS, previous):
+        signal.signal(s, handler)
 
 
 @pytest.mark.parametrize("signum", INTERRUPTS)
 def test_a_signal_mid_write_leaves_the_path_as_it_was(
-    small_scn, tmp_path, monkeypatch, capsys, sigint_raises, signum
+    small_scn, tmp_path, monkeypatch, capsys, interruptible, signum
 ):
     out = tmp_path / "o.csv"
     out.write_text("earlier\n")
@@ -827,6 +831,25 @@ def test_a_signal_mid_write_leaves_the_path_as_it_was(
     assert sorted(tmp_path.iterdir()) == [out, small_scn]
     assert out.read_text() == "earlier\n"
     assert [signal.getsignal(s) for s in INTERRUPTS] == handlers
+
+
+def test_main_leaves_an_ignored_signal_ignored(
+    small_scn, tmp_path, monkeypatch, capsys, interruptible
+):
+    # as under nohup, which starts the command with SIGHUP ignored
+    signal.signal(signal.SIGHUP, signal.SIG_IGN)
+    seen = []
+    cmd_run = rachsim.cli.cmd_run
+
+    def run_seeing_handlers(args):
+        seen.extend(signal.getsignal(s) for s in INTERRUPTS)
+        return cmd_run(args)
+
+    monkeypatch.setattr(rachsim.cli, "cmd_run", run_seeing_handlers)
+    argv = ["run", "--scenario", str(small_scn), "--reps", "2", "--out", str(tmp_path / "o")]
+    assert main(argv) == 0
+    assert seen == [rachsim.cli._interrupt, signal.SIG_IGN, signal.default_int_handler]
+    assert signal.getsignal(signal.SIGHUP) is signal.SIG_IGN
 
 
 def test_main_runs_outside_the_main_thread(capsys):

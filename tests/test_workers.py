@@ -322,20 +322,28 @@ ON_TWO_CPUS = (
 )
 
 
+INTERRUPTS = [signal.SIGTERM, signal.SIGHUP, signal.SIGINT]
+
+
 @contextmanager
-def forked_run(tmp_path, reps=300):
+def forked_run(tmp_path, reps=300, ignored=None):
     """A forked TM2 `run` (300 replications take about 4 s) in a new process, once its
     worker exists: (process, workers).
 
-    The process starts with SIGINT at its default, as a terminal's command does
-    (a background job of a non-interactive shell starts with it ignored). It is
-    killed, if it still runs, when the block ends.
+    The process starts with SIGTERM, SIGHUP and SIGINT at their defaults, as a
+    terminal's command does (a background job of a non-interactive shell
+    starts with SIGINT ignored), but for the signal ignored, which it starts
+    ignoring, as nohup does SIGHUP. It is killed, if it still runs, when the
+    block ends.
     """
+    def start_with_defaults():
+        for signum in INTERRUPTS:
+            signal.signal(signum, signal.SIG_IGN if signum == ignored else signal.SIG_DFL)
+
     argv = ["run", "--scenario", str(TM2), "--reps", str(reps), "--out", str(tmp_path / "o.csv")]
     proc = subprocess.Popen(
         [sys.executable, "-c", ON_TWO_CPUS, *argv], env=rachsim_env(), text=True,
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, preexec_fn=start_with_defaults,
     )
     with proc:
         try:
@@ -375,7 +383,7 @@ def end_within_a_second(proc, signum, workers) -> int:
 
 
 @forks
-@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP, signal.SIGINT])
+@pytest.mark.parametrize("signum", INTERRUPTS)
 def test_a_signal_ends_a_forked_run_in_one_line(signum, tmp_path):
     out = tmp_path / "o.csv"
     out.write_text("earlier\n")
@@ -384,6 +392,51 @@ def test_a_signal_ends_a_forked_run_in_one_line(signum, tmp_path):
         assert proc.communicate() == ("", f"error: interrupted by {signum.name}\n")
     assert list(tmp_path.iterdir()) == [out]
     assert out.read_text() == "earlier\n"
+
+
+@forks
+@pytest.mark.parametrize("signum", INTERRUPTS)
+def test_a_forked_run_started_with_a_signal_ignored_keeps_ignoring_it(
+    signum, tmp_path, capsys
+):
+    # as `nohup rachsim run ...` does at a hangup, which reaches the whole job
+    out = tmp_path / "o.csv"
+    with forked_run(tmp_path, reps=40, ignored=signum) as (proc, workers):
+        for pid in [proc.pid, *workers]:
+            os.kill(pid, signum)
+        stdout, stderr = proc.communicate(timeout=60)
+    assert (proc.returncode, stderr) == (0, "")
+    assert stdout == f"wrote {out}: 40 replications x 1000 frames (adaptive)\n"
+    # the same file as a run that no signal reached
+    argv = ["run", "--scenario", str(TM2), "--reps", "40", "--out", str(tmp_path / "p.csv")]
+    assert main(argv) == 0
+    assert out.read_bytes() == (tmp_path / "p.csv").read_bytes()
+
+
+@forks
+def test_an_interrupted_mask_call_leaves_the_mask_as_it_was(monkeypatch):
+    # pthread_sigmask runs pending signals' handlers after its system call,
+    # so a Ctrl-C's KeyboardInterrupt can leave it with SIGINT just blocked
+    force_workers(monkeypatch, 2)
+    block = signal.pthread_sigmask
+
+    def block_then_interrupt(how, signals):
+        mask = block(how, signals)
+        if how == signal.SIG_BLOCK and set(signals) == {signal.SIGINT, signal.SIGTERM, signal.SIGHUP}:
+            raise KeyboardInterrupt
+        return mask
+
+    before = block(signal.SIG_BLOCK, [])
+    fds = os.listdir("/proc/self/fd")
+    monkeypatch.setattr(signal, "pthread_sigmask", block_then_interrupt)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            run_replications([parse_scenario(STOCK)], 2)
+        assert block(signal.SIG_BLOCK, []) == before
+    finally:
+        block(signal.SIG_SETMASK, before)
+    assert os.listdir("/proc/self/fd") == fds  # no pipe was left open
+    assert_no_child()
 
 
 @forks
