@@ -33,7 +33,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
 from itertools import combinations, islice, permutations, repeat, starmap
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from . import model
 from .model import RachConfig, SettingError, check_integer, shown, throughput, utility
 from .optimizer import SATURATION_LOAD, optimal_subframes_integer, subframe_lookup_table
 from .scenario import ScenarioError, parse_scenario, read_number
-from .simulator import KIND_NAMES, ReplicationSet, Scenario, run_replications
+from .simulator import INTERRUPTS, KIND_NAMES, ReplicationSet, Scenario, run_replications
 
 utility_of_load = model.utility_of_load  # benchmarks/tracing.py wraps cli.utility_of_load
 
@@ -64,6 +64,7 @@ _COMPARE_TABLE = (
     ("est_load", "est_load"), ("successes", "successes"), ("utility_sim", "utility"),
     ("utility_num", "utility_num"), ("ci95_utility_sim", "ci95_utility_sim"),
 )
+_THRESHOLDS_TABLE = (("load_threshold", "load_threshold"), ("n_s", "n_s"))
 
 # Bound on the frame rows (frames x replications x controllers) one command
 # simulates and holds until its CSV is written. A row costs at most about
@@ -72,10 +73,15 @@ _COMPARE_TABLE = (
 MAX_FRAME_ROWS = 1_000_000
 
 
-# Rows per write of a CSV: its text is built and written this many rows at a
-# time, about 0.12 MB, so that no file is held whole. Larger chunks wrote no
-# faster and raised the writer's peak memory: 4096-row chunks added about
-# 0.9 MB to the peak of a 5-replication, 1000-frame run.
+# Rows per write of a CSV: its lines are joined and written this many rows at
+# a time, about 0.12 MB. The cells are not: _write_table formats every column
+# of a part first, so each column's cell list and its distinct strings are
+# held for the whole part, about 130 B a row (VmHWM 92.5 -> 131.5 MB inside
+# write_run_csv for `run --scenario tm2_beta.scn --reps 300`). Formatting
+# the cells a chunk at a time loses _cells' whole-column dedup: 1.33x slower
+# at 5 replications and 1.80x at 100. Larger chunks wrote no faster and
+# raised the writer's peak memory: 4096-row chunks added about 0.9 MB to the
+# peak of a 5-replication, 1000-frame run.
 CSV_CHUNK_ROWS = 1 << 10
 
 
@@ -130,25 +136,20 @@ def _plain_mode(path: Path) -> int:
         return 0o666 & ~umask
 
 
-def _write_rows(handle: TextIO, rows: Iterable[Sequence[str]]) -> None:
-    """Write rows of text fields, joined by "," and each ended by "\n".
-
-    No field is quoted, and none needs to be: every field the CLI writes is
-    a number, a ControllerKind value, "mean" or a column name, none of which
-    holds a comma, a quote or a line break. The text goes out
-    CSV_CHUNK_ROWS rows per write.
-    """
-    lines = map(",".join, rows)
-    while chunk := list(islice(lines, CSV_CHUNK_ROWS)):
-        handle.write("\n".join(chunk) + "\n")
-
-
 def _write_table(handle: TextIO, table: Sequence[tuple[str, str]], *parts: dict) -> None:
-    """Write table's header, then each part's rows, a column read from the part by source."""
-    _write_rows(handle, [[header for header, _ in table]])
+    """Write table's header, then each part's rows, a column read from the part by source.
+
+    Fields are joined by "," and each row ended by "\n". No field is quoted,
+    and none needs to be: every field the CLI writes is a number, a
+    ControllerKind value, "mean" or a column name, none of which holds a
+    comma, a quote or a line break. The rows go out CSV_CHUNK_ROWS per write.
+    """
+    handle.write(",".join(header for header, _ in table) + "\n")
     for part in parts:
         sources = (part[source] for _, source in table)
-        _write_rows(handle, zip(*(repeat(v) if isinstance(v, str) else _cells(v) for v in sources)))
+        rows = zip(*(repeat(v) if isinstance(v, str) else _cells(v) for v in sources))
+        while chunk := list(islice(rows, CSV_CHUNK_ROWS)):
+            handle.write("\n".join(map(",".join, chunk)) + "\n")
 
 
 def write_run_csv(
@@ -365,7 +366,7 @@ def cmd_table(args) -> int:
     _refuse_bad_paths({}, {"--out": out, "--sweep-out": sweep_path})
     with _flag_errors():
         table = subframe_lookup_table(config, args.step, args.max_load)
-    thresholds = [t for t, _ in table.entries]
+    thresholds, counts = map(np.array, zip(*table.entries))
 
     def write_sweep(sweep: TextIO) -> None:
         sweep.write("load,n_s\n")
@@ -381,9 +382,9 @@ def cmd_table(args) -> int:
                     sweep.write(suffix.join(map(repr, values[start:end])) + suffix)
 
     _write_outputs({
-        "--out": (out, lambda handle: _write_rows(handle, [
-            ("load_threshold", "n_s"), *((repr(t), str(n)) for t, n in table.entries)
-        ])),
+        "--out": (out, lambda handle: _write_table(
+            handle, _THRESHOLDS_TABLE, {"load_threshold": thresholds, "n_s": counts}
+        )),
         "--sweep-out": (sweep_path, write_sweep),
     })
     print(f"wrote {out} ({len(table.entries)} thresholds) and {sweep_path}")
@@ -500,10 +501,6 @@ def _interrupt(signum: int, frame) -> None:
     raise _Interrupted(signum)
 
 
-# The signals main turns into _Interrupted; SIGINT raises KeyboardInterrupt itself.
-_INTERRUPTS = (signal.SIGTERM, signal.SIGHUP)
-
-
 def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code (see the module docstring).
 
@@ -517,7 +514,7 @@ def main(argv: list[str] | None = None) -> int:
     if threading.current_thread() is threading.main_thread():
         previous = {  # an ignored signal stays ignored, as nohup asks of SIGHUP
             signum: signal.signal(signum, _interrupt)
-            for signum in _INTERRUPTS if signal.getsignal(signum) is not signal.SIG_IGN
+            for signum in INTERRUPTS if signal.getsignal(signum) is not signal.SIG_IGN
         }
     try:
         args = parser.parse_args(argv)  # a flag's refused text is a ScenarioError

@@ -766,9 +766,11 @@ def _run_share(
 # prctl(2)'s option that names the signal a process gets when its parent dies
 _PR_SET_PDEATHSIG = 1
 
-# The signals a fork holds off until the child has its own handlers: the
-# caller's handlers would unwind the child's copy of the caller's stack.
-_HELD = (signal.SIGINT, signal.SIGTERM, signal.SIGHUP)
+# The signals the CLI turns into an exception, as SIGINT raises KeyboardInterrupt.
+INTERRUPTS = (signal.SIGTERM, signal.SIGHUP)
+# The signals run_replications holds over the numpy.random import and the
+# forks: the caller's handlers would unwind a child's copy of the caller's stack.
+_HELD = (signal.SIGINT, *INTERRUPTS)
 
 
 def _report(
@@ -778,15 +780,15 @@ def _report(
     """In a forked child: run the share, pickle its (runs, failure) into the pipe and exit.
 
     The child is forked with _HELD blocked. It takes the default action of
-    SIGTERM and SIGHUP, or keeps ignoring one its parent ignores (as nohup
-    does SIGHUP), asks to be killed when its parent dies, and only then
+    INTERRUPTS, or keeps ignoring one its parent ignores (as nohup does
+    SIGHUP), asks to be killed when its parent dies, and only then
     restores the signal mask, mask. So it dies with its parent also when
     the parent is killed by SIGKILL, or by a signal whose handler raises
     before the parent holds the child's pid.
     """
     status = 1
     try:
-        for signum in (signal.SIGTERM, signal.SIGHUP):
+        for signum in INTERRUPTS:
             if signal.getsignal(signum) is not signal.SIG_IGN:
                 signal.signal(signum, signal.SIG_DFL)
         prctl = ctypes.CDLL(None).prctl
@@ -830,18 +832,18 @@ def run_replications(
     jobs = [(s, i) for s in range(len(scenarios)) for i in range(n_reps)]
     workers = max(1, min(len(jobs), _usable_cpus(), rows // MIN_WORKER_ROWS))
     first, *shares = (jobs[k::workers] for k in range(workers))
-    # numpy imports numpy.random, about 10 ms, at its first use. Done here,
-    # before any fork, it is done once: the children inherit it. And it is
-    # over before a worker runs: a bare except in numpy.random's Cython module
-    # code swallows the exception a signal handler raises during the import.
-    importlib.import_module("numpy.random")
     parent = os.getpid()
     children = {}  # pid -> (read end of its pipe, its share), until reaped
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, [])  # the caller's, to restore
     try:
-        for share in shares:
-            try:
-                signal.pthread_sigmask(signal.SIG_BLOCK, _HELD)  # may raise, having blocked
+        try:
+            signal.pthread_sigmask(signal.SIG_BLOCK, _HELD)  # may raise, having blocked
+            # numpy imports numpy.random, about 10 ms, at its first use: here,
+            # once, before any fork. Held, as a bare except in its Cython module
+            # code swallows what a handler raises then; but only in this thread,
+            # so a signal to the process that an OpenBLAS thread takes still runs the handler.
+            importlib.import_module("numpy.random")
+            for share in shares:
                 read_end, write_end = os.pipe()
                 pid = os.fork()
                 if pid == 0:
@@ -849,8 +851,8 @@ def run_replications(
                     _report(scenarios, share, base_seed, write_end, parent, mask)
                 os.close(write_end)
                 children[pid] = (open(read_end, "rb"), share)
-            finally:
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         reports = [_run_share(scenarios, first, base_seed)]
         for pid, (pipe, share) in list(children.items()):
             try:

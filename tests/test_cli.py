@@ -815,14 +815,13 @@ def test_a_signal_mid_write_leaves_the_path_as_it_was(
 ):
     out = tmp_path / "o.csv"
     out.write_text("earlier\n")
-    write_rows = rachsim.cli._write_rows
+    cells = rachsim.cli._cells
 
-    def write_then_signal(handle, rows):  # the header, then the signal
-        write_rows(handle, rows)
+    def signal_then_cells(values):  # the header is written, then the signal
         os.kill(os.getpid(), signum)
-        handle.write("a row after the signal\n")
+        return cells(values)
 
-    monkeypatch.setattr(rachsim.cli, "_write_rows", write_then_signal)
+    monkeypatch.setattr(rachsim.cli, "_cells", signal_then_cells)
     handlers = [signal.getsignal(s) for s in INTERRUPTS]
     argv = ["run", "--scenario", str(small_scn), "--reps", "2", "--out", str(out)]
     assert main(argv) == 128 + signum

@@ -1,5 +1,6 @@
 """run_replications across worker processes: same results and bytes, same errors, no child left."""
 
+import importlib
 import os
 import signal
 import subprocess
@@ -436,6 +437,56 @@ def test_an_interrupted_mask_call_leaves_the_mask_as_it_was(monkeypatch):
     finally:
         block(signal.SIG_SETMASK, before)
     assert os.listdir("/proc/self/fd") == fds  # no pipe was left open
+    assert_no_child()
+
+
+@forks
+def test_a_signal_during_the_numpy_random_import_is_raised_after_it(monkeypatch):
+    # a bare except in numpy.random's Cython module code swallows the
+    # exception a handler raises during the import; the stand-in swallows every
+    # one. raise_signal aims at this thread, whose block holds it; a signal to
+    # the process can be taken by numpy's OpenBLAS thread, which no block covers
+    class Interrupted(Exception):
+        pass
+
+    def interrupt(signum, frame):
+        raise Interrupted
+
+    def import_swallowing(name):
+        try:
+            signal.raise_signal(signal.SIGTERM)
+        except BaseException:
+            pass
+
+    monkeypatch.setattr(importlib, "import_module", import_swallowing)
+    force_workers(monkeypatch, 2)
+    previous = signal.signal(signal.SIGTERM, interrupt)
+    try:
+        with pytest.raises(Interrupted):
+            run_replications([parse_scenario(STOCK)], 2)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert_no_child()
+
+
+@forks
+def test_one_usable_cpu_off_linux_forks_nothing(monkeypatch):
+    # off Linux, or on Python 3.12 and later, every job runs in this process
+    stock = parse_scenario(STOCK)
+    variants = [stock.with_controller(kind) for kind in ("adaptive", "fixed", "acb", "max")]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forked = run_replications(variants, 5)  # 400 frame rows: two workers on two CPUs
+
+    def no_fork():
+        raise AssertionError("a worker was forked")
+
+    with monkeypatch.context() as patch:  # numpy.testing reads sys.platform too
+        patch.setattr(sys, "platform", "darwin")
+        assert rachsim.simulator._usable_cpus() == 1
+        patch.setattr(os, "fork", no_fork)
+        alone = run_replications(variants, 5)
+    for repset, expected in zip(alone, forked, strict=True):
+        assert_same_set(repset, expected, 5)
     assert_no_child()
 
 
