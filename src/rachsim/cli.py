@@ -31,7 +31,7 @@ import tempfile
 import threading
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
-from itertools import combinations, islice, permutations, repeat, starmap
+from itertools import combinations, permutations, repeat, starmap
 from pathlib import Path
 from typing import Callable, Sequence, TextIO
 
@@ -73,15 +73,15 @@ _THRESHOLDS_TABLE = (("load_threshold", "load_threshold"), ("n_s", "n_s"))
 MAX_FRAME_ROWS = 1_000_000
 
 
-# Rows per write of a CSV: its lines are joined and written this many rows at
-# a time, about 0.12 MB. The cells are not: _write_table formats every column
-# of a part first, so each column's cell list and its distinct strings are
-# held for the whole part, about 130 B a row (VmHWM 92.5 -> 131.5 MB inside
-# write_run_csv for `run --scenario tm2_beta.scn --reps 300`). Formatting
-# the cells a chunk at a time loses _cells' whole-column dedup: 1.33x slower
-# at 5 replications and 1.80x at 100. Larger chunks wrote no faster and
-# raised the writer's peak memory: 4096-row chunks added about 0.9 MB to the
-# peak of a 5-replication, 1000-frame run.
+# Rows per write of a CSV: its cells are gathered, joined and written this
+# many rows at a time, about 0.12 MB of text. For its whole write a part holds
+# only each column's distinct texts and a narrow index a row into them (one or
+# two bytes in these tables), so _cells' dedup still spans the whole column.
+# tracemalloc's peak inside write_run_csv is about 95 B a row for 20
+# replications of tm2_beta.scn, most of it the part's own arrays and
+# np.unique's sort. Larger chunks wrote no faster and raised the writer's
+# peak memory: 4096-row chunks added about 0.9 MB to the peak of a
+# 5-replication, 1000-frame run.
 CSV_CHUNK_ROWS = 1 << 10
 
 
@@ -146,10 +146,15 @@ def _write_table(handle: TextIO, table: Sequence[tuple[str, str]], *parts: dict)
     """
     handle.write(",".join(header for header, _ in table) + "\n")
     for part in parts:
-        sources = (part[source] for _, source in table)
-        rows = zip(*(repeat(v) if isinstance(v, str) else _cells(v) for v in sources))
-        while chunk := list(islice(rows, CSV_CHUNK_ROWS)):
-            handle.write("\n".join(map(",".join, chunk)) + "\n")
+        sources = [part[source] for _, source in table]
+        rows = next(len(v) for v in sources if not isinstance(v, str))
+        columns = [v if isinstance(v, str) else _cells(v) for v in sources]
+        for lo in range(0, rows, CSV_CHUNK_ROWS):
+            chunk = slice(lo, lo + CSV_CHUNK_ROWS)
+            cells = (
+                repeat(c) if isinstance(c, str) else c[0][c[1][chunk]].tolist() for c in columns
+            )
+            handle.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def write_run_csv(
@@ -175,20 +180,23 @@ def write_run_csv(
     })
 
 
-def _cells(values: np.ndarray) -> list[str]:
-    """Cell text of each value: its str, "" for NaN.
+def _cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cell texts of the distinct values, and each value's index into them.
 
-    A float's str is its repr, the shortest round-trip decimal; an int's or
-    a name's is itself. An empty cell is a missing value (a frame without a
-    load estimate). Each distinct value is formatted once, found by one
-    np.unique pass, and its text gathered by the inverse index; the columns
-    repeat values a lot. Floats are told apart by bit pattern, so NaN is one
-    value and -0.0 another than 0.0.
+    A cell's text is the value's str, "" for NaN: a float's str is its
+    repr, the shortest round-trip decimal; an int's or a name's is itself.
+    An empty cell is a missing value (a frame without a load estimate).
+    Each distinct value is formatted once, found by one np.unique pass over
+    the whole column; the columns repeat values a lot. Floats are told apart
+    by bit pattern, so NaN is one value and -0.0 another than 0.0. The index
+    has the narrowest unsigned dtype that holds the distinct count, so the
+    writer holds a column as one or two bytes a row, not as its cells.
     """
     floats = values.dtype == np.float64
     distinct, index = np.unique(values.view(np.int64) if floats else values, return_inverse=True)
     items = (distinct.view(np.float64) if floats else distinct).tolist()
-    return np.array(["" if v != v else str(v) for v in items], dtype=object)[index].tolist()
+    texts = np.array(["" if v != v else str(v) for v in items], dtype=object)
+    return texts, index.astype(np.min_scalar_type(len(texts)))
 
 
 def _at_true_load(repset: ReplicationSet, config: RachConfig) -> tuple[np.ndarray, np.ndarray]:

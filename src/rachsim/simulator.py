@@ -845,7 +845,12 @@ def run_replications(
             importlib.import_module("numpy.random")
             for share in shares:
                 read_end, write_end = os.pipe()
-                pid = os.fork()
+                try:
+                    pid = os.fork()
+                except BaseException:
+                    os.close(read_end)
+                    os.close(write_end)
+                    raise
                 if pid == 0:
                     os.close(read_end)
                     _report(scenarios, share, base_seed, write_end, parent, mask)

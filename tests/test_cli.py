@@ -10,6 +10,7 @@ import stat
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -457,6 +458,22 @@ def test_compare_csv_matches_csv_writer(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "cmp.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+def test_run_csv_writer_holds_no_cell_of_a_whole_column():
+    # 20 replications of 1000 frames and the 1000 mean rows; holding every
+    # cell of a part as text takes about 190 B a row
+    scenario = parse_scenario(TM2)
+    [repset] = run_replications([scenario], 20)
+    rows = 21 * scenario.frames
+    with open(os.devnull, "w", encoding="utf-8") as handle:
+        tracemalloc.start()
+        try:
+            rachsim.cli.write_run_csv(handle, repset, "adaptive", scenario.config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak / rows < 130
+
+
 NAN = float("nan")
 
 
@@ -472,12 +489,18 @@ NAN = float("nan")
         (np.zeros(0), []),
         (np.zeros(0, dtype=np.int64), []),
         (np.array(["fixed", "adaptive", "fixed"]), ["fixed", "adaptive", "fixed"]),
+        # 256 and 65 537 distinct values need a uint16 and a uint32 index;
+        # descending, so the index is not the identity
+        (np.arange(256)[::-1] / 7, [repr(v) for v in (np.arange(256)[::-1] / 7).tolist()]),
+        (np.arange(65_537)[::-1] / 7, [repr(v) for v in (np.arange(65_537)[::-1] / 7).tolist()]),
     ],
     ids=["nan", "signed-zero", "int", "one-value", "all-distinct", "empty-float", "empty-int",
-         "names"],
+         "names", "uint16-index", "uint32-index"],
 )
 def test_cells_text_of_each_value(values, cells):
-    assert rachsim.cli._cells(values) == cells
+    texts, index = rachsim.cli._cells(values)
+    assert index.dtype == np.min_scalar_type(len(texts))
+    assert texts[index].tolist() == cells
 
 
 def test_table_alpha100_single_row(tmp_path, capsys):

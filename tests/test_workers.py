@@ -279,10 +279,12 @@ def test_a_failed_fork_kills_and_reaps_the_children_already_forked(monkeypatch):
 
     monkeypatch.setattr(os, "fork", fork_once)
     force_workers(monkeypatch, 3)
+    fds = os.listdir("/proc/self/fd")
     with pytest.raises(OSError, match="no second fork"):
         run_replications([parse_scenario(TM2)], 3)
     assert forked and forked[0] > 0
     assert_no_child()
+    assert os.listdir("/proc/self/fd") == fds  # nor the failed fork's pipe left open
 
 
 @forks
