@@ -37,11 +37,11 @@ from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
-from . import model
+from . import INTERRUPTS, model
 from .model import RachConfig, SettingError, check_integer, shown, throughput, utility
 from .optimizer import SATURATION_LOAD, optimal_subframes_integer, subframe_lookup_table
 from .scenario import ScenarioError, parse_scenario, read_number
-from .simulator import INTERRUPTS, KIND_NAMES, ReplicationSet, Scenario, run_replications
+from .simulator import KIND_NAMES, ReplicationSet, Scenario, run_replications
 
 utility_of_load = model.utility_of_load  # benchmarks/tracing.py wraps cli.utility_of_load
 

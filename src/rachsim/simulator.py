@@ -41,10 +41,11 @@ import sys
 from collections import deque
 from dataclasses import dataclass, fields, replace
 from enum import Enum
-from typing import NoReturn, Sequence
+from typing import BinaryIO, NoReturn, Sequence
 
 import numpy as np
 
+from . import _HELD, INTERRUPTS
 from .estimator import InconsistentObservationError, classify_load_branch, estimate_load
 from .model import RachConfig, SettingError, check_integer, check_range, shown, utility
 from .optimizer import SATURATION_LOAD, decide_subframes
@@ -428,7 +429,8 @@ class AcbController(Controller):
 
     def admit(self, pool, frame, rng):
         passed, due = _bar(len(pool), self._p, self._window, frame, rng)
-        return pool[passed], pool[~passed], due
+        # by positions: run_scenario's docstring says why
+        return pool[passed.nonzero()[0]], pool[(~passed).nonzero()[0]], due
 
 
 def make_controller(spec: ControllerSpec, config: RachConfig, memo=None) -> Controller:
@@ -589,6 +591,16 @@ def run_scenario(scenario: Scenario, seed: int, replication_id: int = 0, memo=No
     call, and a frame that bars and retries nobody leaves the pending
     arrays as they are. Every frame still counts its pending devices for
     the conservation check.
+
+    A selection that takes a mixed share of an array goes by positions,
+    `mask.nonzero()[0]`, not by the mask: the frame's due devices (about a
+    quarter of the stored entries on the stock wave), the entries kept at
+    compaction (under half), and AcbController's admitted and barred
+    devices. At those shares numpy gathers by positions 1.6-1.8 times
+    faster than by a mask, and positions ascend, so each keeps pool order.
+    The selections that take almost all or almost none, the losers and
+    `_backoff`'s retry-limit cut, stay masks, where numpy's mask path is as
+    fast or faster.
     """
     check_integer("seed", seed, 0)
     cfg = scenario.config
@@ -619,7 +631,7 @@ def run_scenario(scenario: Scenario, seed: int, replication_id: int = 0, memo=No
             n_pool = n_admitted = n_losers = 0
         else:
             if pending:
-                pool = np.concatenate((attempts[due == frame], fresh[:arrivals]))
+                pool = np.concatenate((attempts[(due == frame).nonzero()[0]], fresh[:arrivals]))
             else:  # the pending arrays are empty
                 pool = fresh[:arrivals]
             admitted, barred, barred_due = controller.admit(pool, frame, event_rng)
@@ -651,7 +663,8 @@ def run_scenario(scenario: Scenario, seed: int, replication_id: int = 0, memo=No
             # spent entries never match again: keep only the pending ones once
             # they are outnumbered, else drop the spent ones in front, as views
             if len(due) > 2 * pending:
-                due, attempts = due[live], attempts[live]
+                keep = live.nonzero()[0]
+                due, attempts = due[keep], attempts[keep]
             elif pending:
                 first = int(live.argmax())
                 due, attempts = due[first:], attempts[first:]
@@ -766,12 +779,6 @@ def _run_share(
 # prctl(2)'s option that names the signal a process gets when its parent dies
 _PR_SET_PDEATHSIG = 1
 
-# The signals the CLI turns into an exception, as SIGINT raises KeyboardInterrupt.
-INTERRUPTS = (signal.SIGTERM, signal.SIGHUP)
-# The signals run_replications holds over the numpy.random import and the
-# forks: the caller's handlers would unwind a child's copy of the caller's stack.
-_HELD = (signal.SIGINT, *INTERRUPTS)
-
 
 def _report(
     scenarios: Sequence[Scenario], share: list[tuple[int, int]], base_seed: int,
@@ -801,6 +808,17 @@ def _report(
             status = 0
     finally:
         os._exit(status)  # runs none of the parent's exit handlers, flushes none of its buffers
+
+
+def _pipe() -> tuple[BinaryIO, int]:
+    """A new pipe: (its read end as a binary file, its write end); both closed if this raises."""
+    read_end, write_end = os.pipe()
+    try:
+        return open(read_end, "rb"), write_end
+    except BaseException:
+        os.close(read_end)
+        os.close(write_end)
+        raise
 
 
 def run_replications(
@@ -840,22 +858,26 @@ def run_replications(
             signal.pthread_sigmask(signal.SIG_BLOCK, _HELD)  # may raise, having blocked
             # numpy imports numpy.random, about 10 ms, at its first use: here,
             # once, before any fork. Held, as a bare except in its Cython module
-            # code swallows what a handler raises then; but only in this thread,
-            # so a signal to the process that an OpenBLAS thread takes still runs the handler.
+            # code swallows what a handler raises then. The block covers this
+            # thread; numpy's OpenBLAS threads hold the signals from the
+            # package's import on (see rachsim/__init__.py), unless numpy was
+            # imported before the package.
             importlib.import_module("numpy.random")
             for share in shares:
-                read_end, write_end = os.pipe()
+                pipe, write_end = _pipe()
                 try:
                     pid = os.fork()
                 except BaseException:
-                    os.close(read_end)
+                    pipe.close()
                     os.close(write_end)
                     raise
                 if pid == 0:
-                    os.close(read_end)
+                    pipe.close()
                     _report(scenarios, share, base_seed, write_end, parent, mask)
+                # recorded as the fork returns, so whatever raises next, the
+                # finally kills and reaps the child and closes its pipe
+                children[pid] = (pipe, share)
                 os.close(write_end)
-                children[pid] = (open(read_end, "rb"), share)
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         reports = [_run_share(scenarios, first, base_seed)]

@@ -28,6 +28,7 @@ from rachsim.simulator import (
     _bar,
     _defer,
     _pick_pairs,
+    AcbController,
     AdaptiveController,
     ControllerKind,
     ControllerSpec,
@@ -454,6 +455,22 @@ def test_acb_gate_half_barring():
     for d in barred:
         assert 8 <= d.backoff_until <= 11
     assert all(d.backoff_until == 0 for d in admitted)
+
+
+@pytest.mark.parametrize("n", [0, 1, 300])
+@pytest.mark.parametrize("p_barring", [0.1, 0.5, 0.99])
+def test_acb_admit_splits_the_pool_in_order_by_the_barring_draw(p_barring, n):
+    # admit selects by positions; the split must be _bar's mask, in pool order
+    pool = np.random.default_rng(21).permutation(n).astype(np.int64)  # distinct, unordered
+    rng, alone = np.random.default_rng(22), np.random.default_rng(22)
+    controller = AcbController(RachConfig(), p_barring, 4)
+    admitted, barred, due = controller.admit(pool, 7, rng)
+    passed, expected_due = _bar(n, p_barring, 4, 7, alone)
+    assert admitted.tolist() == pool[passed].tolist()
+    assert barred.tolist() == pool[~passed].tolist()
+    assert due.tolist() == expected_due.tolist()  # one due frame per barred device
+    assert len(due) == len(barred) and all(8 <= d <= 11 for d in due.tolist())
+    assert rng.bit_generator.state == alone.bit_generator.state
 
 
 def test_acb_gate_validation():

@@ -1,6 +1,8 @@
 """run_replications across worker processes: same results and bytes, same errors, no child left."""
 
+import errno
 import importlib
+import json
 import os
 import signal
 import subprocess
@@ -288,6 +290,24 @@ def test_a_failed_fork_kills_and_reaps_the_children_already_forked(monkeypatch):
 
 
 @forks
+def test_a_pipe_that_fails_to_open_leaves_no_child_and_no_descriptor(monkeypatch):
+    # an error between the pipe and the recorded child (here the read end's
+    # file) must leave no child unreaped and no descriptor open
+    def no_file_for_a_descriptor(file, *args, **kwargs):
+        if isinstance(file, int):
+            raise OSError(errno.EMFILE, "Too many open files")
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(rachsim.simulator, "open", no_file_for_a_descriptor, raising=False)
+    force_workers(monkeypatch, 2)
+    fds = os.listdir("/proc/self/fd")
+    with pytest.raises(OSError, match="Too many open files"):
+        run_replications([parse_scenario(TM2)], 2)
+    assert_no_child()
+    assert os.listdir("/proc/self/fd") == fds
+
+
+@forks
 @pytest.mark.parametrize(
     "argv, forked",
     [
@@ -469,6 +489,39 @@ def test_a_signal_during_the_numpy_random_import_is_raised_after_it(monkeypatch)
     finally:
         signal.signal(signal.SIGTERM, previous)
     assert_no_child()
+
+
+THREAD_MASKS = (
+    "import json, os, signal\n"
+    "before = signal.pthread_sigmask(signal.SIG_BLOCK, [])\n"
+    "import rachsim.cli\n"
+    "after = signal.pthread_sigmask(signal.SIG_BLOCK, [])\n"
+    "masks = {}\n"
+    "for tid in os.listdir('/proc/self/task'):\n"
+    "    with open(f'/proc/self/task/{tid}/status') as status:\n"
+    "        line = next(line for line in status if line.startswith('SigBlk:'))\n"
+    "    masks[tid] = int(line.split()[1], 16)\n"
+    "print(json.dumps([before == after, str(os.getpid()), masks]))\n"
+)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads each thread's mask in /proc")
+def test_numpys_threads_start_with_the_held_signals_blocked():
+    # a signal sent to the process goes to a thread that does not block it;
+    # numpy's OpenBLAS threads, started by the package's first numpy import,
+    # must block SIGINT, SIGTERM and SIGHUP, or run_replications' held
+    # numpy.random import can take a handler's exception. On one usable CPU
+    # (taskset -c 0) OpenBLAS starts no thread, so then no thread is checked.
+    proc = subprocess.run(
+        [sys.executable, "-c", THREAD_MASKS],
+        env=dict(rachsim_env(), OPENBLAS_NUM_THREADS="2"),
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    unchanged, main_thread, masks = json.loads(proc.stdout)
+    assert unchanged  # the importing thread's mask is as it was
+    held = sum(1 << (signum - 1) for signum in (signal.SIGINT, signal.SIGTERM, signal.SIGHUP))
+    del masks[main_thread]
+    assert {tid: mask & held for tid, mask in masks.items()} == dict.fromkeys(masks, held)
 
 
 @forks
