@@ -9,27 +9,33 @@ adaptive, and access-class-barring controllers.
 The package root exports the few names a library user starts from; the
 rest lives in the submodules (model, optimizer, estimator, lambertw,
 simulator, scenario, cli).
+
+Importing the package before numpy loads numpy's OpenBLAS single-threaded
+in that process, where it would start a thread per usable CPU beyond the
+first (rachsim calls no BLAS routine), so that run_replications can fork.
 """
 
-import signal
+import importlib
+import os
+import sys
 
-# The signals a command turns into an exception, as SIGINT raises KeyboardInterrupt.
-INTERRUPTS = (signal.SIGTERM, signal.SIGHUP)
-# The signals held where a handler that raises would do harm: here, while the
-# submodules first import numpy, so that the threads numpy's OpenBLAS starts
-# inherit the block for good and a signal sent to the process goes to the main
-# thread; and in simulator.run_replications, over its numpy.random import and forks.
-_HELD = (signal.SIGINT, *INTERRUPTS)
+if "numpy" not in sys.modules:
+    # OpenBLAS reads the variable once, as numpy loads it; the caller's value is
+    # put back, so its later subprocesses see the environment unchanged
+    _caller = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        importlib.import_module("numpy")
+    finally:
+        if _caller is None:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = _caller
 
-_mask = signal.pthread_sigmask(signal.SIG_BLOCK, [])  # the importer's, to restore
-try:
-    signal.pthread_sigmask(signal.SIG_BLOCK, _HELD)  # may raise, having blocked
-    from .model import RachConfig
-    from .optimizer import optimal_subframes_integer
-    from .scenario import default_scenario
-    from .simulator import run_replications
-finally:
-    signal.pthread_sigmask(signal.SIG_SETMASK, _mask)
+from .model import RachConfig  # noqa: E402
+from .optimizer import optimal_subframes_integer  # noqa: E402
+from .scenario import default_scenario  # noqa: E402
+from .simulator import run_replications  # noqa: E402
 
 __all__ = ["RachConfig", "optimal_subframes_integer", "default_scenario", "run_replications"]
 

@@ -45,7 +45,6 @@ from typing import BinaryIO, NoReturn, Sequence
 
 import numpy as np
 
-from . import _HELD, INTERRUPTS
 from .estimator import InconsistentObservationError, classify_load_branch, estimate_load
 from .model import RachConfig, SettingError, check_integer, check_range, shown, utility
 from .optimizer import SATURATION_LOAD, decide_subframes
@@ -748,12 +747,15 @@ MIN_WORKER_ROWS = 200
 
 
 def _usable_cpus() -> int:
-    """CPUs run_replications spreads over: the affinity set on Linux under Python < 3.12, else 1.
+    """CPUs run_replications spreads over: a one-thread Linux process's affinity set, else 1.
 
-    Python 3.12 and later warn on os.fork in a process with threads, and
-    numpy's OpenBLAS starts a thread when it is imported.
+    A fork copies only the calling thread, and Python 3.12 and later warn on
+    os.fork in a process with threads. Importing rachsim before numpy gives
+    the process single-threaded OpenBLAS (see rachsim/__init__.py). A process
+    with a second thread, its caller's own or OpenBLAS's because numpy came
+    first, runs its replications in one process, with the same bytes.
     """
-    if sys.platform == "linux" and sys.version_info < (3, 12):
+    if sys.platform == "linux" and len(os.listdir("/proc/self/task")) == 1:
         return len(os.sched_getaffinity(0))
     return 1
 
@@ -778,6 +780,12 @@ def _run_share(
 
 # prctl(2)'s option that names the signal a process gets when its parent dies
 _PR_SET_PDEATHSIG = 1
+
+# The signals the CLI turns into an exception, as SIGINT raises KeyboardInterrupt.
+INTERRUPTS = (signal.SIGTERM, signal.SIGHUP)
+# The signals run_replications holds over the numpy.random import and the
+# forks: the caller's handlers would unwind a child's copy of the caller's stack.
+_HELD = (signal.SIGINT, *INTERRUPTS)
 
 
 def _report(
@@ -858,10 +866,8 @@ def run_replications(
             signal.pthread_sigmask(signal.SIG_BLOCK, _HELD)  # may raise, having blocked
             # numpy imports numpy.random, about 10 ms, at its first use: here,
             # once, before any fork. Held, as a bare except in its Cython module
-            # code swallows what a handler raises then. The block covers this
-            # thread; numpy's OpenBLAS threads hold the signals from the
-            # package's import on (see rachsim/__init__.py), unless numpy was
-            # imported before the package.
+            # code swallows what a handler raises then. A forking process has
+            # only this thread (_usable_cpus), so no other thread takes the signal.
             importlib.import_module("numpy.random")
             for share in shares:
                 pipe, write_end = _pipe()

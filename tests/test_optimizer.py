@@ -163,6 +163,16 @@ def test_decide_saturates_beyond_table_range():
     assert not d.clamped
 
 
+def test_decide_saturates_only_past_the_table_bound():
+    # at alpha 100 the argmax at load 700 is n_s_min, so the bound itself is
+    # decided by the argmax and only the next float up is pinned at n_s_max
+    alpha100 = RachConfig(alpha=100.0)
+    d = decide_subframes(700.0, alpha100, table_max_load=700.0)
+    assert (d.n_s, d.clamped) == (alpha100.n_s_min, False)
+    d = decide_subframes(math.nextafter(700.0, math.inf), alpha100, table_max_load=700.0)
+    assert (d.n_s, d.clamped) == (alpha100.n_s_max, True)
+
+
 def test_decide_zero_load():
     d = decide_subframes(0, ALPHA25)
     assert d.n_s == 2

@@ -7,6 +7,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -26,10 +27,7 @@ TM2 = SCENARIOS / "tm2_beta.scn"
 STOCK = SCENARIOS / "stock_wave.scn"
 
 # run_replications forks only where _usable_cpus reads the affinity set
-forks = pytest.mark.skipif(
-    sys.platform != "linux" or sys.version_info >= (3, 12),
-    reason="run_replications forks only on Linux under Python < 3.12",
-)
+forks = pytest.mark.skipif(sys.platform != "linux", reason="run_replications forks only on Linux")
 
 # Near the fixed controller's stability limit, with every retrier due again
 # the next frame, the pool wanders; under a pool bound of 180 the replications
@@ -466,8 +464,8 @@ def test_an_interrupted_mask_call_leaves_the_mask_as_it_was(monkeypatch):
 def test_a_signal_during_the_numpy_random_import_is_raised_after_it(monkeypatch):
     # a bare except in numpy.random's Cython module code swallows the
     # exception a handler raises during the import; the stand-in swallows every
-    # one. raise_signal aims at this thread, whose block holds it; a signal to
-    # the process can be taken by numpy's OpenBLAS thread, which no block covers
+    # one. raise_signal aims at this thread, whose block holds it, as it holds a
+    # signal sent to the process: a forking process has no other thread
     class Interrupted(Exception):
         pass
 
@@ -491,42 +489,38 @@ def test_a_signal_during_the_numpy_random_import_is_raised_after_it(monkeypatch)
     assert_no_child()
 
 
-THREAD_MASKS = (
-    "import json, os, signal\n"
-    "before = signal.pthread_sigmask(signal.SIG_BLOCK, [])\n"
+IMPORT = (
+    "import json, os\n"
+    "before = dict(os.environ)\n"
     "import rachsim.cli\n"
-    "after = signal.pthread_sigmask(signal.SIG_BLOCK, [])\n"
-    "masks = {}\n"
-    "for tid in os.listdir('/proc/self/task'):\n"
-    "    with open(f'/proc/self/task/{tid}/status') as status:\n"
-    "        line = next(line for line in status if line.startswith('SigBlk:'))\n"
-    "    masks[tid] = int(line.split()[1], 16)\n"
-    "print(json.dumps([before == after, str(os.getpid()), masks]))\n"
+    "print(json.dumps([os.listdir('/proc/self/task'), dict(os.environ) == before]))\n"
 )
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="reads each thread's mask in /proc")
-def test_numpys_threads_start_with_the_held_signals_blocked():
-    # a signal sent to the process goes to a thread that does not block it;
-    # numpy's OpenBLAS threads, started by the package's first numpy import,
-    # must block SIGINT, SIGTERM and SIGHUP, or run_replications' held
-    # numpy.random import can take a handler's exception. On one usable CPU
-    # (taskset -c 0) OpenBLAS starts no thread, so then no thread is checked.
+@pytest.mark.skipif(sys.platform != "linux", reason="lists the process's threads in /proc")
+@pytest.mark.parametrize("openblas_threads", [None, "2"])
+def test_importing_rachsim_starts_no_thread_and_leaves_the_environment(openblas_threads):
+    # numpy's OpenBLAS starts a thread per usable CPU beyond the first unless
+    # OPENBLAS_NUM_THREADS says 1 as it loads; the package sets the variable
+    # over its numpy import, then puts back the caller's value or deletes it.
+    # On one usable CPU (taskset -c 0) OpenBLAS starts no thread either way.
+    env = rachsim_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
     proc = subprocess.run(
-        [sys.executable, "-c", THREAD_MASKS],
-        env=dict(rachsim_env(), OPENBLAS_NUM_THREADS="2"),
+        [sys.executable, "-c", IMPORT], env=env,
         capture_output=True, text=True, timeout=60, check=True,
     )
-    unchanged, main_thread, masks = json.loads(proc.stdout)
-    assert unchanged  # the importing thread's mask is as it was
-    held = sum(1 << (signum - 1) for signum in (signal.SIGINT, signal.SIGTERM, signal.SIGHUP))
-    del masks[main_thread]
-    assert {tid: mask & held for tid, mask in masks.items()} == dict.fromkeys(masks, held)
+    threads, unchanged = json.loads(proc.stdout)
+    assert len(threads) == 1
+    assert unchanged
 
 
 @forks
 def test_one_usable_cpu_off_linux_forks_nothing(monkeypatch):
-    # off Linux, or on Python 3.12 and later, every job runs in this process
+    # off Linux, where _usable_cpus reads neither the affinity set nor the
+    # thread list, every job runs in this process, with the same results
     stock = parse_scenario(STOCK)
     variants = [stock.with_controller(kind) for kind in ("adaptive", "fixed", "acb", "max")]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -543,6 +537,24 @@ def test_one_usable_cpu_off_linux_forks_nothing(monkeypatch):
     for repset, expected in zip(alone, forked, strict=True):
         assert_same_set(repset, expected, 5)
     assert_no_child()
+
+
+@forks
+def test_a_second_thread_leaves_one_usable_cpu(monkeypatch):
+    # a fork copies only the calling thread, and Python 3.12 and later warn on
+    # it in a process with threads, so while a second thread lives, be it the
+    # caller's or numpy's OpenBLAS's, every job runs in this process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert rachsim.simulator._usable_cpus() == 2
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert rachsim.simulator._usable_cpus() == 1
+    finally:
+        release.set()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
 
 
 @forks
